@@ -14,6 +14,7 @@ from .errors import (
     NegativeTrace,
     NoConvergence,
     NonDiagonalCovariance,
+    NonFiniteInput,
     NonStandardMeasure,
     NonUniqueProjectorWarning,
     NotPositiveDefinite,
@@ -70,10 +71,12 @@ from .ridge import (
     build_ridge,
     error_bound,
     estimate_h,
+    kl_error_bounds,
     m_inflation_check,
     optimal_projector,
     select_rank,
     spectrum_report,
+    tail_sums,
     validate_error,
 )
 from .sensitivity import (

@@ -22,11 +22,11 @@ class NotPositiveSemidefinite(GradRidgeError):
 
 
 class NoConvergence(GradRidgeError):
-    """Jacobi iteration exhausted its sweep budget. Carries the sweep count."""
+    """The LAPACK eigensolver failed to converge."""
 
-    def __init__(self, sweeps, message=None):
-        self.sweeps = sweeps
-        super().__init__(message or f"no convergence after {sweeps} sweeps")
+
+class NonFiniteInput(GradRidgeError):
+    """A linear algebra kernel was handed a matrix with NaN or infinite entries."""
 
 
 class NegativeTrace(GradRidgeError):

@@ -1,10 +1,9 @@
 """Dense symmetric linear algebra kernels.
 
-Hand-rolled Cholesky and cyclic-Jacobi eigendecomposition in float64, plus the
-generalized symmetric-definite eigenproblem reduced through the Cholesky factor
-of the covariance. Matrices here are a few hundred rows at most, so everything
-stays dense and the quadratically convergent Jacobi sweep is accurate enough to
-serve as the single eigensolver of the package.
+Cholesky (LAPACK dpotrf) and the symmetric eigendecomposition (scipy.linalg.eigh)
+in float64, plus the generalized symmetric-definite eigenproblem reduced through
+the Cholesky factor of the covariance. Every kernel rejects NaN or infinite
+input with NonFiniteInput rather than returning a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -12,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh
+from scipy.linalg.lapack import dpotrf
 
 from .errors import (
     DimensionMismatch,
     NegativeTrace,
     NoConvergence,
+    NonFiniteInput,
     NotPositiveDefinite,
     NotPositiveSemidefinite,
 )
@@ -78,12 +80,19 @@ def _entries(a):
     return a.entries if isinstance(a, SpdMatrix) else 0.5 * (_as_square(a) + _as_square(a).T)
 
 
+def _require_finite(m, what):
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteInput(f"{what} input has NaN or infinite entries")
+    return m
+
+
 def cholesky(a):
-    """Lower-triangular L with L @ L.T equal to ``a``.
+    """Lower-triangular L with L @ L.T equal to ``a`` (LAPACK dpotrf).
 
     ``a`` may be an SpdMatrix (the factor is cached on it) or a plain array.
-    A pivot at or below dim * 1e-14 * max(diag) raises NotPositiveDefinite
-    carrying the 0-based pivot index.
+    A pivot L[j, j]^2 at or below dim * 1e-14 * max(diag), or one where dpotrf
+    stops, raises NotPositiveDefinite carrying the first such 0-based index.
+    NaN or infinite entries raise NonFiniteInput.
     """
     holder = None
     if isinstance(a, SpdMatrix):
@@ -93,90 +102,39 @@ def cholesky(a):
         m = a.entries
     else:
         m = _entries(a)
+    _require_finite(m, "cholesky")
     d = m.shape[0]
     tol = d * 1e-14 * max(float(np.max(np.diag(m))), 0.0)
-    low = np.zeros((d, d))
-    for j in range(d):
-        pivot = m[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= tol:
-            raise NotPositiveDefinite(j)
-        ljj = np.sqrt(pivot)
-        low[j, j] = ljj
-        if j + 1 < d:
-            low[j + 1:, j] = (m[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / ljj
+    low, info = dpotrf(m, lower=1, clean=1)
+    # On failure dpotrf has factored the leading info - 1 columns; a pivot
+    # there may already sit under the floor.
+    done = info - 1 if info > 0 else d
+    below = np.flatnonzero(np.diag(low)[:done] ** 2 <= tol)
+    if below.size:
+        raise NotPositiveDefinite(int(below[0]))
+    if info > 0:
+        raise NotPositiveDefinite(done)
     low.setflags(write=False)
     if holder is not None:
         holder._chol = low
     return low
 
 
-def sym_eig(a, max_sweeps=100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(a):
+    """Eigendecomposition of a symmetric matrix (LAPACK, via scipy.linalg.eigh).
 
     Returns ``(values, vectors)`` with eigenvalues sorted descending (stable
     order among ties) and orthonormal eigenvectors in the columns of
-    ``vectors``. Sweeps stop once the off-diagonal Frobenius norm falls below
-    1e-12 times the Frobenius norm of the input; NoConvergence is raised after
-    ``max_sweeps`` full sweeps, which no finite symmetric input reaches in
-    practice.
+    ``vectors``. NaN or infinite entries raise NonFiniteInput; a LAPACK
+    convergence failure raises NoConvergence.
     """
-    m = _entries(a)
-    d = m.shape[0]
-    if d == 1:
-        return np.array([float(m[0, 0])]), np.ones((1, 1))
-    ref = float(np.linalg.norm(m, "fro"))
-    vecs = np.eye(d)
-    work = m.copy()
-    if ref > 0.0:
-        tol = 1e-12 * ref
-        # Rotations below this leave the off-diagonal norm under tol even if
-        # every remaining entry sits exactly at the threshold.
-        skip = 0.1 * tol / d
-        sweeps = 0
-        while True:
-            # Summed from the entries themselves: the subtraction form
-            # total - diagonal cancels catastrophically near convergence.
-            off = work.copy()
-            np.fill_diagonal(off, 0.0)
-            off_sq = float(np.sum(off * off))
-            if off_sq <= tol * tol:
-                break
-            if sweeps >= max_sweeps:
-                raise NoConvergence(sweeps)
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    apq = work[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    app = work[p, p]
-                    aqq = work[q, q]
-                    theta = 0.5 * (aqq - app) / apq
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                    else:
-                        t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    col_p = work[:, p].copy()
-                    col_q = work[:, q].copy()
-                    work[:, p] = c * col_p - s * col_q
-                    work[:, q] = s * col_p + c * col_q
-                    row_p = work[p, :].copy()
-                    row_q = work[q, :].copy()
-                    work[p, :] = c * row_p - s * row_q
-                    work[q, :] = s * row_p + c * row_q
-                    work[p, p] = app - t * apq
-                    work[q, q] = aqq + t * apq
-                    work[p, q] = 0.0
-                    work[q, p] = 0.0
-                    vcol_p = vecs[:, p].copy()
-                    vcol_q = vecs[:, q].copy()
-                    vecs[:, p] = c * vcol_p - s * vcol_q
-                    vecs[:, q] = s * vcol_p + c * vcol_q
-            sweeps += 1
-    values = np.diag(work).copy()
+    m = _require_finite(_entries(a), "sym_eig")
+    try:
+        values, vectors = eigh(m)
+    except LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
     order = np.argsort(-values, kind="stable")
-    return values[order], vecs[:, order]
+    return values[order], vectors[:, order]
 
 
 @dataclass(frozen=True)
@@ -201,9 +159,10 @@ def generalized_eig(h, sigma):
     With Sigma = L L^T the problem reduces to the ordinary symmetric
     eigenproblem L^T H L w = lambda w and v = L w; Sigma^{-1} is never formed.
     Eigenvalues in [-1e-10 * lambda_max, 0) are clamped to zero; anything more
-    negative raises NotPositiveSemidefinite.
+    negative raises NotPositiveSemidefinite; a NaN or infinite entry in either
+    matrix raises NonFiniteInput.
     """
-    hm = _entries(h)
+    hm = _require_finite(_entries(h), "generalized_eig")
     lowt = cholesky(sigma)
     if hm.shape[0] != lowt.shape[0]:
         raise DimensionMismatch(

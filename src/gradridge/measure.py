@@ -12,15 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, RankOutOfRange
+from .errors import DimensionMismatch, RankOutOfRange
 from .linalg import SpdMatrix, cholesky, sym_eig
-from .projector import (
-    ORTH_EUCLIDEAN,
-    ORTH_SIGMA_INVERSE,
-    RankRProjector,
-    euclidean_projector,
-    require_sigma_orthogonal,
-)
+from .projector import ORTH_SIGMA_INVERSE, euclidean_projector, require_sigma_orthogonal
 
 __all__ = [
     "SampleStream",

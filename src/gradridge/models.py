@@ -190,14 +190,6 @@ class SumOfSinesModel(VectorValuedModel):
         xs = np.asarray(xs, dtype=float)
         return (self.amplitudes * self.frequencies * np.cos(self.frequencies * xs))[:, None, :]
 
-    def eval_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.sum(self.amplitudes * np.sin(self.frequencies * xs), axis=1)[:, None]
-
-    def jacobian_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return (self.amplitudes * self.frequencies * np.cos(self.frequencies * xs))[:, None, :]
-
 
 def finite_diff_jacobian(model, x, step=None):
     """Central-difference Jacobian, the reference every adjoint is checked

@@ -70,7 +70,6 @@ _M1 = np.array(
 ) / 36.0
 
 LOG_CONDUCTIVITY_LIMIT = 40.0
-DIRECT_SOLVE_MAX_G = 16
 
 
 class Mesh2D:
@@ -246,36 +245,25 @@ class DiffusionModel(VectorValuedModel):
         rhs = -full[interior][:, boundary] @ self._boundary_values[boundary]
         return kappa, a_ii, rhs
 
-    def _interior_solver(self, a_ii):
-        if self.mesh.cells_per_side <= DIRECT_SOLVE_MAX_G:
-            lu = spla.splu(a_ii)
-            return lu.solve
-        diag = a_ii.diagonal()
-        precond = spla.LinearOperator(a_ii.shape, matvec=lambda v: v / diag)
+    def _forward(self, x):
+        """Assemble, factor (SuperLU) and solve the interior system.
 
-        def solve(b):
-            b = np.asarray(b, dtype=float)
-            if b.ndim == 1:
-                out, info = spla.cg(a_ii, b, rtol=1e-12, atol=0.0, M=precond)
-                if info != 0:
-                    raise SolverFailure(float("nan"), f"CG did not converge (info={info})")
-                return out
-            cols = [solve(b[:, j]) for j in range(b.shape[1])]
-            return np.column_stack(cols)
-
-        return solve
-
-    def solve_field(self, x):
-        """Full nodal solution vector, boundary values included."""
-        _, a_ii, rhs = self._assemble(x)
-        solve = self._interior_solver(a_ii)
+        Returns the conductivities, the factorization's solve and the full
+        nodal solution, boundary values included.
+        """
+        kappa, a_ii, rhs = self._assemble(x)
+        solve = spla.splu(a_ii).solve
         u_i = solve(rhs)
         resid = float(np.linalg.norm(a_ii @ u_i - rhs))
         if resid > 1e-10 * (float(np.linalg.norm(rhs)) + 1e-30):
             raise SolverFailure(resid)
         u = self._boundary_values.copy()
         u[self.mesh.interior] = u_i
-        return u
+        return kappa, solve, u
+
+    def solve_field(self, x):
+        """Full nodal solution vector, boundary values included."""
+        return self._forward(x)[2]
 
     def eval(self, x):
         return self._observation @ self.solve_field(x)
@@ -288,14 +276,7 @@ class DiffusionModel(VectorValuedModel):
         solution for output j extended by zero to the boundary. The Dirichlet
         lift enters through the boundary entries of u.
         """
-        kappa, a_ii, rhs = self._assemble(x)
-        solve = self._interior_solver(a_ii)
-        u_i = solve(rhs)
-        resid = float(np.linalg.norm(a_ii @ u_i - rhs))
-        if resid > 1e-10 * (float(np.linalg.norm(rhs)) + 1e-30):
-            raise SolverFailure(resid)
-        u = self._boundary_values.copy()
-        u[self.mesh.interior] = u_i
+        kappa, solve, u = self._forward(x)
 
         lam_i = solve(self._obs_interior_t)  # (n_interior, n_out)
         lam = np.zeros((self.mesh.n_nodes, self.output_dim))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
 from .linalg import SpdMatrix, generalized_eig, trace_quadratic
 from .measure import sample
 from .models import LinearModel, VectorValuedModel
-from .projector import RankRProjector, require_sigma_orthogonal, sigma_inverse_projector
+from .projector import require_sigma_orthogonal, sigma_inverse_projector
 
 __all__ = [
     "HMatrixEstimate",
@@ -40,6 +40,8 @@ __all__ = [
     "optimal_projector",
     "error_bound",
     "spectrum_report",
+    "tail_sums",
+    "kl_error_bounds",
     "select_rank",
     "build_ridge",
     "validate_error",
@@ -154,15 +156,20 @@ def optimal_projector(h, mu, rank, pairs=None):
         raise RankOutOfRange(f"rank {rank} outside [1, {mu.dim}]")
     if pairs is None:
         pairs = generalized_eig(hm, mu.cov)
-    ceiling = h.rank_upper_bound if isinstance(h, HMatrixEstimate) else hm.dim
-    if rank > ceiling:
+    _warn_if_unidentifiable(h, rank, stacklevel=3)
+    return sigma_inverse_projector(pairs.vectors[:, :rank], mu.cov)
+
+
+def _warn_if_unidentifiable(h, rank, stacklevel=2):
+    """NonUniqueProjectorWarning when ``rank`` exceeds what the sample count
+    behind ``h`` can identify, so the optimal projector is not unique there."""
+    if isinstance(h, HMatrixEstimate) and rank > h.rank_upper_bound:
         warnings.warn(
-            f"rank {rank} exceeds the identifiable rank {ceiling}; "
+            f"rank {rank} exceeds the identifiable rank {h.rank_upper_bound}; "
             "trailing directions are arbitrary",
             NonUniqueProjectorWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    return sigma_inverse_projector(pairs.vectors[:, :rank], mu.cov)
 
 
 def error_bound(p, h, mu):
@@ -190,7 +197,12 @@ class SpectrumReport:
         return self.eigenvalues.shape[0]
 
 
-def _tails(values):
+def tail_sums(values):
+    """out[r] = sum(values[r:]) for r = 0..len(values), summed smallest first.
+
+    Applied to the generalized eigenvalues this is the certified squared-error
+    bound of the optimal rank-r projector, for every r at once.
+    """
     rev = np.cumsum(values[::-1])[::-1]
     return np.concatenate([rev, [0.0]])
 
@@ -202,10 +214,24 @@ def spectrum_report(h, mu, pairs=None):
     kl_values, _ = mu._kl_eig()
     return SpectrumReport(
         eigenvalues=pairs.values.copy(),
-        tail_sums=_tails(pairs.values),
+        tail_sums=tail_sums(pairs.values),
         kl_eigenvalues=kl_values.copy(),
-        kl_tail_sums=_tails(kl_values),
+        kl_tail_sums=tail_sums(kl_values),
     )
+
+
+def kl_error_bounds(h, mu):
+    """Certified squared-error bound of the rank-r Karhunen-Loeve projector,
+    for r = 0..d, read off the covariance spectrum.
+
+    The projector U_r U_r^T onto the leading covariance eigenvectors commutes
+    with Sigma, so error_bound(kl_projector(mu, r), h, mu) equals
+    sum_{i>r} sigma_i^2 u_i^T H u_i exactly; no projector is formed.
+    """
+    hm = _h_matrix(h).entries
+    values, vecs = mu._kl_eig()
+    energy = np.einsum("ij,ij->j", vecs, hm @ vecs)
+    return np.maximum(tail_sums(values * energy), 0.0)
 
 
 def select_rank(report, eps):

@@ -1,19 +1,32 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import gradridge
 from gradridge import (
     ConfigError,
     DiffusionModel,
     LinearModel,
+    NonUniqueProjectorWarning,
     QuadraticFormModel,
+    SampleStream,
     SumOfSinesModel,
+    error_bound,
+    estimate_h,
+    generalized_eig,
+    kl_projector,
     load_matrix_text,
+    optimal_projector,
 )
 from gradridge.cli import main
 from gradridge.experiments import (
+    _TAG_H,
     build_measure,
     build_model,
     config_hash,
@@ -193,6 +206,75 @@ def test_error_curve_kl_disabled(tmp_path):
     )
     _, _, rows = _read_csv(run_error_curve(cfg, tmp_path))
     assert all(math.isnan(float(r[3])) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "linear", "random": {"rows": 3, "cols": 5, "seed": 4}},
+        {"kind": "pde", "grid": 6, "scenario": "full_field"},
+        {"kind": "pde", "grid": 6, "scenario": "point_pair"},
+    ],
+    ids=["linear", "pde-full-field", "pde-point-pair"],
+)
+def test_error_curve_bounds_match_dense_projectors(tmp_path, model):
+    # the curve reads both bound columns off the spectra; the dense path
+    # (explicit projector, explicit trace) is the oracle
+    cfg = resolve_config({"model": model, "sampling": {"k": 40, "m": [], "seed": 12}})
+    _, _, rows = _read_csv(run_error_curve(cfg, tmp_path))
+    got_opt = np.array([float(r[2]) for r in rows])
+    got_kl = np.array([float(r[3]) for r in rows])
+
+    model = build_model(cfg)
+    mu = build_measure(cfg, model)
+    est = estimate_h(model, mu, SampleStream(12).substream(_TAG_H), 40)
+    pairs = generalized_eig(est.h, mu.cov)
+    ranks = range(1, mu.dim + 1)
+    ref_opt = np.sqrt([error_bound(optimal_projector(est, mu, r, pairs=pairs), est, mu)
+                       for r in ranks])
+    ref_kl = np.sqrt([error_bound(kl_projector(mu, r), est, mu) for r in ranks])
+    for got, ref in ((got_opt, ref_opt), (got_kl, ref_kl)):
+        # below 1e-10 of the rank-1 squared bound a tail is round-off in the
+        # dense trace; there the two may only agree in absolute terms
+        floor = 1e-10 * ref[0] ** 2
+        tail = ref ** 2 > floor
+        assert tail.sum() >= 1
+        np.testing.assert_allclose(got[tail], ref[tail], rtol=1e-8, atol=0.0)
+        assert np.all(np.abs(got[~tail] ** 2 - ref[~tail] ** 2) <= floor)
+
+
+def test_error_curve_warns_past_rank_ceiling_without_validation(tmp_path):
+    # one sample of a two-output model identifies at most two directions; the
+    # curve builds no projector here but still flags ranks 3 and 4
+    cfg = _linear_cfg(k=1, m=[])
+    with pytest.warns(NonUniqueProjectorWarning) as record:
+        run_error_curve(cfg, tmp_path)
+    flagged = [w for w in record if issubclass(w.category, NonUniqueProjectorWarning)]
+    assert len(flagged) == 2
+
+
+def test_error_curve_at_paper_scale(tmp_path):
+    # d = 1024 (g = 32), two outputs and k = 64 samples: the identifiable
+    # rank is 2k = 128, where the certified tail must vanish
+    cfg = resolve_config(
+        {
+            "model": {"kind": "pde", "grid": 32, "scenario": "point_pair"},
+            "ranks": [1, 8, 32, 128],
+            "comparisons": {"kl": True},
+            "sampling": {"k": 64, "m": [], "seed": 5},
+        }
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, rows = _read_csv(run_error_curve(cfg, tmp_path))
+    assert [int(r[0]) for r in rows] == [1, 8, 32, 128]
+    opt = np.array([float(r[2]) for r in rows])
+    kl = np.array([float(r[3]) for r in rows])
+    assert np.all(np.isfinite(opt)) and np.all(np.isfinite(kl))
+    assert np.all(opt ** 2 <= kl ** 2 + 1e-10 * opt[0] ** 2)
+    assert np.all(np.diff(opt) <= 0.0)
+    assert opt[-1] <= 1e-6 * opt[0]
+    assert kl[-1] > 0.0
 
 
 def test_projector_audit_flags(tmp_path):
@@ -380,3 +462,25 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert main(["curve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_non_finite_intermediate_exits_3_without_traceback(tmp_path):
+    # a valid config whose gradient second moment overflows to inf: the
+    # eigensolver must refuse it as a numerical failure, not crash
+    cfg = _write_cfg(
+        tmp_path,
+        {
+            "model": {"kind": "linear", "matrix": [[1e200, 1.0]]},
+            "sampling": {"k": 10, "n_val": 5, "m": [], "seed": 3},
+        },
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradridge", "curve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "numerical failure: NonFiniteInput" in proc.stderr

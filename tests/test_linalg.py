@@ -5,6 +5,7 @@ from gradridge import (
     DimensionMismatch,
     GeneralizedEigenPairs,
     NegativeTrace,
+    NonFiniteInput,
     NotPositiveDefinite,
     SpdMatrix,
     cholesky,
@@ -45,6 +46,30 @@ def test_cholesky_negative_leading_pivot():
     with pytest.raises(NotPositiveDefinite) as err:
         cholesky(SpdMatrix([[-1.0, 0.0], [0.0, 2.0]]))
     assert err.value.pivot_index == 0
+
+
+def test_cholesky_pivot_index_on_exactly_singular_matrix():
+    # hand elimination: l00 = 2, l10 = l20 = 1, pivot 1 = 5 - 1 = 4, l21 = 0,
+    # pivot 2 = 1 - 1 - 0 = 0 exactly, so the leading 2x2 block factors and
+    # the failure sits at index 2
+    with pytest.raises(NotPositiveDefinite) as err:
+        cholesky(SpdMatrix([[4.0, 2.0, 2.0], [2.0, 5.0, 1.0], [2.0, 1.0, 1.0]]))
+    assert err.value.pivot_index == 2
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_cholesky_pivot_floor(d):
+    # the floor is d * 1e-14 * max(diag): a positive pivot just under it is
+    # rejected at its own index, one just over it factors
+    floor = d * 1e-14
+    low = np.eye(d)
+    low[-1, -1] = np.sqrt(0.99 * floor)
+    low[-1, 0] = 0.5
+    with pytest.raises(NotPositiveDefinite) as err:
+        cholesky(SpdMatrix(low @ low.T))
+    assert err.value.pivot_index == d - 1
+    low[-1, -1] = np.sqrt(1.01 * floor)
+    assert cholesky(SpdMatrix(low @ low.T)).shape == (d, d)
 
 
 def test_cholesky_roundtrip_random():
@@ -199,6 +224,25 @@ def test_trace_quadratic_rejects_badly_negative():
     # not factor at construction) must raise, not clamp
     with pytest.raises(NegativeTrace):
         trace_quadratic(SpdMatrix.identity(2), SpdMatrix(np.diag([-1.0, 0.0])), RankRProjector.zero(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernels_reject_non_finite_input(bad):
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        cholesky(SpdMatrix(m))
+    with pytest.raises(NonFiniteInput):
+        sym_eig(m)
+
+
+def test_generalized_eig_rejects_nan_h():
+    h = np.diag([3.0, 2.0, 1.0])
+    h[2, 0] = h[0, 2] = np.nan
+    with pytest.raises(NonFiniteInput):
+        generalized_eig(SpdMatrix(h), SpdMatrix.identity(3))
+    with pytest.raises(NonFiniteInput):
+        generalized_eig(SpdMatrix.identity(3), SpdMatrix(h))
 
 
 def test_dimension_mismatch():

@@ -202,8 +202,10 @@ def test_constructor_validation():
 
 
 def test_iterative_path_matches_harmonic():
-    # one past the direct-solve cutoff exercises the conjugate-gradient branch
-    g = pde_mod.DIRECT_SOLVE_MAX_G + 1
+    # zero log-conductivity makes the solution the harmonic lift s1 + s2
+    # itself; g=17 is past the old conjugate-gradient cutoff, now solved by
+    # the same sparse direct path as every other grid size
+    g = 17
     model = DiffusionModel(g, "point_pair")
     u = model.solve_field(np.zeros(g * g))
     harmonic = model.mesh.nodes[:, 0] + model.mesh.nodes[:, 1]
