@@ -68,10 +68,10 @@ from .ridge import (
     HMatrixEstimate,
     RidgeApproximation,
     SpectrumReport,
+    basis_error_bounds,
     build_ridge,
     error_bound,
     estimate_h,
-    kl_error_bounds,
     m_inflation_check,
     optimal_projector,
     select_rank,

@@ -12,22 +12,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .linalg import SpdMatrix, generalized_eig, save_matrix_text
 from .measure import GaussianMeasure, SampleStream
 from .models import LinearModel, QuadraticFormModel, SumOfSinesModel
 from .pde import DiffusionModel, Mesh2D, build_field_covariance, mode_field_export
 from .ridge import (
     _warn_if_unidentifiable,
+    basis_error_bounds,
     build_ridge,
-    error_bound,
     estimate_h,
-    kl_error_bounds,
     optimal_projector,
     spectrum_report,
     tail_sums,
@@ -58,6 +56,18 @@ _DEFAULT_SAMPLING = {
     "seed": 20260822,
 }
 
+# Smallest value each sampling count accepts: a Monte Carlo standard error
+# needs two validation samples and the nested Sobol' estimator two outer ones.
+_SAMPLING_MIN = {
+    "k": 1,
+    "k_ref": 1,
+    "n_val": 2,
+    "sobol_outer": 2,
+    "sobol_inner": 1,
+    "dgsm_k": 1,
+    "seed": 0,
+}
+
 # Stream tags, one per sampling role. Routines never share a tag, so adding a
 # stage cannot shift the draws of another.
 _TAG_H = 1
@@ -73,6 +83,9 @@ def resolve_config(raw, seed_override=None):
     anything malformed; the result is what gets hashed into output headers."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    for key in ("model", "measure", "sampling", "comparisons"):
+        if not isinstance(raw.get(key) or {}, dict):
+            raise ConfigError(f"{key} must be a JSON object")
     cfg = {
         "model": dict(raw.get("model") or {}),
         "measure": dict(raw.get("measure") or {}),
@@ -88,15 +101,22 @@ def resolve_config(raw, seed_override=None):
     kind = cfg["model"]["kind"]
     if kind not in ("linear", "quadratic", "sines", "pde"):
         raise ConfigError(f"unknown model.kind {kind!r}")
-    for key in ("k", "k_ref", "n_val", "sobol_outer", "sobol_inner", "dgsm_k", "seed"):
+    for key, low in _SAMPLING_MIN.items():
+        if not _is_int(cfg["sampling"][key]) or cfg["sampling"][key] < low:
+            raise ConfigError(f"sampling.{key} must be an integer >= {low}")
+    for key in ("m", "k_ladder"):
         value = cfg["sampling"][key]
-        if not isinstance(value, int) or value < 0:
-            raise ConfigError(f"sampling.{key} must be a nonnegative integer")
-    if not isinstance(cfg["sampling"]["m"], list):
-        raise ConfigError("sampling.m must be a list of profile sample counts")
-    if not isinstance(cfg["sampling"]["k_ladder"], list):
-        raise ConfigError("sampling.k_ladder must be a list")
+        if not isinstance(value, list) or not all(_is_int(v) and v >= 1 for v in value):
+            raise ConfigError(f"sampling.{key} must be a list of positive integers")
+    ranks = cfg["ranks"]
+    if ranks != "all" and not (isinstance(ranks, list) and all(map(_is_int, ranks))):
+        raise ConfigError("ranks must be 'all' or a list of integers")
     return cfg
+
+
+def _is_int(value):
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def config_hash(cfg):
@@ -147,20 +167,20 @@ def build_model(cfg):
             alpha=float(spec.get("alpha", 1.0)),
             beta=float(spec.get("beta", 1.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
 def build_measure(cfg, model):
     spec = cfg["measure"]
     d = model.input_dim
-    mean = spec.get("mean", 0.0)
-    if isinstance(mean, (int, float)):
-        mean = np.full(d, float(mean))
-    else:
-        mean = np.asarray(mean, dtype=float)
     cov = spec.get("covariance", "identity")
     try:
+        mean = spec.get("mean", 0.0)
+        if isinstance(mean, (int, float)):
+            mean = np.full(d, float(mean))
+        else:
+            mean = np.asarray(mean, dtype=float)
         if cov == "identity":
             cov = SpdMatrix.identity(d)
         elif isinstance(cov, dict):
@@ -179,32 +199,32 @@ def build_measure(cfg, model):
                 raise ConfigError(f"unknown covariance kind {kind!r}")
         else:
             cov = SpdMatrix(np.asarray(cov, dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(model, DiffusionModel) and spec.get("covariance") is None:
+            cov = build_field_covariance(model.mesh)
+        return GaussianMeasure(mean, cov)
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad measure config: {exc}") from exc
-    if isinstance(model, DiffusionModel) and spec.get("covariance") is None:
-        cov = build_field_covariance(model.mesh)
-    return GaussianMeasure(mean, cov)
 
 
 def _ranks(cfg, dim):
     ranks = cfg["ranks"]
     if ranks == "all":
         return list(range(1, dim + 1))
-    out = []
     for r in ranks:
-        r = int(r)
         if not 1 <= r <= dim:
             raise ConfigError(f"rank {r} outside [1, {dim}]")
-        out.append(r)
-    return out
+    return ranks
 
 
 def _groups(cfg, dim):
     groups = cfg["groups"]
     if groups == "singletons":
         return [[i] for i in range(1, dim + 1)]
-    if not isinstance(groups, list):
+    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
         raise ConfigError("groups must be a list of index lists or 'singletons'")
+    for i in (i for g in groups for i in g):
+        if not _is_int(i) or not 1 <= i <= dim:
+            raise ConfigError(f"group index {i!r} is not an integer in [1, {dim}]")
     return [list(g) for g in groups]
 
 
@@ -256,7 +276,7 @@ def run_error_curve(cfg, out_dir, threads=1):
 
     Both bound columns are read off the spectra: the optimal bound is the
     generalized eigenvalue tail sum, the K-L bound a tail sum over the
-    covariance eigenpairs. A projector is built only for a rank whose ridge
+    Karhunen-Loeve basis. A projector is built only for a rank whose ridge
     is validated.
     """
     model, mu, root = _prepare(cfg, out_dir)
@@ -264,10 +284,12 @@ def run_error_curve(cfg, out_dir, threads=1):
     est = estimate_h(model, mu, root.substream(_TAG_H), sampling["k"], threads=threads)
     pairs = generalized_eig(est.h, mu.cov)
     opt_sq = tail_sums(pairs.values)
-    use_kl = bool(cfg["comparisons"].get("kl", True))
-    kl_sq = kl_error_bounds(est, mu) if use_kl else np.full(mu.dim + 1, np.nan)
+    kl_sq = np.full(mu.dim + 1, np.nan)
+    if cfg["comparisons"].get("kl", True):
+        kl_vals, kl_vecs = mu._kl_eig()
+        kl_sq = basis_error_bounds(est, kl_vecs * np.sqrt(kl_vals))
     ranks = _ranks(cfg, mu.dim)
-    m_list = [int(m) for m in sampling["m"]]
+    m_list = sampling["m"]
     rows = []
     for r in ranks:
         opt, kl = np.sqrt(opt_sq[r]), np.sqrt(kl_sq[r])
@@ -296,26 +318,23 @@ def run_error_curve(cfg, out_dir, threads=1):
 def run_projector_audit(cfg, out_dir, threads=1):
     """Bound audit across sample budgets: for each K in the ladder, how the
     K-sample projector scores under the reference H and under its own H, with
-    rows past the identifiable rank flagged."""
+    rows past the identifiable rank flagged. Both are tail sums over the
+    K-sample eigenpairs, so no projector is built."""
     model, mu, root = _prepare(cfg, out_dir)
     sampling = cfg["sampling"]
     ref = estimate_h(model, mu, root.substream(_TAG_H), sampling["k_ref"], threads=threads)
     ranks = _ranks(cfg, mu.dim)
     rows = []
-    for k in [int(k) for k in sampling["k_ladder"]]:
+    for k in sampling["k_ladder"]:
         est = estimate_h(
             model, mu, root.substream(_TAG_AUDIT).substream(k), k, threads=threads
         )
         pairs = generalized_eig(est.h, mu.cov)
+        approx_sq = tail_sums(pairs.values)
+        ref_sq = basis_error_bounds(ref, pairs.vectors)
         for r in ranks:
-            with warnings.catch_warnings():
-                # Past-ceiling ranks are exactly what the audit reports on.
-                warnings.simplefilter("ignore")
-                p_hat = optimal_projector(est, mu, r, pairs=pairs)
-            ref_sq = error_bound(p_hat, ref, mu)
-            approx_sq = error_bound(p_hat, est, mu)
             rows.append(
-                (k, r, np.sqrt(ref_sq), np.sqrt(approx_sq),
+                (k, r, np.sqrt(ref_sq[r]), np.sqrt(approx_sq[r]),
                  int(r > est.rank_upper_bound))
             )
     return _write_csv(

@@ -77,7 +77,10 @@ class SpdMatrix:
 
 
 def _entries(a):
-    return a.entries if isinstance(a, SpdMatrix) else 0.5 * (_as_square(a) + _as_square(a).T)
+    if isinstance(a, SpdMatrix):
+        return a.entries
+    m = _as_square(a)
+    return 0.5 * (m + m.T)
 
 
 def _require_finite(m, what):

@@ -77,9 +77,6 @@ class RankRProjector:
     def is_euclidean(self):
         return ORTH_EUCLIDEAN in self.flags
 
-    def complement_matrix(self):
-        return np.eye(self.dim) - self.matrix
-
     def __repr__(self):
         return f"RankRProjector(dim={self.dim}, rank={self.rank}, flags={sorted(self.flags)})"
 

@@ -41,7 +41,7 @@ __all__ = [
     "error_bound",
     "spectrum_report",
     "tail_sums",
-    "kl_error_bounds",
+    "basis_error_bounds",
     "select_rank",
     "build_ridge",
     "validate_error",
@@ -220,18 +220,18 @@ def spectrum_report(h, mu, pairs=None):
     )
 
 
-def kl_error_bounds(h, mu):
-    """Certified squared-error bound of the rank-r Karhunen-Loeve projector,
-    for r = 0..d, read off the covariance spectrum.
+def basis_error_bounds(h, vectors):
+    """error_bound of the projector onto the first r columns of ``vectors``,
+    for r = 0..d, without forming it.
 
-    The projector U_r U_r^T onto the leading covariance eigenvectors commutes
-    with Sigma, so error_bound(kl_projector(mu, r), h, mu) equals
-    sum_{i>r} sigma_i^2 u_i^T H u_i exactly; no projector is formed.
+    For a complete Sigma^{-1}-orthonormal basis (V^T Sigma^{-1} V = I, so
+    V V^T = Sigma) that bound is exactly sum_{i>r} v_i^T H v_i. The
+    generalized eigenvectors are one such basis; covariance eigenvectors
+    scaled by their standard deviations are another.
     """
     hm = _h_matrix(h).entries
-    values, vecs = mu._kl_eig()
-    energy = np.einsum("ij,ij->j", vecs, hm @ vecs)
-    return np.maximum(tail_sums(values * energy), 0.0)
+    energy = np.einsum("ij,ij->j", vectors, hm @ vectors)
+    return np.maximum(tail_sums(energy), 0.0)
 
 
 def select_rank(report, eps):

@@ -26,6 +26,7 @@ from gradridge import (
 )
 from gradridge.cli import main
 from gradridge.experiments import (
+    _TAG_AUDIT,
     _TAG_H,
     build_measure,
     build_model,
@@ -297,6 +298,72 @@ def test_projector_audit_flags(tmp_path):
     assert [int(r[4]) for r in rows] == [0, 0, 1, 1, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "model, ladder",
+    [
+        ({"kind": "linear", "matrix": [[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.25, 0.1]]}, [1, 3]),
+        ({"kind": "pde", "grid": 6, "scenario": "point_pair"}, [4, 12, 30]),
+    ],
+    ids=["linear", "pde-point-pair"],
+)
+def test_projector_audit_matches_dense_projectors(tmp_path, model, ladder):
+    # the audit reads both columns off the K-sample spectrum; the dense path
+    # (explicit projector, explicit trace) is the oracle, past the 2K rank
+    # ceiling too
+    cfg = resolve_config(
+        {"model": model, "sampling": {"k_ref": 40, "k_ladder": ladder, "seed": 6}}
+    )
+    _, _, rows = _read_csv(run_projector_audit(cfg, tmp_path))
+    got = np.array(rows, dtype=float)
+
+    model = build_model(cfg)
+    mu = build_measure(cfg, model)
+    root = SampleStream(6)
+    ref = estimate_h(model, mu, root.substream(_TAG_H), 40)
+    ranks = np.arange(1, mu.dim + 1)
+    for k in ladder:
+        est = estimate_h(model, mu, root.substream(_TAG_AUDIT).substream(k), k)
+        pairs = generalized_eig(est.h, mu.cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueProjectorWarning)
+            projectors = [optimal_projector(est, mu, r, pairs=pairs) for r in ranks]
+        mine = got[got[:, 0] == k]
+        np.testing.assert_array_equal(mine[:, 1], ranks)
+        for col, h in ((2, ref), (3, est)):
+            dense = np.array([error_bound(p, h, mu) for p in projectors])
+            assert np.all(np.abs(mine[:, col] ** 2 - dense) <= 1e-12 * dense[0])
+        np.testing.assert_array_equal(mine[:, 4], ranks > 2 * k)
+    assert np.any(got[:, 4] == 1) and np.any(got[:, 4] == 0)
+
+
+def test_projector_audit_at_paper_scale(tmp_path):
+    # d = 1024 (g = 32), two outputs: each K identifies at most 2K directions,
+    # past which its own tail must vanish
+    cfg = resolve_config(
+        {
+            "model": {"kind": "pde", "grid": 32, "scenario": "point_pair"},
+            "ranks": "all",
+            "sampling": {"k_ref": 64, "k_ladder": [8, 32], "seed": 5},
+        }
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, rows = _read_csv(run_projector_audit(cfg, tmp_path))
+    got = np.array(rows, dtype=float)
+    assert got.shape == (2 * 1024, 5)
+    assert np.all(np.isfinite(got))
+    for k in (8, 32):
+        mine = got[got[:, 0] == k]
+        ranks, ref_b, approx, flag = mine[:, 1], mine[:, 2], mine[:, 3], mine[:, 4]
+        np.testing.assert_array_equal(ranks, np.arange(1, 1025))
+        assert np.all(np.diff(ref_b) <= 0.0)
+        assert np.all(np.diff(approx) <= 0.0)
+        assert ref_b[-1] == 0.0
+        past = ranks > 2 * k
+        assert np.all(approx[past] ** 2 <= 1e-12 * approx[0] ** 2)
+        np.testing.assert_array_equal(flag, past)
+
+
 def test_spectrum_artifacts_analytical(tmp_path):
     cfg = resolve_config(
         {
@@ -436,6 +503,47 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["curve", "--config", str(ok_cfg), "--threads", "0"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+_LINEAR = {"kind": "linear", "matrix": [[1.0, 0.5]]}
+_SOBOL = {"sobol_outer": 10, "sobol_inner": 2, "dgsm_k": 10}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("curve", {"model": _LINEAR, "sampling": {"k": 0}}),
+        ("curve", {"model": _LINEAR, "sampling": {"k": 5, "m": [0], "n_val": 5}}),
+        ("curve", {"model": _LINEAR, "sampling": {"k": 5, "m": [1.5], "n_val": 5}}),
+        ("curve", {"model": _LINEAR, "sampling": {"k": 5, "m": [1], "n_val": 1}}),
+        ("curve", {"model": _LINEAR, "ranks": "foo", "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "ranks": [3], "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "sampling": 5}),
+        ("audit", {"model": _LINEAR, "sampling": {"k_ref": 5, "k_ladder": [0]}}),
+        ("audit", {"model": _LINEAR, "ranks": "foo", "sampling": {"k_ref": 5, "k_ladder": [1]}}),
+        ("sobol", {"model": _LINEAR, "sampling": dict(_SOBOL, sobol_outer=1)}),
+        ("curve", {"model": {"kind": "sines", "amplitudes": [1.0, 2.0], "frequencies": [1.0]},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": 1}, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "measure": {"mean": [0.0, 0.0, 0.0]},
+                   "sampling": {"k": 5, "m": []}}),
+        ("sobol", {"model": _LINEAR, "groups": [[5]], "sampling": _SOBOL}),
+        ("sobol", {"model": _LINEAR, "groups": [1], "sampling": _SOBOL}),
+    ],
+    ids=[
+        "k-zero", "m-zero", "m-fractional", "n-val-one", "ranks-string", "rank-past-dim",
+        "sampling-not-object", "k-ladder-zero", "audit-ranks-string", "sobol-outer-one",
+        "sines-length-mismatch", "pde-grid-one", "mean-length-mismatch", "group-past-dim",
+        "group-not-list",
+    ],
+)
+def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, payload):
+    cfg = _write_cfg(tmp_path, payload)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
 
 
 def test_cli_sobol_rejects_correlated_measure(tmp_path, capsys):
