@@ -65,21 +65,15 @@ def main(argv=None):
         cfg = resolve_config(raw, seed_override=args.seed)
         if args.threads is not None and args.threads < 1:
             raise ConfigError("--threads must be at least 1")
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         path = _RUNNERS[args.command](cfg, args.out, threads=args.threads)
-    except NonDiagonalCovariance as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (NonDiagonalCovariance, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GradRidgeError as exc:

@@ -14,6 +14,7 @@ import json
 import os
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import ConfigError, DimensionMismatch
@@ -68,6 +69,18 @@ _SAMPLING_MIN = {
     "seed": 0,
 }
 
+# The keys each config section accepts; any other key is a ConfigError, since
+# a misspelt one would otherwise fall back to its default without a word.
+_TOP_KEYS = ("model", "measure", "sampling", "ranks", "groups", "comparisons")
+_MODEL_KEYS = {
+    "linear": ("kind", "matrix", "random", "output_metric"),
+    "quadratic": ("kind", "matrix", "random"),
+    "sines": ("kind", "amplitudes", "frequencies"),
+    "pde": ("kind", "grid", "scenario", "alpha", "beta"),
+}
+_RANDOM_KEYS = {"linear": ("rows", "cols", "seed", "scale"), "quadratic": ("dim", "seed")}
+_COVARIANCE_KEYS = {"squared_exponential": ("kind", "lengthscale"), "diagonal": ("kind", "values")}
+
 # Stream tags, one per sampling role. Routines never share a tag, so adding a
 # stage cannot shift the draws of another.
 _TAG_H = 1
@@ -81,26 +94,29 @@ _TAG_RANDOM_MODEL = 6
 def resolve_config(raw, seed_override=None):
     """Fill defaults and normalize a raw config dict. Raises ConfigError on
     anything malformed; the result is what gets hashed into output headers."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    for key in ("model", "measure", "sampling", "comparisons"):
-        if not isinstance(raw.get(key) or {}, dict):
+    _reject_unknown("config", raw, _TOP_KEYS)
+    sections = {key: raw.get(key) or {} for key in ("model", "measure", "sampling", "comparisons")}
+    for key, section in sections.items():
+        if not isinstance(section, dict):
             raise ConfigError(f"{key} must be a JSON object")
+    kind = sections["model"].get("kind")
+    if kind is None:
+        raise ConfigError("model.kind is required")
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model.kind {kind!r}")
+    for key, allowed in (("model", _MODEL_KEYS[kind]), ("measure", ("mean", "covariance")),
+                         ("sampling", _DEFAULT_SAMPLING), ("comparisons", ("kl",))):
+        _reject_unknown(key, sections[key], allowed)
     cfg = {
-        "model": dict(raw.get("model") or {}),
-        "measure": dict(raw.get("measure") or {}),
-        "sampling": dict(_DEFAULT_SAMPLING, **(raw.get("sampling") or {})),
+        "model": dict(sections["model"]),
+        "measure": dict(sections["measure"]),
+        "sampling": dict(_DEFAULT_SAMPLING, **sections["sampling"]),
         "ranks": raw.get("ranks", "all"),
         "groups": raw.get("groups", "singletons"),
-        "comparisons": dict({"kl": True}, **(raw.get("comparisons") or {})),
+        "comparisons": dict({"kl": True}, **sections["comparisons"]),
     }
     if seed_override is not None:
         cfg["sampling"]["seed"] = int(seed_override)
-    if "kind" not in cfg["model"]:
-        raise ConfigError("model.kind is required")
-    kind = cfg["model"]["kind"]
-    if kind not in ("linear", "quadratic", "sines", "pde"):
-        raise ConfigError(f"unknown model.kind {kind!r}")
     for key, low in _SAMPLING_MIN.items():
         if not _is_int(cfg["sampling"][key]) or cfg["sampling"][key] < low:
             raise ConfigError(f"sampling.{key} must be an integer >= {low}")
@@ -112,6 +128,15 @@ def resolve_config(raw, seed_override=None):
     if ranks != "all" and not (isinstance(ranks, list) and all(map(_is_int, ranks))):
         raise ConfigError("ranks must be 'all' or a list of integers")
     return cfg
+
+
+def _reject_unknown(section, spec, allowed):
+    """ConfigError unless ``spec`` is an object whose keys are all in ``allowed``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
 
 
 def _is_int(value):
@@ -138,6 +163,7 @@ def build_model(cfg):
                 matrix = np.asarray(spec["matrix"], dtype=float)
             elif "random" in spec:
                 r = spec["random"]
+                _reject_unknown("model.random", r, _RANDOM_KEYS[kind])
                 matrix = _random_matrix(
                     (int(r["rows"]), int(r["cols"])), r["seed"], float(r.get("scale", 1.0))
                 )
@@ -152,6 +178,7 @@ def build_model(cfg):
                 matrix = np.asarray(spec["matrix"], dtype=float)
             elif "random" in spec:
                 r = spec["random"]
+                _reject_unknown("model.random", r, _RANDOM_KEYS[kind])
                 dim = int(r["dim"])
                 raw = _random_matrix((dim, dim), r["seed"])
                 matrix = raw + raw.T
@@ -185,6 +212,9 @@ def build_measure(cfg, model):
             cov = SpdMatrix.identity(d)
         elif isinstance(cov, dict):
             kind = cov.get("kind")
+            if kind not in _COVARIANCE_KEYS:
+                raise ConfigError(f"unknown covariance kind {kind!r}")
+            _reject_unknown("measure.covariance", cov, _COVARIANCE_KEYS[kind])
             if kind == "squared_exponential":
                 if not isinstance(model, DiffusionModel):
                     raise ConfigError(
@@ -193,10 +223,8 @@ def build_measure(cfg, model):
                 cov = build_field_covariance(
                     model.mesh, float(cov.get("lengthscale", 0.15))
                 )
-            elif kind == "diagonal":
-                cov = SpdMatrix.diagonal(np.asarray(cov["values"], dtype=float))
             else:
-                raise ConfigError(f"unknown covariance kind {kind!r}")
+                cov = SpdMatrix.diagonal(np.asarray(cov["values"], dtype=float))
         else:
             cov = SpdMatrix(np.asarray(cov, dtype=float))
         if isinstance(model, DiffusionModel) and spec.get("covariance") is None:
@@ -220,8 +248,8 @@ def _groups(cfg, dim):
     groups = cfg["groups"]
     if groups == "singletons":
         return [[i] for i in range(1, dim + 1)]
-    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-        raise ConfigError("groups must be a list of index lists or 'singletons'")
+    if not isinstance(groups, list) or not groups or not all(isinstance(g, list) for g in groups):
+        raise ConfigError("groups must be a non-empty list of index lists or 'singletons'")
     for i in (i for g in groups for i in g):
         if not _is_int(i) or not 1 <= i <= dim:
             raise ConfigError(f"group index {i!r} is not an integer in [1, {dim}]")
@@ -231,16 +259,10 @@ def _groups(cfg, dim):
 def _metadata_lines(cfg):
     return [
         f"# generator=gradridge {__version__}",
-        f"# numpy={np.__version__} scipy={_scipy_version()}",
+        f"# numpy={np.__version__} scipy={scipy.__version__}",
         f"# config_hash={config_hash(cfg)}",
         f"# seed={cfg['sampling']['seed']}",
     ]
-
-
-def _scipy_version():
-    import scipy
-
-    return scipy.__version__
 
 
 def _write_csv(path, cfg, header, rows):

@@ -176,9 +176,8 @@ def conditioned_resample(mu, p, x, stream, count):
     if x.shape[0] != mu.dim:
         raise DimensionMismatch(f"point has dim {x.shape[0]}, measure has {mu.dim}")
     y = sample(mu, stream, count)
-    frozen = p.matrix @ x
-    # grouped so P = I returns x bit-exactly: y - y P^T is exactly zero there
-    return frozen + (y - y @ p.matrix.T)
+    # grouped so P = I returns x bit-exactly: y - P y is exactly zero there
+    return p.apply(x) + (y - p.apply(y))
 
 
 def squared_exponential_covariance(points, lengthscale, nugget=0.0):

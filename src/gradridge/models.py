@@ -255,25 +255,23 @@ def quadratic_cond_exp_error(model, mu, p):
 def sines_cond_exp_error(model, mu, tau):
     """Exact squared error for the sine sum conditioned on the coordinates in
     ``tau`` (1-based): sum over the complement of a_i^2 (1 - exp(-2 w_i^2)) / 2."""
-    _require_standard(mu)
-    idx = _check_tau(tau, model.input_dim)
-    keep = np.zeros(model.input_dim, dtype=bool)
-    keep[[i - 1 for i in idx]] = True
-    a = model.amplitudes[~keep]
-    w = model.frequencies[~keep]
+    a, w = _sines_outside(model, mu, tau)
     return 0.5 * float(np.sum(a * a * (1.0 - np.exp(-2.0 * w * w))))
 
 
 def sines_bound(model, mu, tau):
     """Exact residual gradient energy for the sine sum and a coordinate
     projector: sum over the complement of a_i^2 w_i^2 (1 + exp(-2 w_i^2)) / 2."""
-    _require_standard(mu)
-    idx = _check_tau(tau, model.input_dim)
-    keep = np.zeros(model.input_dim, dtype=bool)
-    keep[[i - 1 for i in idx]] = True
-    a = model.amplitudes[~keep]
-    w = model.frequencies[~keep]
+    a, w = _sines_outside(model, mu, tau)
     return 0.5 * float(np.sum(a * a * w * w * (1.0 + np.exp(-2.0 * w * w))))
+
+
+def _sines_outside(model, mu, tau):
+    """Amplitudes and frequencies of the sine terms outside ``tau``."""
+    _require_standard(mu)
+    keep = np.zeros(model.input_dim, dtype=bool)
+    keep[[i - 1 for i in _check_tau(tau, model.input_dim)]] = True
+    return model.amplitudes[~keep], model.frequencies[~keep]
 
 
 class _ExactProfile:

@@ -173,49 +173,35 @@ class DiffusionModel(VectorValuedModel):
         self._cols = np.tile(cells, (1, 4)).ravel()
         self._boundary_values = mesh.nodes[:, 0] + mesh.nodes[:, 1]
 
-        if scenario == "full_field":
-            out_nodes = np.arange(nn)
-            metric = self._h1_metric(np.arange(mesh.n_cells), out_nodes)
-        elif scenario == "subdomain":
-            lo, hi = SUBDOMAIN_BOUNDS
-            centers = mesh.cell_centers
-            inside = np.where(
-                (centers[:, 0] >= lo) & (centers[:, 0] <= hi)
-                & (centers[:, 1] >= lo) & (centers[:, 1] <= hi)
-            )[0]
-            if inside.size == 0:
-                raise DimensionMismatch("subdomain contains no cell centers at this resolution")
-            out_nodes = np.unique(cells[inside].ravel())
-            metric = self._h1_metric(inside, out_nodes)
-        else:
-            nodes_a, w_a = mesh.interpolation_weights(POINT_A)
-            nodes_b, w_b = mesh.interpolation_weights(POINT_B)
+        if scenario == "point_pair":
             if alpha <= 0 or beta <= 0:
                 raise ValueError("point weights alpha, beta must be positive")
             obs = np.zeros((2, nn))
-            obs[0, nodes_a] = w_a
-            obs[1, nodes_b] = w_b
-            self._observation = obs
+            for row, point in enumerate((POINT_A, POINT_B)):
+                nodes, weights = mesh.interpolation_weights(point)
+                obs[row, nodes] = weights
             self._metric = SpdMatrix.diagonal([alpha, beta])
-            self.output_dim = 2
-            self._finish_init()
-            return
-
-        obs = np.zeros((out_nodes.size, nn))
-        obs[np.arange(out_nodes.size), out_nodes] = 1.0
+            self.point_weights = (self._metric.entries[0, 0], self._metric.entries[1, 1])
+        else:
+            inside = np.arange(mesh.n_cells)
+            if scenario == "subdomain":
+                lo, hi = SUBDOMAIN_BOUNDS
+                centers = mesh.cell_centers
+                inside = np.where(
+                    (centers[:, 0] >= lo) & (centers[:, 0] <= hi)
+                    & (centers[:, 1] >= lo) & (centers[:, 1] <= hi)
+                )[0]
+                if inside.size == 0:
+                    raise DimensionMismatch("subdomain contains no cell centers at this resolution")
+            # every node of the full grid touches a cell, so full_field observes all of them
+            out_nodes = np.unique(cells[inside].ravel())
+            self._metric = self._h1_metric(inside, out_nodes)
+            obs = np.zeros((out_nodes.size, nn))
+            obs[np.arange(out_nodes.size), out_nodes] = 1.0
+            self.point_weights = None
         self._observation = obs
-        self._metric = metric
-        self.output_dim = out_nodes.size
-        self._finish_init()
-
-    def _finish_init(self):
-        mesh = self.mesh
-        self._obs_interior_t = self._observation[:, mesh.interior].T.copy()
-        self.point_weights = (
-            (self._metric.entries[0, 0], self._metric.entries[1, 1])
-            if self.scenario == "point_pair"
-            else None
-        )
+        self.output_dim = obs.shape[0]
+        self._obs_interior_t = obs[:, mesh.interior].T.copy()
 
     def _h1_metric(self, cell_ids, out_nodes):
         """Mass plus stiffness Gram matrix over the given cells, restricted to

@@ -1,10 +1,11 @@
-"""Rank-r projectors with explicit orthogonality bookkeeping.
+"""Rank-r projectors held as their two factors.
 
-A projector here is a dense idempotent matrix P together with the basis of its
-range and a set of flags recording which inner products it is orthogonal in:
-``"sigma-inverse"`` (P^T Sigma^{-1} = Sigma^{-1} P, the property conditional
-expectations need) and/or ``"euclidean"`` (P^T = P). Oblique projectors carry
-neither flag and are rejected by the operations that require one.
+A projector here is P = U W^T with d x r factors and W^T U = I: U spans the
+range and the kernel is span(W)^perp. ``apply`` costs O(d r) per point. Flags
+record which inner products P is orthogonal in: ``"sigma-inverse"`` (P^T
+Sigma^{-1} = Sigma^{-1} P, which conditional expectations need) and/or
+``"euclidean"`` (P^T = P). Oblique projectors carry neither flag and are
+rejected by the operations that require one.
 """
 
 from __future__ import annotations
@@ -31,43 +32,45 @@ ORTH_EUCLIDEAN = "euclidean"
 
 
 class RankRProjector:
-    """Idempotent matrix of known rank with its range basis and flags.
+    """P = basis @ dual.T from two d x r factors, with its flags.
 
-    Construction verifies idempotency (P @ P = P to 1e-9 Frobenius, scaled by
-    the squared norm of P for ill-conditioned bases) and that trace(P) matches
-    the declared rank to 1e-8. ``basis`` holds rank-many columns spanning the
-    range; for rank 0 it is a (d, 0) array and the matrix is exactly zero.
+    Construction verifies dual^T basis = I (to 1e-9 Frobenius, scaled by the
+    factors' norms for ill-conditioned bases), which makes P idempotent of
+    rank r. For rank 0 both factors are (d, 0) and P is exactly zero.
     """
 
-    __slots__ = ("matrix", "rank", "basis", "flags")
+    __slots__ = ("basis", "dual", "flags")
 
-    def __init__(self, matrix, rank, basis, flags=()):
-        m = np.asarray(matrix, dtype=float)
-        d = m.shape[0]
-        if m.shape != (d, d):
-            raise DimensionMismatch(f"projector matrix must be square, got {m.shape}")
-        b = np.asarray(basis, dtype=float).reshape(d, -1)
-        if b.shape[1] != rank:
-            raise DimensionMismatch(f"basis has {b.shape[1]} columns for rank {rank}")
-        if not 0 <= rank <= d:
-            raise RankOutOfRange(f"rank {rank} outside [0, {d}]")
-        scale = max(1.0, float(np.linalg.norm(m, "fro")))
-        if np.linalg.norm(m @ m - m, "fro") > 1e-9 * scale * scale:
-            raise ValueError("matrix is not idempotent")
-        if abs(float(np.trace(m)) - rank) > 1e-8 * scale:
-            raise ValueError(f"trace {np.trace(m):.6e} does not match rank {rank}")
-        m = m.copy()
-        m.setflags(write=False)
-        b = b.copy()
-        b.setflags(write=False)
-        self.matrix = m
-        self.rank = rank
-        self.basis = b
+    def __init__(self, basis, dual, flags=()):
+        u = np.array(basis, dtype=float)
+        w = np.array(dual, dtype=float)
+        if u.ndim != 2 or u.shape != w.shape or u.shape[1] > u.shape[0]:
+            raise DimensionMismatch(f"factors {u.shape} and {w.shape} are not both d x r, r <= d")
+        scale = max(1.0, float(np.linalg.norm(u) * np.linalg.norm(w)))
+        if np.linalg.norm(w.T @ u - np.eye(u.shape[1])) > 1e-9 * scale:
+            raise ValueError("dual^T basis is not the identity, so P is not a projector")
+        u.setflags(write=False)
+        w.setflags(write=False)
+        self.basis = u
+        self.dual = w
         self.flags = frozenset(flags)
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.basis.shape[0]
+
+    @property
+    def rank(self):
+        return self.basis.shape[1]
+
+    @property
+    def matrix(self):
+        """The dense d x d matrix, formed on every access; for oracles."""
+        return self.basis @ self.dual.T
+
+    def apply(self, xs):
+        """P applied to every row of ``xs`` (xs P^T), or to a single vector."""
+        return (xs @ self.dual) @ self.basis.T
 
     @property
     def is_sigma_orthogonal(self):
@@ -83,13 +86,13 @@ class RankRProjector:
     @classmethod
     def zero(cls, dim):
         # The zero map is orthogonal in every inner product.
-        return cls(np.zeros((dim, dim)), 0, np.zeros((dim, 0)),
-                   flags=(ORTH_SIGMA_INVERSE, ORTH_EUCLIDEAN))
+        empty = np.zeros((dim, 0))
+        return cls(empty, empty, flags=(ORTH_SIGMA_INVERSE, ORTH_EUCLIDEAN))
 
     @classmethod
     def identity(cls, dim):
-        return cls(np.eye(dim), dim, np.eye(dim),
-                   flags=(ORTH_SIGMA_INVERSE, ORTH_EUCLIDEAN))
+        eye = np.eye(dim)
+        return cls(eye, eye, flags=(ORTH_SIGMA_INVERSE, ORTH_EUCLIDEAN))
 
 
 def sigma_inverse_projector(basis, sigma):
@@ -104,21 +107,16 @@ def sigma_inverse_projector(basis, sigma):
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2 or b.shape[0] != sigma.dim:
         raise DimensionMismatch(f"basis shape {b.shape} incompatible with dim {sigma.dim}")
-    r = b.shape[1]
-    if r == 0:
+    if b.shape[1] == 0:
         return RankRProjector.zero(sigma.dim)
     low = cholesky(sigma)
-    w = solve_triangular(low, b, lower=True)  # w = L^{-1} B
-    gram = w.T @ w
-    if np.linalg.norm(gram - np.eye(r), "fro") > 1e-12 * max(1.0, np.linalg.norm(gram, "fro")):
-        # General basis: orthonormalize in the whitened coordinates.
-        q, _ = np.linalg.qr(w)
-        w = q
-        b = low @ w
-    # P = B (L^{-T} W)^T with W = L^{-1} B, so P x = B W^T L^{-1} x.
-    z = solve_triangular(low, w, trans="T", lower=True)  # z = L^{-T} W
-    p = b @ z.T
-    return RankRProjector(p, r, b, flags=(ORTH_SIGMA_INVERSE,))
+    w = solve_triangular(low, b, lower=True)  # the whitened basis L^{-1} B
+    q = _orthonormal(w)
+    if q is not w:
+        b = low @ q
+    # P = B (L^{-T} Q)^T with Q = L^{-1} B, so the dual factor is L^{-T} Q.
+    z = solve_triangular(low, q, trans="T", lower=True)
+    return RankRProjector(b, z, flags=(ORTH_SIGMA_INVERSE,))
 
 
 def euclidean_projector(basis, extra_flags=()):
@@ -127,13 +125,17 @@ def euclidean_projector(basis, extra_flags=()):
     u = np.asarray(basis, dtype=float)
     if u.ndim != 2:
         raise DimensionMismatch("basis must be 2-d")
-    r = u.shape[1]
-    if r == 0:
+    if u.shape[1] == 0:
         return RankRProjector.zero(u.shape[0])
-    gram = u.T @ u
-    if np.linalg.norm(gram - np.eye(r), "fro") > 1e-12 * max(1.0, np.linalg.norm(gram, "fro")):
-        u, _ = np.linalg.qr(u)
-    return RankRProjector(u @ u.T, r, u, flags=(ORTH_EUCLIDEAN,) + tuple(extra_flags))
+    u = _orthonormal(u)
+    return RankRProjector(u, u, flags=(ORTH_EUCLIDEAN,) + tuple(extra_flags))
+
+
+def _orthonormal(a):
+    """``a`` itself if its columns are orthonormal to 1e-12, else the Q of its QR."""
+    gram = a.T @ a
+    err = np.linalg.norm(gram - np.eye(a.shape[1]), "fro")
+    return a if err <= 1e-12 * max(1.0, np.linalg.norm(gram, "fro")) else np.linalg.qr(a)[0]
 
 
 def sigma_orthogonalize(p, sigma):
@@ -142,31 +144,19 @@ def sigma_orthogonalize(p, sigma):
     Conditional expectations depend on a projector only through its kernel, so
     this is the canonical representative to hand to the ridge constructor when
     ``p`` came from somewhere else (a truncated covariance eigenbasis, say).
+    The kernel of U W^T is span(W)^perp, whose Sigma^{-1}-orthogonal
+    complement is span(Sigma W): that is the range of the result.
     """
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)
     d = sigma.dim
-    pm = p.matrix if isinstance(p, RankRProjector) else np.asarray(p, dtype=float)
-    if pm.shape != (d, d):
-        raise DimensionMismatch(f"projector shape {pm.shape} vs dim {d}")
-    rank = p.rank if isinstance(p, RankRProjector) else int(round(np.trace(pm)))
-    if rank == 0:
+    if p.dim != d:
+        raise DimensionMismatch(f"projector dim {p.dim} vs dim {d}")
+    if p.rank == 0:
         return RankRProjector.zero(d)
-    if rank == d:
+    if p.rank == d:
         return RankRProjector.identity(d)
-    low = cholesky(sigma)
-    # Kernel of P = range of (I - P); whiten it, then take the orthogonal
-    # complement there. Unitary complement in whitened coordinates maps back
-    # to the Sigma^{-1}-orthogonal complement.
-    resid = np.eye(d) - pm
-    u, s, _ = np.linalg.svd(resid)
-    kernel = u[:, : d - rank]
-    if s[d - rank - 1] <= 1e-10 * max(1.0, s[0]):
-        raise RankOutOfRange("projector rank inconsistent with its matrix")
-    wk = solve_triangular(low, kernel, lower=True)
-    uw, _, _ = np.linalg.svd(wk, full_matrices=True)
-    w_range = uw[:, d - rank:]
-    return sigma_inverse_projector(low @ w_range, sigma)
+    return sigma_inverse_projector(sigma.entries @ p.dual, sigma)
 
 
 def random_sigma_orthogonal_projector(dim, rank, sigma, rng):

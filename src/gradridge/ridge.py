@@ -51,14 +51,18 @@ __all__ = [
 CHUNK = 512  # fixed chunk size; part of the determinism contract, not tunable
 
 
-def _chunk_sizes(total, chunk=CHUNK):
-    sizes = []
-    left = int(total)
-    while left > 0:
-        take = min(chunk, left)
-        sizes.append(take)
-        left -= take
-    return sizes
+def _chunk_sizes(total):
+    """Sizes of the chunks of ``total`` samples; chunk i starts at i * CHUNK."""
+    return [min(CHUNK, total - start) for start in range(0, total, CHUNK)]
+
+
+def _require_finite(values, offset, what):
+    """ModelEvaluationFailure at the global index (``offset`` plus the row) of
+    the first row of ``values`` holding a NaN or inf."""
+    bad = ~np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
+    if bad.any():
+        index = offset + int(np.argmax(bad))
+        raise ModelEvaluationFailure(index, f"non-finite {what} at sample {index}")
 
 
 def _map_chunks(fn, n_chunks, threads):
@@ -89,6 +93,8 @@ def estimate_h(model, mu, stream, count, threads=1):
     Accumulation is a running (Welford-style) mean: within a chunk the batch
     Jacobian path averages directly and the per-sample path updates
     m += (term - m) / k; chunks merge by the pooled-mean rule in index order.
+    A NaN or inf Jacobian entry raises ModelEvaluationFailure with the index
+    of the first such sample.
     """
     count = int(count)
     if count < 1:
@@ -97,7 +103,6 @@ def estimate_h(model, mu, stream, count, threads=1):
     n = model.output_dim
     metric = model.output_metric.entries
     sizes = _chunk_sizes(count)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
     has_batch = type(model).jacobian_batch is not VectorValuedModel.jacobian_batch
 
     def one_chunk(i):
@@ -107,6 +112,7 @@ def estimate_h(model, mu, stream, count, threads=1):
             jac = model.jacobian_batch(xs)
             if jac.shape != (sizes[i], n, d):
                 raise DimensionMismatch(f"jacobian_batch returned shape {jac.shape}")
+            _require_finite(jac, i * CHUNK, "Jacobian")
             weighted = np.einsum("nm,kmi->kni", metric, jac)
             return sizes[i], np.einsum("kni,knj->ij", jac, weighted) / sizes[i]
         mean = np.zeros((d, d))
@@ -114,7 +120,8 @@ def estimate_h(model, mu, stream, count, threads=1):
             try:
                 jac = np.asarray(model.jacobian(xs[k]), dtype=float).reshape(n, d)
             except Exception as exc:  # noqa: BLE001 - annotate with the sample index
-                raise ModelEvaluationFailure(int(offsets[i] + k)) from exc
+                raise ModelEvaluationFailure(i * CHUNK + k) from exc
+            _require_finite(jac[None], i * CHUNK + k, "Jacobian")
             term = jac.T @ metric @ jac
             mean += (term - mean) / (k + 1)
         return sizes[i], mean
@@ -278,20 +285,20 @@ class RidgeApproximation:
 
     def eval_batch(self, xs, block=4096):
         xs = np.asarray(xs, dtype=float)
-        pm = self.projector.matrix
+        p = self.projector
         ys = self.cond_samples
         m = ys.shape[0]
-        comp = ys - ys @ pm.T  # (I - P) Y_j, fixed across evaluations
+        comp = ys - p.apply(ys)  # (I - P) Y_j, fixed across evaluations
         if not comp.any():
             # identity projector: every conditioning point collapses onto x,
             # and averaging copies would cost exactness and model calls
-            return self.model.eval_batch(xs @ pm.T)
+            return self.model.eval_batch(p.apply(xs))
         n = self.model.output_dim
         out = np.empty((xs.shape[0], n))
         step = max(1, block // m)
         for start in range(0, xs.shape[0], step):
             part = xs[start:start + step]
-            frozen = part @ pm.T
+            frozen = p.apply(part)
             pts = (frozen[:, None, :] + comp[None, :, :]).reshape(-1, xs.shape[1])
             vals = self.model.eval_batch(pts).reshape(part.shape[0], m, n)
             out[start:start + step] = vals.mean(axis=1)
@@ -313,7 +320,8 @@ def validate_error(approx, model, mu, stream, count, threads=1):
 
     Returns (mse, se) with se the standard error of the mean. Chunked and
     merged exactly like estimate_h, so the result does not depend on the
-    worker count.
+    worker count. A NaN or inf in either output raises ModelEvaluationFailure
+    with the sample index.
     """
     count = int(count)
     if count < 2:
@@ -324,6 +332,7 @@ def validate_error(approx, model, mu, stream, count, threads=1):
     def one_chunk(i):
         xs = sample(mu, stream.substream(i), sizes[i])
         diff = model.eval_batch(xs) - approx.eval_batch(xs)
+        _require_finite(diff, i * CHUNK, "output")
         return np.einsum("kn,nm,km->k", diff, metric, diff)
 
     parts = _map_chunks(one_chunk, len(sizes), threads)

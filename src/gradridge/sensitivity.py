@@ -98,7 +98,7 @@ def coordinate_projector(tau, dim, sigma=None):
         if np.count_nonzero(entries - np.diag(np.diag(entries))) == 0:
             flags.append(ORTH_SIGMA_INVERSE)
     basis = np.eye(dim)[:, keep]
-    return RankRProjector(np.diag(keep.astype(float)), int(keep.sum()), basis, flags=flags)
+    return RankRProjector(basis, basis, flags=flags)
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,7 @@ def _conditional_residual(model, mu, proj, xs, f_xs, stream, inner):
     """Mean and se of |f(x) - g_hat(x)|^2 with the (1 + 1/M) bias divided out."""
     n_outer, d = xs.shape
     ys = sample(mu, stream, n_outer * inner).reshape(n_outer, inner, d)
-    pm = proj.matrix
-    pts = (xs @ pm.T)[:, None, :] + (ys - ys @ pm.T)
+    pts = proj.apply(xs)[:, None, :] + (ys - proj.apply(ys))
     vals = model.eval_batch(pts.reshape(-1, d)).reshape(n_outer, inner, model.output_dim)
     ghat = vals.mean(axis=1)
     w = _metric_sq_norms(f_xs - ghat, model.output_metric.entries)
@@ -270,6 +269,8 @@ def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
     the order given, so adding a group never changes the others' draws.
     """
     groups = tuple(IndexGroup.coerce(g).validate(mu.dim) for g in groups)
+    if not groups:
+        raise ValueError("at least one index group is required")
     if dgsm_samples is None:
         dgsm_samples = DEFAULT_OUTER
     g_vec = dgsm(model, mu, stream.substream(0), dgsm_samples, threads=threads)
@@ -279,8 +280,6 @@ def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
             sobol_estimates(model, mu, grp, stream.substream(k + 1),
                             n_outer=n_outer, m_inner=m_inner)
         )
-    if not estimates:
-        raise ValueError("at least one index group is required")
     total_var = estimates[0].total_variance
     lows, ups, vacs = [], [], []
     for grp in groups:

@@ -12,6 +12,7 @@ import gradridge
 from gradridge import (
     ConfigError,
     DiffusionModel,
+    GaussianMeasure,
     LinearModel,
     NonUniqueProjectorWarning,
     QuadraticFormModel,
@@ -23,6 +24,7 @@ from gradridge import (
     kl_projector,
     load_matrix_text,
     optimal_projector,
+    sample,
 )
 from gradridge.cli import main
 from gradridge.experiments import (
@@ -262,7 +264,7 @@ def test_error_curve_at_paper_scale(tmp_path):
             "model": {"kind": "pde", "grid": 32, "scenario": "point_pair"},
             "ranks": [1, 8, 32, 128],
             "comparisons": {"kl": True},
-            "sampling": {"k": 64, "m": [], "seed": 5},
+            "sampling": {"k": 64, "m": [1], "n_val": 4, "seed": 5},
         }
     )
     with warnings.catch_warnings():
@@ -276,6 +278,10 @@ def test_error_curve_at_paper_scale(tmp_path):
     assert np.all(np.diff(opt) <= 0.0)
     assert opt[-1] <= 1e-6 * opt[0]
     assert kl[-1] > 0.0
+    # each rank's ridge went through the factored projector and validated
+    assert [int(r[1]) for r in rows] == [1, 1, 1, 1]
+    mse = np.array([float(r[5]) for r in rows])
+    assert np.all(np.isfinite(mse)) and np.all(mse >= 0.0)
 
 
 def test_projector_audit_flags(tmp_path):
@@ -529,12 +535,30 @@ _SOBOL = {"sobol_outer": 10, "sobol_inner": 2, "dgsm_k": 10}
                    "sampling": {"k": 5, "m": []}}),
         ("sobol", {"model": _LINEAR, "groups": [[5]], "sampling": _SOBOL}),
         ("sobol", {"model": _LINEAR, "groups": [1], "sampling": _SOBOL}),
+        ("sobol", {"model": _LINEAR, "groups": [], "sampling": _SOBOL}),
+        ("curve", {"model": {"kind": "sines", "amplitudes": [1.0], "frequency": [1.0],
+                             "frequencies": [1.0]}, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "mesure": {"mean": 1.0}, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "sampling": {"kk": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "comparisons": {"KL": False}, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "measure": {"kind": "diagonal", "values": [1.0, 4.0]},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR,
+                   "measure": {"covariance": {"kind": "diagonal", "values": [1.0, 4.0],
+                                              "lengthscale": 0.5}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear", "random": {"rows": 1, "cols": 2, "seed": 1,
+                                                          "scael": 2.0}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear", "random": 5}, "sampling": {"k": 5, "m": []}}),
     ],
     ids=[
         "k-zero", "m-zero", "m-fractional", "n-val-one", "ranks-string", "rank-past-dim",
         "sampling-not-object", "k-ladder-zero", "audit-ranks-string", "sobol-outer-one",
         "sines-length-mismatch", "pde-grid-one", "mean-length-mismatch", "group-past-dim",
-        "group-not-list",
+        "group-not-list", "groups-empty", "model-key-unknown", "top-level-key-unknown",
+        "sampling-key-unknown", "comparisons-key-unknown", "measure-key-unknown",
+        "covariance-key-unknown", "random-key-unknown", "random-not-object",
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, payload):
@@ -592,3 +616,38 @@ def test_cli_non_finite_intermediate_exits_3_without_traceback(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "numerical failure: NonFiniteInput" in proc.stderr
+
+
+class _NanJacobianAt(LinearModel):
+    """A linear model whose batch Jacobian is NaN at one input point."""
+
+    def __init__(self, matrix, poison):
+        super().__init__(matrix)
+        self.poison = poison
+
+    def jacobian_batch(self, xs):
+        jac = super().jacobian_batch(xs)
+        jac[np.all(xs == self.poison, axis=1)] = np.nan
+        return jac
+
+
+def test_cli_non_finite_jacobian_exits_3_with_sample_index(tmp_path, capsys, monkeypatch):
+    # one NaN Jacobian in the second chunk stops the run with its global
+    # index, where it used to become a NaN spectrum and a certified rank
+    from gradridge import experiments
+    from gradridge.ridge import CHUNK
+
+    seed, count = 3, CHUNK + 100
+    chunk_1 = SampleStream(seed).substream(_TAG_H).substream(1)
+    poison = sample(GaussianMeasure.standard(2), chunk_1, 100)[40]
+    model = _NanJacobianAt([[1.0, 0.5]], poison)
+    monkeypatch.setattr(experiments, "build_model", lambda cfg: model)
+    cfg = _write_cfg(
+        tmp_path, {"model": _LINEAR, "sampling": {"k": count, "m": [], "seed": seed}}
+    )
+    assert main(["curve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"numerical failure: ModelEvaluationFailure: non-finite Jacobian at sample {CHUNK + 40}"
+    ]

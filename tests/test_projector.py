@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradridge import (
+    DimensionMismatch,
     NotSigmaOrthogonal,
     RankRProjector,
     SampleStream,
@@ -13,6 +14,7 @@ from gradridge import (
     sigma_orthogonalize,
 )
 from gradridge.projector import ORTH_EUCLIDEAN, ORTH_SIGMA_INVERSE, euclidean_projector
+from gradridge.sensitivity import coordinate_projector
 
 
 def random_spd(rng, d):
@@ -32,13 +34,25 @@ def test_zero_and_identity():
 
 
 def test_rejects_non_idempotent():
+    # W^T U != I: U W^T is not idempotent
+    e = np.eye(3)[:, :2]
     with pytest.raises(ValueError):
-        RankRProjector(np.eye(2) * 0.5, 1, np.eye(2)[:, :1], flags=(ORTH_EUCLIDEAN,))
+        RankRProjector(e, 0.5 * e, flags=(ORTH_EUCLIDEAN,))
+    with pytest.raises(ValueError):
+        RankRProjector(e, np.eye(3)[:, 1:], flags=(ORTH_EUCLIDEAN,))
 
 
 def test_rejects_wrong_trace():
-    with pytest.raises(ValueError):
-        RankRProjector(np.eye(2), 1, np.eye(2)[:, :1], flags=(ORTH_EUCLIDEAN,))
+    # the rank is the factors' column count, so a mismatched pair of
+    # factors or more columns than rows is all that can be wrong with it
+    with pytest.raises(DimensionMismatch):
+        RankRProjector(np.eye(3)[:, :2], np.eye(3)[:, :1], flags=(ORTH_EUCLIDEAN,))
+    with pytest.raises(DimensionMismatch):
+        RankRProjector(np.eye(3)[:, :2], np.eye(2), flags=(ORTH_EUCLIDEAN,))
+    with pytest.raises(DimensionMismatch):
+        RankRProjector(np.ones((2, 3)), np.ones((2, 3)) / 6.0, flags=(ORTH_EUCLIDEAN,))
+    with pytest.raises(DimensionMismatch):
+        RankRProjector(np.ones(3), np.ones(3) / 3.0, flags=(ORTH_EUCLIDEAN,))
 
 
 def test_euclidean_projector_symmetric_idempotent():
@@ -90,19 +104,64 @@ def test_random_projector_valid():
     assert np.linalg.norm(seen[0] - seen[1], "fro") > 1e-3
 
 
+def _oblique_projector(rng, d, r):
+    # U W^T with W^T U = I but W not parallel to U (or to Sigma^{-1} U)
+    u = rng.standard_normal((d, r))
+    w0 = rng.standard_normal((d, r))
+    return RankRProjector(u, w0 @ np.linalg.inv(u.T @ w0))
+
+
 def test_sigma_orthogonalize_preserves_kernel():
     rng = np.random.default_rng(5)
     d, r = 6, 2
     sigma = random_spd(rng, d)
-    p_euc = euclidean_projector(rng.standard_normal((d, r)))
-    q = sigma_orthogonalize(p_euc, sigma)
-    assert q.is_sigma_orthogonal
-    assert q.rank == r
-    # same kernel: anything killed by P is killed by Q and vice versa
-    resid = np.eye(d) - p_euc.matrix
-    np.testing.assert_allclose(q.matrix @ resid, np.zeros((d, d)), atol=1e-9)
-    resid_q = np.eye(d) - q.matrix
-    np.testing.assert_allclose(p_euc.matrix @ resid_q, np.zeros((d, d)), atol=1e-9)
+    oblique = _oblique_projector(rng, d, r)
+    assert np.linalg.norm(oblique.basis - oblique.dual) > 0.1
+    for p in (euclidean_projector(rng.standard_normal((d, r))), oblique):
+        q = sigma_orthogonalize(p, sigma)
+        assert q.is_sigma_orthogonal
+        assert q.rank == r
+        # same kernel: anything killed by P is killed by Q and vice versa
+        resid = np.eye(d) - p.matrix
+        np.testing.assert_allclose(q.matrix @ resid, np.zeros((d, d)), atol=1e-9)
+        resid_q = np.eye(d) - q.matrix
+        np.testing.assert_allclose(p.matrix @ resid_q, np.zeros((d, d)), atol=1e-9)
+
+
+def test_sigma_orthogonalize_keeps_exact_zero_and_identity():
+    sigma = random_spd(np.random.default_rng(9), 4)
+    q0 = sigma_orthogonalize(euclidean_projector(np.zeros((4, 0))), sigma)
+    np.testing.assert_array_equal(q0.matrix, np.zeros((4, 4)))
+    q1 = sigma_orthogonalize(euclidean_projector(np.eye(4)), sigma)
+    np.testing.assert_array_equal(q1.matrix, np.eye(4))
+    with pytest.raises(DimensionMismatch):
+        sigma_orthogonalize(RankRProjector.identity(3), sigma)
+
+
+def test_apply_matches_dense_matrix_for_every_constructor():
+    rng = np.random.default_rng(10)
+    d = 6
+    sigma = random_spd(rng, d)
+    xs = rng.standard_normal((5, d))
+    projectors = [
+        RankRProjector.zero(d),
+        RankRProjector.identity(d),
+        euclidean_projector(rng.standard_normal((d, 2))),
+        sigma_inverse_projector(rng.standard_normal((d, 3)), sigma),
+        sigma_orthogonalize(euclidean_projector(rng.standard_normal((d, 2))), sigma),
+        random_sigma_orthogonal_projector(d, 4, sigma, SampleStream(10)),
+        coordinate_projector([2, 5], d),
+        coordinate_projector([], d),
+        coordinate_projector(list(range(1, d + 1)), d),
+        _oblique_projector(rng, d, 3),
+    ]
+    for p in projectors:
+        np.testing.assert_allclose(p.apply(xs), xs @ p.matrix.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.apply(xs[0]), p.matrix @ xs[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.dual.T @ p.basis, np.eye(p.rank), atol=1e-10)
+    # zero, identity and coordinate projectors are exact, not just close
+    for p in (projectors[0], projectors[1], *projectors[6:9]):
+        np.testing.assert_array_equal(p.apply(xs), xs @ p.matrix.T)
 
 
 def test_sigma_orthogonalize_noop_when_already_orthogonal():

@@ -31,6 +31,7 @@ from gradridge import (
 )
 from gradridge.models import VectorValuedModel
 from gradridge.projector import euclidean_projector, sigma_inverse_projector
+from gradridge.ridge import CHUNK, _chunk_sizes
 
 
 def random_spd(rng, d):
@@ -118,6 +119,72 @@ def test_estimate_h_wraps_model_failure():
     with pytest.raises(ModelEvaluationFailure) as err:
         estimate_h(Broken(), GaussianMeasure.standard(2), SampleStream(7), 3)
     assert err.value.sample_index == 0
+
+
+class NanAt(VectorValuedModel):
+    """f(x) = F x, but NaN in the output and the Jacobian at the given points.
+
+    Only the per-sample methods are defined, so estimate_h takes its
+    per-sample path; NanAtBatched adds a jacobian_batch to take the other.
+    """
+
+    def __init__(self, f, poison):
+        self.f = np.asarray(f, dtype=float)
+        self.output_dim, self.input_dim = self.f.shape
+        self.poison = [np.asarray(x) for x in poison]
+
+    @property
+    def output_metric(self):
+        return SpdMatrix.identity(self.output_dim)
+
+    def _hit(self, x):
+        return any(np.array_equal(x, bad) for bad in self.poison)
+
+    def eval(self, x):
+        return np.full(self.output_dim, np.nan) if self._hit(x) else self.f @ x
+
+    def jacobian(self, x):
+        return np.full(self.f.shape, np.nan) if self._hit(x) else self.f.copy()
+
+
+class NanAtBatched(NanAt):
+    def jacobian_batch(self, xs):
+        return np.stack([self.jacobian(x) for x in xs])
+
+
+def draws_at(mu, stream, count, indices):
+    """The points the chunked samplers draw at the given global indices."""
+    sizes = _chunk_sizes(count)
+    return [sample(mu, stream.substream(i // CHUNK), sizes[i // CHUNK])[i % CHUNK]
+            for i in indices]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("model_cls", [NanAt, NanAtBatched], ids=["per-sample", "batch"])
+def test_estimate_h_reports_first_non_finite_jacobian(model_cls, threads):
+    mu = GaussianMeasure.standard(3)
+    count = CHUNK + 200
+    # two bad samples in the second chunk: the first one is reported
+    poison = draws_at(mu, SampleStream(40), count, [CHUNK + 150, CHUNK + 88])
+    model = model_cls(np.ones((2, 3)), poison)
+    with pytest.raises(ModelEvaluationFailure, match=f"Jacobian at sample {CHUNK + 88}") as err:
+        estimate_h(model, mu, SampleStream(40), count, threads=threads)
+    assert err.value.sample_index == CHUNK + 88
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_validate_error_reports_first_non_finite_output(threads):
+    mu = GaussianMeasure.standard(3)
+    count = CHUNK + 200
+    poison = draws_at(mu, SampleStream(41), count, [CHUNK + 7])
+    model = NanAtBatched(np.ones((2, 3)), poison)
+    p = sigma_inverse_projector(np.ones((3, 1)), mu.cov)
+    ridge = build_ridge(model, mu, p, SampleStream(42), 2)
+    with pytest.raises(ModelEvaluationFailure, match=f"output at sample {CHUNK + 7}") as err:
+        validate_error(ridge, model, mu, SampleStream(41), count, threads=threads)
+    assert err.value.sample_index == CHUNK + 7
+    # the same model away from its bad point validates cleanly
+    assert np.isfinite(validate_error(ridge, model, mu, SampleStream(43), 50)[0])
 
 
 def test_optimal_projector_diagonal_case():

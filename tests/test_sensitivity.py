@@ -236,3 +236,17 @@ def test_report_assembly_and_json(tmp_path):
     assert len(data["dgsm"]) == 3
     assert data["total_variance"] > 0.0
     assert report.to_json_dict()["groups"] == data["groups"]
+
+
+def test_report_without_groups_fails_before_any_jacobian():
+    class Counting(LinearModel):
+        calls = 0
+
+        def jacobian_batch(self, xs):
+            Counting.calls += 1
+            return super().jacobian_batch(xs)
+
+    with pytest.raises(ValueError, match="at least one index group"):
+        build_sensitivity_report(Counting(np.ones((1, 2))), GaussianMeasure.standard(2), [],
+                                 SampleStream(24), n_outer=10, m_inner=2, dgsm_samples=10)
+    assert Counting.calls == 0
