@@ -17,7 +17,9 @@ import tempfile
 
 from gradridge.cli import main
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="gradridge_demo_"))
+# removed, with everything the runs write into it, when the script exits
+scratch = tempfile.TemporaryDirectory(prefix="gradridge_demo_")
+workdir = pathlib.Path(scratch.name)
 
 # A small error-curve study on a quadratic model: certified bounds and
 # validated errors along a rank ladder, optimal projector vs K-L.

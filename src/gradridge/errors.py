@@ -26,7 +26,8 @@ class NoConvergence(GradRidgeError):
 
 
 class NonFiniteInput(GradRidgeError):
-    """A linear algebra kernel was handed a matrix with NaN or infinite entries."""
+    """A linear algebra kernel was handed a matrix with NaN or infinite entries,
+    or a model's output variance overflowed."""
 
 
 class NegativeTrace(GradRidgeError):

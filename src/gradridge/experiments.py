@@ -124,9 +124,12 @@ def resolve_config(raw, seed_override=None):
         value = cfg["sampling"][key]
         if not isinstance(value, list) or not all(_is_int(v) and v >= 1 for v in value):
             raise ConfigError(f"sampling.{key} must be a list of positive integers")
+    # an empty m means bounds only; an empty ladder or rank list means no rows
+    if not cfg["sampling"]["k_ladder"]:
+        raise ConfigError("sampling.k_ladder must not be empty")
     ranks = cfg["ranks"]
-    if ranks != "all" and not (isinstance(ranks, list) and all(map(_is_int, ranks))):
-        raise ConfigError("ranks must be 'all' or a list of integers")
+    if ranks != "all" and not (isinstance(ranks, list) and ranks and all(map(_is_int, ranks))):
+        raise ConfigError("ranks must be 'all' or a non-empty list of integers")
     return cfg
 
 
@@ -302,6 +305,7 @@ def run_error_curve(cfg, out_dir, threads=1):
     is validated.
     """
     model, mu, root = _prepare(cfg, out_dir)
+    ranks = _ranks(cfg, mu.dim)
     sampling = cfg["sampling"]
     est = estimate_h(model, mu, root.substream(_TAG_H), sampling["k"], threads=threads)
     pairs = generalized_eig(est.h, mu.cov)
@@ -310,7 +314,6 @@ def run_error_curve(cfg, out_dir, threads=1):
     if cfg["comparisons"].get("kl", True):
         kl_vals, kl_vecs = mu._kl_eig()
         kl_sq = basis_error_bounds(est, kl_vecs * np.sqrt(kl_vals))
-    ranks = _ranks(cfg, mu.dim)
     m_list = sampling["m"]
     rows = []
     for r in ranks:
@@ -343,9 +346,9 @@ def run_projector_audit(cfg, out_dir, threads=1):
     rows past the identifiable rank flagged. Both are tail sums over the
     K-sample eigenpairs, so no projector is built."""
     model, mu, root = _prepare(cfg, out_dir)
+    ranks = _ranks(cfg, mu.dim)
     sampling = cfg["sampling"]
     ref = estimate_h(model, mu, root.substream(_TAG_H), sampling["k_ref"], threads=threads)
-    ranks = _ranks(cfg, mu.dim)
     rows = []
     for k in sampling["k_ladder"]:
         est = estimate_h(

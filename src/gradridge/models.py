@@ -34,27 +34,29 @@ __all__ = [
 
 
 class VectorValuedModel:
-    """Base interface: eval, jacobian, dimensions, output metric.
+    """Base interface: dimensions, output metric, values and Jacobians.
 
-    ``eval_batch``/``jacobian_batch`` have loop fallbacks; subclasses override
-    them with vectorized versions when cheap. ``lipschitz_constant`` is None
-    unless the subclass knows a global Lipschitz constant in the output-metric
-    norm.
+    A subclass sets ``input_dim``, ``output_dim`` and ``output_metric`` (an
+    SpdMatrix on the output space) and implements each formula once, in either
+    form: ``eval_batch``/``jacobian_batch`` on an (N, d) array of points, or
+    ``eval``/``jacobian`` on one point. The base class derives the missing form
+    of each pair: a single point is a batch of one, and a batch is a loop over
+    points. ``lipschitz_constant`` is None unless the subclass knows a global
+    Lipschitz constant in the output-metric norm.
     """
 
     input_dim = None
     output_dim = None
+    output_metric = None
     lipschitz_constant = None
 
-    @property
-    def output_metric(self):
-        raise NotImplementedError
-
     def eval(self, x):
-        raise NotImplementedError
+        self._require_batch("eval_batch")
+        return self.eval_batch(self._check_point(x)[None])[0]
 
     def jacobian(self, x):
-        raise NotImplementedError
+        self._require_batch("jacobian_batch")
+        return self.jacobian_batch(self._check_point(x)[None])[0]
 
     def eval_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -63,6 +65,15 @@ class VectorValuedModel:
     def jacobian_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
         return np.stack([self.jacobian(x) for x in xs])
+
+    def _require_batch(self, name):
+        """NotImplementedError unless the subclass implements the batch method
+        ``name``, which a derived single-point call needs: with neither form
+        implemented, the two derived forms would call each other forever."""
+        cls = type(self)
+        if getattr(cls, name) is getattr(VectorValuedModel, name):
+            single = name.removesuffix("_batch")
+            raise NotImplementedError(f"{cls.__name__} implements neither {single} nor {name}")
 
     def _check_point(self, x):
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -88,25 +99,14 @@ class LinearModel(VectorValuedModel):
             output_metric = SpdMatrix(output_metric)
         if output_metric.dim != self.output_dim:
             raise DimensionMismatch("output metric dimension does not match rows of F")
-        self._metric = output_metric
+        self.output_metric = output_metric
         h = f.T @ output_metric.entries @ f
         top = sym_eig(h)[0][0]
         self.lipschitz_constant = float(np.sqrt(max(top, 0.0)))
 
-    @property
-    def output_metric(self):
-        return self._metric
-
     def gradient_gram(self):
         """F^T R F — the exact gradient second moment, sample-free."""
-        return SpdMatrix(self.matrix.T @ self._metric.entries @ self.matrix)
-
-    def eval(self, x):
-        return self.matrix @ self._check_point(x)
-
-    def jacobian(self, x):
-        self._check_point(x)
-        return self.matrix.copy()
+        return SpdMatrix(self.matrix.T @ self.output_metric.entries @ self.matrix)
 
     def eval_batch(self, xs):
         return np.asarray(xs, dtype=float) @ self.matrix.T
@@ -127,19 +127,7 @@ class QuadraticFormModel(VectorValuedModel):
             raise DimensionMismatch(f"A must be square, got {a.shape}")
         self.matrix = 0.5 * (a + a.T)
         self.input_dim = a.shape[0]
-        self._metric = SpdMatrix.identity(1)
-
-    @property
-    def output_metric(self):
-        return self._metric
-
-    def eval(self, x):
-        x = self._check_point(x)
-        return np.array([0.5 * float(x @ self.matrix @ x)])
-
-    def jacobian(self, x):
-        x = self._check_point(x)
-        return (self.matrix @ x)[None, :]
+        self.output_metric = SpdMatrix.identity(1)
 
     def eval_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -167,20 +155,8 @@ class SumOfSinesModel(VectorValuedModel):
         self.amplitudes = a
         self.frequencies = w
         self.input_dim = a.shape[0]
-        self._metric = SpdMatrix.identity(1)
+        self.output_metric = SpdMatrix.identity(1)
         self.lipschitz_constant = float(np.linalg.norm(a * w))
-
-    @property
-    def output_metric(self):
-        return self._metric
-
-    def eval(self, x):
-        x = self._check_point(x)
-        return np.array([float(np.sum(self.amplitudes * np.sin(self.frequencies * x)))])
-
-    def jacobian(self, x):
-        x = self._check_point(x)
-        return (self.amplitudes * self.frequencies * np.cos(self.frequencies * x))[None, :]
 
     def eval_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -274,16 +250,13 @@ def _sines_outside(model, mu, tau):
     return model.amplitudes[~keep], model.frequencies[~keep]
 
 
-class _ExactProfile:
-    """Callable wrapper for an exact conditional expectation x -> g(x)."""
+class _ExactProfile(VectorValuedModel):
+    """An exact conditional expectation x -> g(x), given in batch form."""
 
     def __init__(self, fn, input_dim, output_dim):
         self._fn = fn
         self.input_dim = input_dim
         self.output_dim = output_dim
-
-    def eval(self, x):
-        return self._fn(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def eval_batch(self, xs):
         return self._fn(np.asarray(xs, dtype=float))

@@ -180,8 +180,8 @@ class DiffusionModel(VectorValuedModel):
             for row, point in enumerate((POINT_A, POINT_B)):
                 nodes, weights = mesh.interpolation_weights(point)
                 obs[row, nodes] = weights
-            self._metric = SpdMatrix.diagonal([alpha, beta])
-            self.point_weights = (self._metric.entries[0, 0], self._metric.entries[1, 1])
+            self.output_metric = SpdMatrix.diagonal([alpha, beta])
+            self.point_weights = (float(alpha), float(beta))
         else:
             inside = np.arange(mesh.n_cells)
             if scenario == "subdomain":
@@ -195,7 +195,7 @@ class DiffusionModel(VectorValuedModel):
                     raise DimensionMismatch("subdomain contains no cell centers at this resolution")
             # every node of the full grid touches a cell, so full_field observes all of them
             out_nodes = np.unique(cells[inside].ravel())
-            self._metric = self._h1_metric(inside, out_nodes)
+            self.output_metric = self._h1_metric(inside, out_nodes)
             obs = np.zeros((out_nodes.size, nn))
             obs[np.arange(out_nodes.size), out_nodes] = 1.0
             self.point_weights = None
@@ -214,10 +214,6 @@ class DiffusionModel(VectorValuedModel):
             idx = mesh.cell_nodes[c]
             gram[np.ix_(idx, idx)] += block
         return SpdMatrix(gram[np.ix_(out_nodes, out_nodes)])
-
-    @property
-    def output_metric(self):
-        return self._metric
 
     def _assemble(self, x):
         x = self._check_point(x)

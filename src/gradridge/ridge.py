@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 CHUNK = 512  # fixed chunk size; part of the determinism contract, not tunable
+EVAL_BLOCK = 4096  # model points per call in RidgeApproximation.eval_batch
 
 
 def _chunk_sizes(total):
@@ -283,7 +284,7 @@ class RidgeApproximation:
     def eval(self, x):
         return self.eval_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
-    def eval_batch(self, xs, block=4096):
+    def eval_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
         p = self.projector
         ys = self.cond_samples
@@ -295,7 +296,7 @@ class RidgeApproximation:
             return self.model.eval_batch(p.apply(xs))
         n = self.model.output_dim
         out = np.empty((xs.shape[0], n))
-        step = max(1, block // m)
+        step = max(1, EVAL_BLOCK // m)
         for start in range(0, xs.shape[0], step):
             part = xs[start:start + step]
             frozen = p.apply(part)

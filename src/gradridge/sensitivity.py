@@ -1,13 +1,13 @@
 """Vector-valued global sensitivity: Sobol' indices and derivative bounds.
 
 Closed and total Sobol' indices of coordinate groups are estimated by nested
-Monte Carlo: outer draws of the input, inner conditional redraws through
-coordinate projectors. The derivative-based quantities (the diagonal of the
-gradient second-moment matrix) sandwich both indices from the cheap side: a
-lower bound on the closed index, an upper bound on the total index. Everything
-here requires a diagonal covariance; for correlated inputs the coordinate
-groups are not independent factors and the indices lose their meaning, so the
-error-curve machinery should be used instead.
+Monte Carlo: outer draws of the input, inner redraws of the coordinates
+outside the conditioning group. The derivative-based quantities (the diagonal
+of the gradient second-moment matrix) sandwich both indices from the cheap
+side: a lower bound on the closed index, an upper bound on the total index.
+Everything here requires a diagonal covariance; for correlated inputs the
+coordinate groups are not independent factors and the indices lose their
+meaning, so the error-curve machinery should be used instead.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ import numpy as np
 from .errors import (
     IndexOutOfRange,
     NonDiagonalCovariance,
+    NonFiniteInput,
     ZeroVariance,
 )
 from .measure import sample
 from .projector import ORTH_EUCLIDEAN, ORTH_SIGMA_INVERSE, RankRProjector
-from .ridge import estimate_h
+from .ridge import _require_finite, estimate_h
 
 __all__ = [
     "IndexGroup",
@@ -116,13 +117,19 @@ def _metric_sq_norms(diff, metric):
     return np.einsum("kn,nm,km->k", diff, metric, diff)
 
 
-def _conditional_residual(model, mu, proj, xs, f_xs, stream, inner):
-    """Mean and se of |f(x) - g_hat(x)|^2 with the (1 + 1/M) bias divided out."""
+def _conditional_residual(model, mu, keep, xs, f_xs, stream, inner):
+    """Mean and se of |f(x) - g_hat(x)|^2 with the (1 + 1/M) bias divided out.
+
+    g_hat(x) averages the model over ``inner`` points that take the
+    coordinates in the mask ``keep`` from x and redraw the others. A
+    non-finite average raises ModelEvaluationFailure at its outer index.
+    """
     n_outer, d = xs.shape
     ys = sample(mu, stream, n_outer * inner).reshape(n_outer, inner, d)
-    pts = proj.apply(xs)[:, None, :] + (ys - proj.apply(ys))
+    pts = np.where(keep, xs[:, None, :], ys)
     vals = model.eval_batch(pts.reshape(-1, d)).reshape(n_outer, inner, model.output_dim)
     ghat = vals.mean(axis=1)
+    _require_finite(ghat, 0, "conditional average")
     w = _metric_sq_norms(f_xs - ghat, model.output_metric.entries)
     scale = 1.0 + 1.0 / inner
     mean = float(np.mean(w)) / scale
@@ -135,7 +142,8 @@ def sobol_estimates(model, mu, tau, stream, n_outer=DEFAULT_OUTER, m_inner=DEFAU
 
     Nested pick-freeze sampling: S from conditioning on tau (complement
     redrawn), T from conditioning on the complement (tau redrawn). Requires a
-    diagonal covariance.
+    diagonal covariance. A NaN or inf model output raises
+    ModelEvaluationFailure with the index of the outer sample it belongs to.
     """
     if not mu.has_diagonal_cov:
         raise NonDiagonalCovariance(
@@ -147,25 +155,28 @@ def sobol_estimates(model, mu, tau, stream, n_outer=DEFAULT_OUTER, m_inner=DEFAU
     if n_outer < 2 or m_inner < 1:
         raise ValueError("need n_outer >= 2 and m_inner >= 1")
     group = IndexGroup.coerce(tau).validate(mu.dim)
-    p_tau = coordinate_projector(group, mu.dim, sigma=mu.cov)
-    p_comp = coordinate_projector(group.complement(mu.dim), mu.dim, sigma=mu.cov)
+    keep = group.mask(mu.dim)
 
     xs = sample(mu, stream.substream(0), n_outer)
     f_xs = model.eval_batch(xs)
+    _require_finite(f_xs, 0, "output")
     metric = model.output_metric.entries
     center = f_xs.mean(axis=0)
     dev = _metric_sq_norms(f_xs - center, metric)
     # Unbiased total variance in the metric norm.
     total_var = float(np.sum(dev) / (n_outer - 1))
+    # the delta-method terms below divide by the squared variance
+    if total_var * total_var == 0.0:
+        raise ZeroVariance(f"model output variance {total_var:g} is zero or too small to square")
+    if not np.isfinite(total_var * total_var):
+        raise NonFiniteInput(f"model output variance {total_var:g} is too large to square")
     total_se = float(np.std(dev, ddof=1) / np.sqrt(n_outer))
-    if total_var <= 0.0:
-        raise ZeroVariance("model output has zero variance under the measure")
 
     num_s, se_s_num = _conditional_residual(
-        model, mu, p_tau, xs, f_xs, stream.substream(1), m_inner
+        model, mu, keep, xs, f_xs, stream.substream(1), m_inner
     )
     num_t, se_t_num = _conditional_residual(
-        model, mu, p_comp, xs, f_xs, stream.substream(2), m_inner
+        model, mu, ~keep, xs, f_xs, stream.substream(2), m_inner
     )
 
     s_hat = 1.0 - num_s / total_var

@@ -551,6 +551,8 @@ _SOBOL = {"sobol_outer": 10, "sobol_inner": 2, "dgsm_k": 10}
                                                           "scael": 2.0}},
                    "sampling": {"k": 5, "m": []}}),
         ("curve", {"model": {"kind": "linear", "random": 5}, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "ranks": [], "sampling": {"k": 5, "m": []}}),
+        ("audit", {"model": _LINEAR, "sampling": {"k_ref": 5, "k_ladder": []}}),
     ],
     ids=[
         "k-zero", "m-zero", "m-fractional", "n-val-one", "ranks-string", "rank-past-dim",
@@ -559,6 +561,7 @@ _SOBOL = {"sobol_outer": 10, "sobol_inner": 2, "dgsm_k": 10}
         "group-not-list", "groups-empty", "model-key-unknown", "top-level-key-unknown",
         "sampling-key-unknown", "comparisons-key-unknown", "measure-key-unknown",
         "covariance-key-unknown", "random-key-unknown", "random-not-object",
+        "ranks-empty", "k-ladder-empty",
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, payload):
@@ -568,6 +571,25 @@ def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, payload
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("runner", [run_error_curve, run_projector_audit])
+def test_rank_past_dim_fails_before_any_jacobian(tmp_path, monkeypatch, runner):
+    from gradridge import experiments
+
+    class Counting(LinearModel):
+        calls = 0
+
+        def jacobian_batch(self, xs):
+            Counting.calls += 1
+            return super().jacobian_batch(xs)
+
+    monkeypatch.setattr(experiments, "build_model", lambda cfg: Counting([[1.0, 0.5]]))
+    cfg = resolve_config({"model": _LINEAR, "ranks": [3],
+                          "sampling": {"k": 5, "k_ref": 5, "k_ladder": [5], "m": []}})
+    with pytest.raises(ConfigError, match=r"rank 3 outside \[1, 2\]"):
+        runner(cfg, str(tmp_path))
+    assert Counting.calls == 0
 
 
 def test_cli_sobol_rejects_correlated_measure(tmp_path, capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from gradridge import (
+    DiffusionModel,
+    DimensionMismatch,
     GaussianMeasure,
     IndexOutOfRange,
     LinearModel,
@@ -14,6 +16,7 @@ from gradridge import (
     SampleStream,
     SpdMatrix,
     SumOfSinesModel,
+    VectorValuedModel,
     exact_conditional_expectation,
     finite_diff_jacobian,
     linear_cond_exp_error,
@@ -55,13 +58,40 @@ def test_every_model_matches_finite_differences(models):
 
 
 def test_batch_paths_agree_with_loops(models):
+    # the analytic models write only the batch pair and derive the single
+    # points; the diffusion model writes only the single points and derives
+    # the batch loop
     rng = np.random.default_rng(57)
-    for model in models:
+    for model in models + [DiffusionModel(3, scenario="point_pair")]:
         xs = rng.standard_normal((7, model.input_dim))
         ev = np.stack([model.eval(x) for x in xs])
         np.testing.assert_allclose(model.eval_batch(xs), ev, atol=1e-12)
         jac = np.stack([model.jacobian(x) for x in xs])
         np.testing.assert_allclose(model.jacobian_batch(xs), jac, atol=1e-12)
+
+
+def test_model_implementing_neither_form_raises_not_implemented():
+    class Bare(VectorValuedModel):
+        input_dim = 2
+        output_dim = 1
+
+    model = Bare()
+    x = np.zeros(2)
+    for call, arg, pair in ((model.eval, x, "eval nor eval_batch"),
+                            (model.jacobian, x, "jacobian nor jacobian_batch"),
+                            (model.eval_batch, x[None], "eval nor eval_batch"),
+                            (model.jacobian_batch, x[None], "jacobian nor jacobian_batch")):
+        with pytest.raises(NotImplementedError, match=pair):
+            call(arg)
+
+
+def test_derived_single_point_calls_check_the_point_length(models):
+    for model in models:
+        for bad in (np.zeros(model.input_dim + 1), np.zeros(model.input_dim - 1)):
+            with pytest.raises(DimensionMismatch):
+                model.eval(bad)
+            with pytest.raises(DimensionMismatch):
+                model.jacobian(bad)
 
 
 def test_linear_eval_and_jacobian():

@@ -8,7 +8,9 @@ from gradridge import (
     GaussianMeasure,
     IndexOutOfRange,
     LinearModel,
+    ModelEvaluationFailure,
     NonDiagonalCovariance,
+    NonFiniteInput,
     QuadraticFormModel,
     SampleStream,
     SpdMatrix,
@@ -18,6 +20,7 @@ from gradridge import (
     coordinate_projector,
     dgsm,
     exact_conditional_expectation,
+    sample,
     sines_cond_exp_error,
     sobol_bounds,
     sobol_estimates,
@@ -98,6 +101,16 @@ def test_sobol_zero_variance():
     mu = GaussianMeasure.standard(2)
     with pytest.raises(ZeroVariance):
         sobol_estimates(model, mu, [1], SampleStream(6), n_outer=100, m_inner=4)
+
+
+@pytest.mark.parametrize("scale, error", [(1e-140, ZeroVariance), (1e100, NonFiniteInput)])
+def test_sobol_variance_whose_square_leaves_double_range(scale, error):
+    # a variance near 1e-280 or 1e200 is finite and positive, but its square,
+    # which the standard errors divide by, underflows to 0 or overflows
+    model = LinearModel(scale * np.ones((1, 2)))
+    with pytest.raises(error, match="output variance .* to square"):
+        sobol_estimates(model, GaussianMeasure.standard(2), [1], SampleStream(6), n_outer=10,
+                        m_inner=2)
 
 
 def test_sobol_determinism():
@@ -250,3 +263,56 @@ def test_report_without_groups_fails_before_any_jacobian():
         build_sensitivity_report(Counting(np.ones((1, 2))), GaussianMeasure.standard(2), [],
                                  SampleStream(24), n_outer=10, m_inner=2, dgsm_samples=10)
     assert Counting.calls == 0
+
+
+class _NanPast(SumOfSinesModel):
+    """A sine sum whose output is NaN wherever x_1 exceeds ``cut``."""
+
+    def __init__(self, cut):
+        super().__init__([1.0, 0.5], [1.0, 2.0])
+        self.cut = cut
+
+    def eval_batch(self, xs):
+        out = super().eval_batch(xs)
+        out[xs[:, 0] > self.cut] = np.nan
+        return out
+
+
+def _sobol(model, mu, root, through_report, n_outer, inner):
+    """sobol_estimates of group {1} on the stream that group gets, called
+    directly or through build_sensitivity_report."""
+    if through_report:
+        return build_sensitivity_report(model, mu, [[1]], root, n_outer=n_outer,
+                                        m_inner=inner, dgsm_samples=10)
+    return sobol_estimates(model, mu, [1], root.substream(1), n_outer=n_outer, m_inner=inner)
+
+
+@pytest.mark.parametrize("through_report", [False, True])
+def test_sobol_reports_first_non_finite_outer_output(through_report):
+    mu = GaussianMeasure.standard(2)
+    root = SampleStream(25)
+    xs = sample(mu, root.substream(1).substream(0), 40)
+    first = int(np.argmax(xs[:, 0] > 1.0))
+    assert xs[first, 0] > 1.0
+    with pytest.raises(ModelEvaluationFailure,
+                       match=f"non-finite output at sample {first}$") as err:
+        _sobol(_NanPast(1.0), mu, root, through_report, n_outer=40, inner=4)
+    assert err.value.sample_index == first
+
+
+@pytest.mark.parametrize("through_report", [False, True])
+def test_sobol_reports_outer_index_of_non_finite_inner_average(through_report):
+    # the outer draws all stay below the cut, so only the total index's inner
+    # loop, which redraws x_1, can meet a NaN
+    mu = GaussianMeasure.standard(2)
+    root = SampleStream(26)
+    n_outer, inner = 40, 8
+    cut = float(sample(mu, root.substream(1).substream(0), n_outer)[:, 0].max())
+    ys = sample(mu, root.substream(1).substream(2), n_outer * inner).reshape(n_outer, inner, 2)
+    hit = (ys[:, :, 0] > cut).any(axis=1)
+    first = int(np.argmax(hit))
+    assert hit[first]
+    with pytest.raises(ModelEvaluationFailure,
+                       match=f"non-finite conditional average at sample {first}$") as err:
+        _sobol(_NanPast(cut), mu, root, through_report, n_outer=n_outer, inner=inner)
+    assert err.value.sample_index == first
