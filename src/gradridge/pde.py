@@ -3,11 +3,11 @@
 The conductivity field is piecewise constant, one log-value per cell of a
 regular quadrilateral grid, so the parameter vector lives in R^(g*g). The
 solve uses bilinear (Q1) elements; the per-cell constant conductivity makes
-one-point quadrature of the weighted stiffness exact, so each cell contributes
-its conductivity times the reference stiffness block. Dirichlet data
-u = s1 + s2 is imposed by lifting, which keeps the interior system symmetric
-positive definite. Jacobians come from one adjoint solve per output component
-against the factorization of the same interior matrix.
+one-point quadrature of the weighted stiffness exact, so each cell adds its
+conductivity times the reference stiffness block, into a pattern fixed at
+construction. Dirichlet data u = s1 + s2 is imposed by lifting, which keeps the
+interior system symmetric positive definite. Jacobians come from one adjoint
+solve per output component against the factorization of the same matrix.
 
 Three observation scenarios map the solution field to the model output: the
 full nodal field in the discrete H^1 metric, the restriction to a centered
@@ -16,6 +16,7 @@ subdomain in the same metric, and a weighted pair of point values.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -97,7 +98,6 @@ class Mesh2D:
         on_edge = (
             (ix.ravel() == 0) | (ix.ravel() == g) | (iy.ravel() == 0) | (iy.ravel() == g)
         )
-        self.boundary_mask = on_edge
         self.interior = np.where(~on_edge)[0]
         self.boundary = np.where(on_edge)[0]
 
@@ -141,6 +141,30 @@ def _clamped_log_conductivity(x):
     return x
 
 
+def _cell_sum(cell_nodes, block, row_nodes, col_nodes):
+    """kappa -> CSR sum over cells c of kappa[c] * block on the corners of c,
+    restricted to the sorted ``row_nodes`` x ``col_nodes``. The pattern and the
+    slot each cell entry adds into are fixed here; every slot sums in cell order."""
+    n_cells, corners = cell_nodes.shape
+    rows = np.repeat(cell_nodes, corners, axis=1).ravel()
+    cols = np.tile(cell_nodes, (1, corners)).ravel()
+    keep = np.isin(rows, row_nodes) & np.isin(cols, col_nodes)
+    rows = np.searchsorted(row_nodes, rows[keep])
+    keys, slot = np.unique(rows * col_nodes.size + np.searchsorted(col_nodes, cols[keep]),
+                           return_inverse=True)
+    cells = np.repeat(np.arange(n_cells), corners * corners)[keep]
+    values = np.tile(block.ravel(), n_cells)[keep]
+    fill = sp.csr_matrix((values, (slot, cells)), shape=(keys.size, n_cells))
+    indptr = np.searchsorted(keys // col_nodes.size, np.arange(row_nodes.size + 1))
+    shape = (row_nodes.size, col_nodes.size)
+    return functools.partial(_filled, fill, keys % col_nodes.size, indptr, shape)
+
+
+# module level, not a closure, so that models holding the map pickle
+def _filled(fill, indices, indptr, shape, kappa):
+    return sp.csr_matrix((fill @ kappa, indices, indptr), shape=shape)
+
+
 class DiffusionModel(VectorValuedModel):
     """x -> observation of the diffusion solve with conductivity exp(x).
 
@@ -152,8 +176,8 @@ class DiffusionModel(VectorValuedModel):
     - ``point_pair``: interpolated values at two fixed points, diagonal metric
       diag(alpha, beta).
 
-    Each call assembles and factors its own system; instances hold only
-    immutable precomputed structure and are safe to share across threads.
+    Each call fills the interior system's fixed pattern and factors it anew;
+    instances hold only immutable precomputed structure, safe across threads.
     """
 
     def __init__(self, mesh, scenario="full_field", alpha=1.0, beta=1.0):
@@ -168,9 +192,8 @@ class DiffusionModel(VectorValuedModel):
 
         nn = mesh.n_nodes
         cells = mesh.cell_nodes
-        # COO scatter pattern for the stiffness: 16 entries per cell.
-        self._rows = np.repeat(cells, 4, axis=1).ravel()
-        self._cols = np.tile(cells, (1, 4)).ravel()
+        self._a_ii = _cell_sum(cells, _K1, mesh.interior, mesh.interior)
+        self._a_ib = _cell_sum(cells, _K1, mesh.interior, mesh.boundary)
         self._boundary_values = mesh.nodes[:, 0] + mesh.nodes[:, 1]
 
         if scenario == "point_pair":
@@ -195,7 +218,8 @@ class DiffusionModel(VectorValuedModel):
                     raise DimensionMismatch("subdomain contains no cell centers at this resolution")
             # every node of the full grid touches a cell, so full_field observes all of them
             out_nodes = np.unique(cells[inside].ravel())
-            self.output_metric = self._h1_metric(inside, out_nodes)
+            h1 = _cell_sum(cells[inside], _M1 * (mesh.h * mesh.h) + _K1, out_nodes, out_nodes)
+            self.output_metric = SpdMatrix(h1(np.ones(inside.size)).toarray())
             obs = np.zeros((out_nodes.size, nn))
             obs[np.arange(out_nodes.size), out_nodes] = 1.0
             self.point_weights = None
@@ -203,37 +227,15 @@ class DiffusionModel(VectorValuedModel):
         self.output_dim = obs.shape[0]
         self._obs_interior_t = obs[:, mesh.interior].T.copy()
 
-    def _h1_metric(self, cell_ids, out_nodes):
-        """Mass plus stiffness Gram matrix over the given cells, restricted to
-        the nodes they touch."""
-        mesh = self.mesh
-        nn = mesh.n_nodes
-        block = _M1 * (mesh.h * mesh.h) + _K1
-        gram = np.zeros((nn, nn))
-        for c in cell_ids:
-            idx = mesh.cell_nodes[c]
-            gram[np.ix_(idx, idx)] += block
-        return SpdMatrix(gram[np.ix_(out_nodes, out_nodes)])
-
-    def _assemble(self, x):
-        x = self._check_point(x)
-        kappa = np.exp(_clamped_log_conductivity(x))
-        data = (kappa[:, None, None] * _K1).ravel()
-        nn = self.mesh.n_nodes
-        full = sp.coo_matrix((data, (self._rows, self._cols)), shape=(nn, nn)).tocsr()
-        interior = self.mesh.interior
-        boundary = self.mesh.boundary
-        a_ii = full[interior][:, interior].tocsc()
-        rhs = -full[interior][:, boundary] @ self._boundary_values[boundary]
-        return kappa, a_ii, rhs
-
     def _forward(self, x):
         """Assemble, factor (SuperLU) and solve the interior system.
 
         Returns the conductivities, the factorization's solve and the full
         nodal solution, boundary values included.
         """
-        kappa, a_ii, rhs = self._assemble(x)
+        kappa = np.exp(_clamped_log_conductivity(self._check_point(x)))
+        a_ii = self._a_ii(kappa).tocsc()
+        rhs = -(self._a_ib(kappa) @ self._boundary_values[self.mesh.boundary])
         solve = spla.splu(a_ii).solve
         u_i = solve(rhs)
         resid = float(np.linalg.norm(a_ii @ u_i - rhs))

@@ -285,6 +285,8 @@ class RidgeApproximation:
         return self.eval_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def eval_batch(self, xs):
+        """Ridge values at the rows of ``xs``; a NaN or inf raises
+        ModelEvaluationFailure with the row index."""
         xs = np.asarray(xs, dtype=float)
         p = self.projector
         ys = self.cond_samples
@@ -293,16 +295,18 @@ class RidgeApproximation:
         if not comp.any():
             # identity projector: every conditioning point collapses onto x,
             # and averaging copies would cost exactness and model calls
-            return self.model.eval_batch(p.apply(xs))
-        n = self.model.output_dim
-        out = np.empty((xs.shape[0], n))
-        step = max(1, EVAL_BLOCK // m)
-        for start in range(0, xs.shape[0], step):
-            part = xs[start:start + step]
-            frozen = p.apply(part)
-            pts = (frozen[:, None, :] + comp[None, :, :]).reshape(-1, xs.shape[1])
-            vals = self.model.eval_batch(pts).reshape(part.shape[0], m, n)
-            out[start:start + step] = vals.mean(axis=1)
+            out = self.model.eval_batch(p.apply(xs))
+        else:
+            n = self.model.output_dim
+            out = np.empty((xs.shape[0], n))
+            step = max(1, EVAL_BLOCK // m)
+            for start in range(0, xs.shape[0], step):
+                part = xs[start:start + step]
+                frozen = p.apply(part)
+                pts = (frozen[:, None, :] + comp[None, :, :]).reshape(-1, xs.shape[1])
+                vals = self.model.eval_batch(pts).reshape(part.shape[0], m, n)
+                out[start:start + step] = vals.mean(axis=1)
+        _require_finite(out, 0, "ridge output")
         return out
 
 
@@ -332,7 +336,14 @@ def validate_error(approx, model, mu, stream, count, threads=1):
 
     def one_chunk(i):
         xs = sample(mu, stream.substream(i), sizes[i])
-        diff = model.eval_batch(xs) - approx.eval_batch(xs)
+        f_xs = model.eval_batch(xs)
+        try:
+            ridge_xs = approx.eval_batch(xs)
+        except ModelEvaluationFailure as err:
+            # the ridge counts rows within the chunk
+            index = i * CHUNK + err.sample_index
+            raise ModelEvaluationFailure(index, f"non-finite ridge output at sample {index}") from err
+        diff = f_xs - ridge_xs
         _require_finite(diff, i * CHUNK, "output")
         return np.einsum("kn,nm,km->k", diff, metric, diff)
 

@@ -122,7 +122,8 @@ def _conditional_residual(model, mu, keep, xs, f_xs, stream, inner):
 
     g_hat(x) averages the model over ``inner`` points that take the
     coordinates in the mask ``keep`` from x and redraw the others. A
-    non-finite average raises ModelEvaluationFailure at its outer index.
+    non-finite average raises ModelEvaluationFailure at its outer index, and a
+    squared residual too large to average raises NonFiniteInput naming it.
     """
     n_outer, d = xs.shape
     ys = sample(mu, stream, n_outer * inner).reshape(n_outer, inner, d)
@@ -131,6 +132,11 @@ def _conditional_residual(model, mu, keep, xs, f_xs, stream, inner):
     ghat = vals.mean(axis=1)
     _require_finite(ghat, 0, "conditional average")
     w = _metric_sq_norms(f_xs - ghat, model.output_metric.entries)
+    # np.std squares deviations of w, which stay finite below this limit
+    bad = ~(w < np.sqrt(np.finfo(float).max / n_outer))
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise NonFiniteInput(f"squared residual at outer sample {index} is too large to average")
     scale = 1.0 + 1.0 / inner
     mean = float(np.mean(w)) / scale
     se = float(np.std(w, ddof=1) / np.sqrt(n_outer)) / scale

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,14 @@ from gradridge import (
     estimate_h,
     mode_field_export,
 )
-from gradridge.pde import _K1, _M1, LOG_CONDUCTIVITY_LIMIT, POINT_A, POINT_B
+from gradridge.pde import (
+    _K1,
+    _M1,
+    LOG_CONDUCTIVITY_LIMIT,
+    POINT_A,
+    POINT_B,
+    SUBDOMAIN_BOUNDS,
+)
 
 
 def _q1_reference_blocks():
@@ -104,6 +113,45 @@ def test_harmonic_solution_exact_for_constant_conductivity():
     for x in (np.zeros(36), np.full(36, 1.7)):
         u = model.solve_field(x)
         np.testing.assert_allclose(u, harmonic, atol=1e-10)
+
+
+def _cell_loop(mesh, block, kappa, cells):
+    """Dense sum of kappa[c] * block over ``cells``, one cell at a time."""
+    out = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for c in cells:
+        idx = mesh.cell_nodes[c]
+        out[np.ix_(idx, idx)] += kappa[c] * block
+    return out
+
+
+@pytest.mark.parametrize("g", [3, 5])
+def test_solve_satisfies_cell_loop_system_at_random_conductivity(g):
+    x = np.random.default_rng(40 + g).standard_normal(g * g)
+    model = DiffusionModel(g, "full_field")
+    mesh = model.mesh
+    u = model.solve_field(x)
+    a_ref = _cell_loop(mesh, _K1, np.exp(x), range(mesh.n_cells))
+    resid = (a_ref @ u)[mesh.interior]
+    scale = (np.abs(a_ref) @ np.abs(u))[mesh.interior]
+    assert np.all(np.abs(resid) <= 1e-12 * scale)
+    np.testing.assert_array_equal(u[mesh.boundary], mesh.nodes[mesh.boundary].sum(axis=1))
+    # the precomputed assembly maps survive pickling, as worker processes need
+    np.testing.assert_array_equal(pickle.loads(pickle.dumps(model)).solve_field(x), u)
+
+
+@pytest.mark.parametrize("g", [3, 5])
+@pytest.mark.parametrize("scenario", ["full_field", "subdomain"])
+def test_h1_metric_matches_cell_loop(g, scenario):
+    model = DiffusionModel(g, scenario)
+    mesh = model.mesh
+    lo, hi = SUBDOMAIN_BOUNDS
+    c = mesh.cell_centers
+    inside = np.arange(mesh.n_cells)
+    if scenario == "subdomain":
+        inside = np.where((c >= lo).all(axis=1) & (c <= hi).all(axis=1))[0]
+    nodes = np.unique(mesh.cell_nodes[inside])
+    gram = _cell_loop(mesh, _M1 * (mesh.h * mesh.h) + _K1, np.ones(mesh.n_cells), inside)
+    np.testing.assert_array_equal(model.output_metric.entries, gram[np.ix_(nodes, nodes)])
 
 
 def test_point_pair_output_at_zero_conductivity():

@@ -187,6 +187,43 @@ def test_validate_error_reports_first_non_finite_output(threads):
     assert np.isfinite(validate_error(ridge, model, mu, SampleStream(43), 50)[0])
 
 
+def test_validate_error_reports_global_index_of_non_finite_ridge_output():
+    # with the identity projector the ridge is the model, so it is NaN at the
+    # poisoned sample too and raises first, counting rows within its chunk
+    mu = GaussianMeasure.standard(3)
+    count = CHUNK + 200
+    model = NanAtBatched(np.ones((2, 3)), draws_at(mu, SampleStream(41), count, [CHUNK + 7]))
+    ridge = build_ridge(model, mu, sigma_inverse_projector(np.eye(3), mu.cov), SampleStream(42), 2)
+    with pytest.raises(ModelEvaluationFailure,
+                       match=f"non-finite ridge output at sample {CHUNK + 7}$") as err:
+        validate_error(ridge, model, mu, SampleStream(41), count)
+    assert err.value.sample_index == CHUNK + 7
+
+
+class NanPastOne(LinearModel):
+    """f(x) = F x, but NaN wherever x_1 exceeds 1."""
+
+    def eval_batch(self, xs):
+        out = super().eval_batch(xs)
+        out[np.asarray(xs)[:, 0] > 1.0] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("rank", [2, 1], ids=["identity", "block-loop"])
+def test_ridge_eval_batch_reports_first_non_finite_row(rank):
+    # rank 1 keeps x_1 and averages over redrawn x_2, so rows 2 and 3 are NaN
+    # through either branch and rows 0 and 1 are finite
+    mu = GaussianMeasure.standard(2)
+    p = sigma_inverse_projector(np.eye(2)[:, :rank], mu.cov)
+    ridge = build_ridge(NanPastOne(np.eye(2)), mu, p, SampleStream(44), 3)
+    xs = np.array([[0.5, 0.0], [-0.5, 0.3], [2.0, 0.0], [3.0, 1.0]])
+    assert np.isfinite(ridge.eval_batch(xs[:2])).all()
+    with pytest.raises(ModelEvaluationFailure,
+                       match="non-finite ridge output at sample 2$") as err:
+        ridge.eval_batch(xs)
+    assert err.value.sample_index == 2
+
+
 def test_optimal_projector_diagonal_case():
     est = estimate_h(LinearModel(np.diag([np.sqrt(3.0), np.sqrt(2.0), 1.0])),
                      GaussianMeasure.standard(3), SampleStream(8), 1)

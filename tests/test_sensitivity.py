@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -316,3 +317,34 @@ def test_sobol_reports_outer_index_of_non_finite_inner_average(through_report):
                        match=f"non-finite conditional average at sample {first}$") as err:
         _sobol(_NanPast(cut), mu, root, through_report, n_outer=n_outer, inner=inner)
     assert err.value.sample_index == first
+
+
+class _HugePast(LinearModel):
+    """f(x) = x_1, but 1e300 wherever x_2 exceeds 4: every output is finite,
+    while the squared residual of a conditional average overflows."""
+
+    def __init__(self):
+        super().__init__(np.array([[1.0, 0.0, 0.0]]))
+
+    def eval_batch(self, xs):
+        out = super().eval_batch(xs)
+        out[xs[:, 1] > 4.0] = 1e300
+        return out
+
+
+@pytest.mark.parametrize("through_report", [False, True])
+def test_sobol_reports_outer_index_of_overflowing_residual(through_report):
+    mu = GaussianMeasure.standard(3)
+    root = SampleStream(7)
+    n_outer, inner = 2000, 64
+    # the closed index keeps x_1 and redraws x_2, so a row overflows when its
+    # outer draw or any of its inner draws has x_2 > 4
+    xs = sample(mu, root.substream(1).substream(0), n_outer)
+    ys = sample(mu, root.substream(1).substream(1), n_outer * inner).reshape(n_outer, inner, 3)
+    hit = (xs[:, 1] > 4.0) | (ys[:, :, 1] > 4.0).any(axis=1)
+    first = int(np.argmax(hit))
+    assert hit[first]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match=f"at outer sample {first} is too large"):
+            _sobol(_HugePast(), mu, root, through_report, n_outer=n_outer, inner=inner)
