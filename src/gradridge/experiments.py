@@ -95,7 +95,7 @@ def resolve_config(raw, seed_override=None):
     """Fill defaults and normalize a raw config dict. Raises ConfigError on
     anything malformed; the result is what gets hashed into output headers."""
     _reject_unknown("config", raw, _TOP_KEYS)
-    sections = {key: raw.get(key) or {} for key in ("model", "measure", "sampling", "comparisons")}
+    sections = {key: raw.get(key, {}) for key in ("model", "measure", "sampling", "comparisons")}
     for key, section in sections.items():
         if not isinstance(section, dict):
             raise ConfigError(f"{key} must be a JSON object")
@@ -115,6 +115,8 @@ def resolve_config(raw, seed_override=None):
         "groups": raw.get("groups", "singletons"),
         "comparisons": dict({"kl": True}, **sections["comparisons"]),
     }
+    if not isinstance(cfg["comparisons"]["kl"], bool):
+        raise ConfigError("comparisons.kl must be true or false")
     if seed_override is not None:
         cfg["sampling"]["seed"] = int(seed_override)
     for key, low in _SAMPLING_MIN.items():
@@ -311,7 +313,7 @@ def run_error_curve(cfg, out_dir, threads=1):
     pairs = generalized_eig(est.h, mu.cov)
     opt_sq = tail_sums(pairs.values)
     kl_sq = np.full(mu.dim + 1, np.nan)
-    if cfg["comparisons"].get("kl", True):
+    if cfg["comparisons"]["kl"]:
         kl_vals, kl_vecs = mu._kl_eig()
         kl_sq = basis_error_bounds(est, kl_vecs * np.sqrt(kl_vals))
     m_list = sampling["m"]

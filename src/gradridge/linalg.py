@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
+from scipy.linalg import LinAlgError, eigh, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from .errors import (
@@ -145,11 +145,13 @@ class GeneralizedEigenPairs:
     """Eigenpairs of H v = lambda Sigma^{-1} v.
 
     ``values`` are sorted descending and nonnegative after round-off clamping;
-    column i of ``vectors`` is normalized to v^T Sigma^{-1} v = 1.
+    column i of ``vectors`` is normalized to v^T Sigma^{-1} v = 1, and
+    ``duals`` = Sigma^{-1} ``vectors``, so duals^T vectors = I.
     """
 
     values: np.ndarray
     vectors: np.ndarray
+    duals: np.ndarray
 
     @property
     def dim(self):
@@ -160,7 +162,8 @@ def generalized_eig(h, sigma):
     """Solve H v = lambda Sigma^{-1} v for SPD Sigma and symmetric PSD H.
 
     With Sigma = L L^T the problem reduces to the ordinary symmetric
-    eigenproblem L^T H L w = lambda w and v = L w; Sigma^{-1} is never formed.
+    eigenproblem L^T H L w = lambda w, with v = L w and its dual
+    Sigma^{-1} v = L^{-T} w; Sigma^{-1} is never formed.
     Eigenvalues in [-1e-10 * lambda_max, 0) are clamped to zero; anything more
     negative raises NotPositiveSemidefinite; a NaN or infinite entry in either
     matrix raises NonFiniteInput.
@@ -180,8 +183,8 @@ def generalized_eig(h, sigma):
             f"generalized eigenvalue {values[-1]:.3e} below -1e-10 * lambda_max"
         )
     values = np.where(values < 0.0, 0.0, values)
-    vectors = lowt @ w
-    return GeneralizedEigenPairs(values=values, vectors=vectors)
+    duals = solve_triangular(lowt, w, trans="T", lower=True)
+    return GeneralizedEigenPairs(values=values, vectors=lowt @ w, duals=duals)
 
 
 def trace_quadratic(sigma, h, p):

@@ -231,12 +231,16 @@ class DiffusionModel(VectorValuedModel):
         """Assemble, factor (SuperLU) and solve the interior system.
 
         Returns the conductivities, the factorization's solve and the full
-        nodal solution, boundary values included.
+        nodal solution, boundary values included. An exactly singular factor
+        or a relative residual above 1e-10 raises SolverFailure.
         """
         kappa = np.exp(_clamped_log_conductivity(self._check_point(x)))
         a_ii = self._a_ii(kappa).tocsc()
         rhs = -(self._a_ib(kappa) @ self._boundary_values[self.mesh.boundary])
-        solve = spla.splu(a_ii).solve
+        try:
+            solve = spla.splu(a_ii).solve
+        except RuntimeError as exc:  # SuperLU reports an exactly singular factor this way
+            raise SolverFailure(float("inf"), f"sparse factorization failed: {exc}") from exc
         u_i = solve(rhs)
         resid = float(np.linalg.norm(a_ii @ u_i - rhs))
         if resid > 1e-10 * (float(np.linalg.norm(rhs)) + 1e-30):

@@ -97,11 +97,7 @@ class RankRProjector:
 
 def sigma_inverse_projector(basis, sigma):
     """Projector with range span(basis) that is orthogonal in the
-    Sigma^{-1} inner product: P = B (B^T Sigma^{-1} B)^{-1} B^T Sigma^{-1}.
-
-    When the basis columns are already Sigma^{-1}-orthonormal the middle factor
-    is the identity and is skipped.
-    """
+    Sigma^{-1} inner product: P = B (B^T Sigma^{-1} B)^{-1} B^T Sigma^{-1}."""
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)
     b = np.asarray(basis, dtype=float)
@@ -110,32 +106,26 @@ def sigma_inverse_projector(basis, sigma):
     if b.shape[1] == 0:
         return RankRProjector.zero(sigma.dim)
     low = cholesky(sigma)
-    w = solve_triangular(low, b, lower=True)  # the whitened basis L^{-1} B
-    q = _orthonormal(w)
-    if q is not w:
-        b = low @ q
-    # P = B (L^{-T} Q)^T with Q = L^{-1} B, so the dual factor is L^{-T} Q.
-    z = solve_triangular(low, q, trans="T", lower=True)
-    return RankRProjector(b, z, flags=(ORTH_SIGMA_INVERSE,))
+    return _from_whitened(np.linalg.qr(solve_triangular(low, b, lower=True))[0], low)
+
+
+def _from_whitened(q, low):
+    """The Sigma^{-1}-orthogonal projector onto span(L q), for Sigma = L L^T and
+    a whitened basis q with orthonormal columns: P = (L q)(L^{-T} q)^T."""
+    dual = solve_triangular(low, q, trans="T", lower=True)
+    return RankRProjector(low @ q, dual, flags=(ORTH_SIGMA_INVERSE,))
 
 
 def euclidean_projector(basis, extra_flags=()):
-    """Symmetric projector U U^T from a matrix whose columns are orthonormalized
-    first if they are not already."""
+    """Symmetric projector Q Q^T, with Q the orthonormalized columns of
+    ``basis``."""
     u = np.asarray(basis, dtype=float)
     if u.ndim != 2:
         raise DimensionMismatch("basis must be 2-d")
     if u.shape[1] == 0:
         return RankRProjector.zero(u.shape[0])
-    u = _orthonormal(u)
+    u = np.linalg.qr(u)[0]
     return RankRProjector(u, u, flags=(ORTH_EUCLIDEAN,) + tuple(extra_flags))
-
-
-def _orthonormal(a):
-    """``a`` itself if its columns are orthonormal to 1e-12, else the Q of its QR."""
-    gram = a.T @ a
-    err = np.linalg.norm(gram - np.eye(a.shape[1]), "fro")
-    return a if err <= 1e-12 * max(1.0, np.linalg.norm(gram, "fro")) else np.linalg.qr(a)[0]
 
 
 def sigma_orthogonalize(p, sigma):
@@ -156,7 +146,9 @@ def sigma_orthogonalize(p, sigma):
         return RankRProjector.zero(d)
     if p.rank == d:
         return RankRProjector.identity(d)
-    return sigma_inverse_projector(sigma.entries @ p.dual, sigma)
+    # span(Sigma W) whitens to L^{-1} Sigma W = L^T W
+    low = cholesky(sigma)
+    return _from_whitened(np.linalg.qr(low.T @ p.dual)[0], low)
 
 
 def random_sigma_orthogonal_projector(dim, rank, sigma, rng):
@@ -170,9 +162,7 @@ def random_sigma_orthogonal_projector(dim, rank, sigma, rng):
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)
     g = np.asarray(rng.standard_normal(dim * rank), dtype=float).reshape(dim, rank)
-    q, _ = np.linalg.qr(g)
-    low = cholesky(sigma)
-    return sigma_inverse_projector(low @ q, sigma)
+    return _from_whitened(np.linalg.qr(g)[0], cholesky(sigma))
 
 
 def require_sigma_orthogonal(p):

@@ -30,7 +30,7 @@ from .errors import (
 from .linalg import SpdMatrix, generalized_eig, trace_quadratic
 from .measure import sample
 from .models import LinearModel, VectorValuedModel
-from .projector import require_sigma_orthogonal, sigma_inverse_projector
+from .projector import ORTH_SIGMA_INVERSE, RankRProjector, require_sigma_orthogonal
 
 __all__ = [
     "HMatrixEstimate",
@@ -165,7 +165,8 @@ def optimal_projector(h, mu, rank, pairs=None):
     if pairs is None:
         pairs = generalized_eig(hm, mu.cov)
     _warn_if_unidentifiable(h, rank, stacklevel=3)
-    return sigma_inverse_projector(pairs.vectors[:, :rank], mu.cov)
+    return RankRProjector(pairs.vectors[:, :rank], pairs.duals[:, :rank],
+                          flags=(ORTH_SIGMA_INVERSE,))
 
 
 def _warn_if_unidentifiable(h, rank, stacklevel=2):

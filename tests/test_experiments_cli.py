@@ -553,6 +553,11 @@ _SOBOL = {"sobol_outer": 10, "sobol_inner": 2, "dgsm_k": 10}
         ("curve", {"model": {"kind": "linear", "random": 5}, "sampling": {"k": 5, "m": []}}),
         ("curve", {"model": _LINEAR, "ranks": [], "sampling": {"k": 5, "m": []}}),
         ("audit", {"model": _LINEAR, "sampling": {"k_ref": 5, "k_ladder": []}}),
+        ("curve", {"model": _LINEAR, "comparisons": False, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "comparisons": {"kl": "no"}, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "sampling": []}),
+        ("curve", {"model": _LINEAR, "measure": 0, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "measure": None, "sampling": {"k": 5, "m": []}}),
     ],
     ids=[
         "k-zero", "m-zero", "m-fractional", "n-val-one", "ranks-string", "rank-past-dim",
@@ -561,7 +566,8 @@ _SOBOL = {"sobol_outer": 10, "sobol_inner": 2, "dgsm_k": 10}
         "group-not-list", "groups-empty", "model-key-unknown", "top-level-key-unknown",
         "sampling-key-unknown", "comparisons-key-unknown", "measure-key-unknown",
         "covariance-key-unknown", "random-key-unknown", "random-not-object",
-        "ranks-empty", "k-ladder-empty",
+        "ranks-empty", "k-ladder-empty", "comparisons-false", "comparisons-kl-string",
+        "sampling-empty-list", "measure-zero", "measure-null",
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, payload):
@@ -590,6 +596,29 @@ def test_rank_past_dim_fails_before_any_jacobian(tmp_path, monkeypatch, runner):
     with pytest.raises(ConfigError, match=r"rank 3 outside \[1, 2\]"):
         runner(cfg, str(tmp_path))
     assert Counting.calls == 0
+
+
+@pytest.mark.parametrize("seed", [4, 8])
+def test_cli_singular_diffusion_factor_exits_3_without_traceback(tmp_path, capsys, seed):
+    # a 1e6 variance clamps the log-conductivities to +-40, and at these seeds
+    # one Sobol' point gives a system SuperLU finds exactly singular
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "pde", "grid": 4, "scenario": "point_pair"},
+        "measure": {"covariance": {"kind": "diagonal", "values": [1e6] * 16}},
+        "sampling": {"dgsm_k": 3, "sobol_outer": 200, "sobol_inner": 4},
+        "groups": [[1]],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["sobol", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--seed", str(seed)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "numerical failure: SolverFailure: sparse factorization failed: "
+        "Factor is exactly singular"
+    ]
 
 
 def test_cli_sobol_rejects_correlated_measure(tmp_path, capsys):

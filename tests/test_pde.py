@@ -13,6 +13,7 @@ from gradridge import (
     NotPositiveDefinite,
     NuggetEscalationWarning,
     SampleStream,
+    SolverFailure,
     build_field_covariance,
     cholesky,
     estimate_h,
@@ -152,6 +153,15 @@ def test_h1_metric_matches_cell_loop(g, scenario):
     nodes = np.unique(mesh.cell_nodes[inside])
     gram = _cell_loop(mesh, _M1 * (mesh.h * mesh.h) + _K1, np.ones(mesh.n_cells), inside)
     np.testing.assert_array_equal(model.output_metric.entries, gram[np.ix_(nodes, nodes)])
+
+
+def test_exactly_singular_factor_raises_solver_failure():
+    # finite inputs clamped to +-40 spread the conductivities over e^80, and
+    # SuperLU reports an exactly singular factor as a bare RuntimeError
+    model = DiffusionModel(4, "point_pair")
+    x = 1000 * SampleStream(187).standard_normal(16)
+    with pytest.warns(InputClampedWarning), pytest.raises(SolverFailure, match="singular"):
+        model.eval(x)
 
 
 def test_point_pair_output_at_zero_conductivity():

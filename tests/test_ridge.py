@@ -244,6 +244,27 @@ def test_optimal_projector_bound_equals_tail():
         assert abs(got - tail) <= 1e-8 * tail + 1e-12 * pairs.values[0]
 
 
+def test_optimal_projector_is_read_off_the_eigenpairs():
+    # the leading eigenvectors and their duals Sigma^{-1} v are the two
+    # factors as they stand; the general constructor is the reference
+    rng = np.random.default_rng(14)
+    d = 9
+    sigma = random_spd(rng, d)
+    a = rng.standard_normal((d, 4))
+    h = SpdMatrix(a @ a.T)
+    mu = GaussianMeasure(np.zeros(d), sigma)
+    pairs = generalized_eig(h, sigma)
+    np.testing.assert_allclose(pairs.duals.T @ pairs.vectors, np.eye(d), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(sigma.entries @ pairs.duals, pairs.vectors, rtol=0, atol=1e-10)
+    for r in range(1, d + 1):
+        p = optimal_projector(h, mu, r, pairs=pairs)
+        np.testing.assert_array_equal(p.basis, pairs.vectors[:, :r])
+        np.testing.assert_array_equal(p.dual, pairs.duals[:, :r])
+        assert p.is_sigma_orthogonal
+        reference = sigma_inverse_projector(pairs.vectors[:, :r], sigma)
+        np.testing.assert_allclose(p.matrix, reference.matrix, rtol=0, atol=1e-9)
+
+
 def test_optimal_projector_beats_random_projectors():
     rng = np.random.default_rng(10)
     d, r = 6, 2
