@@ -8,8 +8,17 @@ Four subcommands, one JSON config each:
     gradridge sobol    --config cfg.json ...
 
 Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
+Each warning prints as one stderr line, ``warning: <Category>: <message>``.
 ``--threads`` changes wall time only; outputs are byte-identical for any
 worker count.
+
+Every command runs with the OpenBLAS copies that numpy and scipy bundle set
+to one thread, and restores their thread counts when it returns. So the
+artifacts do not depend on ``OPENBLAS_NUM_THREADS``, and on these small dense
+kernels one thread is also the fastest. The library API leaves BLAS as the
+caller set it: a library caller who wants the CLI's digits sets
+``OPENBLAS_NUM_THREADS=1``. Other BLAS vendors (MKL, Accelerate) are not
+pinned.
 """
 
 from __future__ import annotations
@@ -17,7 +26,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
+from ._blas import one_blas_thread
 from .errors import ConfigError, GradRidgeError, NonDiagonalCovariance
 from .experiments import (
     resolve_config,
@@ -57,8 +68,18 @@ def _build_parser():
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    with warnings.catch_warnings(), one_blas_thread():
+        warnings.showwarning = _show_warning
+        return _run(args)
+
+
+def _run(args):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

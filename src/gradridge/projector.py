@@ -161,6 +161,8 @@ def random_sigma_orthogonal_projector(dim, rank, sigma, rng):
         raise RankOutOfRange(f"rank {rank} outside [1, {dim}]")
     if not isinstance(sigma, SpdMatrix):
         sigma = SpdMatrix(sigma)
+    if sigma.dim != dim:
+        raise DimensionMismatch(f"sigma dim {sigma.dim} vs dim {dim}")
     g = np.asarray(rng.standard_normal(dim * rank), dtype=float).reshape(dim, rank)
     return _from_whitened(np.linalg.qr(g)[0], cholesky(sigma))
 

@@ -621,6 +621,33 @@ def test_cli_singular_diffusion_factor_exits_3_without_traceback(tmp_path, capsy
     ]
 
 
+def test_cli_prints_each_warning_as_one_line(tmp_path):
+    # the singular-factor run clamps its inputs first; each clamp warning is
+    # one stderr line, with no source path or code line under it
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "pde", "grid": 4, "scenario": "point_pair"},
+        "measure": {"covariance": {"kind": "diagonal", "values": [1e6] * 16}},
+        "sampling": {"dgsm_k": 3, "sobol_outer": 200, "sobol_inner": 4},
+        "groups": [[1]],
+    })
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradridge", "sobol", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--seed", "4"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert ".py" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[-1].startswith("numerical failure: SolverFailure")
+    assert lines[0] == (
+        "warning: InputClampedWarning: log-conductivity clamped to [-40, 40]"
+    )
+    assert all(line.startswith(("warning:", "numerical failure:")) for line in lines)
+
+
 def test_cli_sobol_rejects_correlated_measure(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path,

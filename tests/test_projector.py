@@ -104,6 +104,12 @@ def test_random_projector_valid():
     assert np.linalg.norm(seen[0] - seen[1], "fro") > 1e-3
 
 
+def test_random_projector_rejects_sigma_of_another_dim():
+    for sigma in (np.eye(4), SpdMatrix.identity(2)):
+        with pytest.raises(DimensionMismatch, match="sigma dim"):
+            random_sigma_orthogonal_projector(3, 1, sigma, np.random.default_rng(0))
+
+
 def _oblique_projector(rng, d, r):
     # U W^T with W^T U = I but W not parallel to U (or to Sigma^{-1} U)
     u = rng.standard_normal((d, r))
