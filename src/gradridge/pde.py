@@ -4,24 +4,28 @@ The conductivity field is piecewise constant, one log-value per cell of a
 regular quadrilateral grid, so the parameter vector lives in R^(g*g). The
 solve uses bilinear (Q1) elements; the per-cell constant conductivity makes
 one-point quadrature of the weighted stiffness exact, so each cell adds its
-conductivity times the reference stiffness block, into a pattern fixed at
-construction. Dirichlet data u = s1 + s2 is imposed by lifting, which keeps the
-interior system symmetric positive definite. Jacobians come from one adjoint
-solve per output component against the factorization of the same matrix.
+conductivity times the reference stiffness block. Dirichlet data u = s1 + s2
+is imposed by lifting, which keeps the interior system symmetric positive
+definite. In the row-major interior numbering its half-bandwidth is g, so each
+call fills LAPACK's band storage with one sparse product of a map fixed at
+construction and factors it with the banded Cholesky ``dpbtrf``, about g^4
+flops. Jacobians come from one adjoint band solve per output component that
+touches an interior node, against the same factor.
 
-Three observation scenarios map the solution field to the model output: the
-full nodal field in the discrete H^1 metric, the restriction to a centered
-subdomain in the same metric, and a weighted pair of point values.
+Three observation scenarios map the solution field to the model output, each
+read off the nodal solution by index: the full nodal field in the discrete H^1
+metric, the restriction to a centered subdomain in the same metric, and a
+weighted pair of point values.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
     DimensionMismatch,
@@ -141,28 +145,27 @@ def _clamped_log_conductivity(x):
     return x
 
 
-def _cell_sum(cell_nodes, block, row_nodes, col_nodes):
-    """kappa -> CSR sum over cells c of kappa[c] * block on the corners of c,
-    restricted to the sorted ``row_nodes`` x ``col_nodes``. The pattern and the
-    slot each cell entry adds into are fixed here; every slot sums in cell order."""
+def _cell_entries(cell_nodes, block, row_nodes, col_nodes):
+    """The terms kappa[c] * block[a, b] of the sum over cells that land in the
+    sorted ``row_nodes`` x ``col_nodes``, in cell order: the row and column of
+    each there, its cell and its block value."""
     n_cells, corners = cell_nodes.shape
     rows = np.repeat(cell_nodes, corners, axis=1).ravel()
     cols = np.tile(cell_nodes, (1, corners)).ravel()
     keep = np.isin(rows, row_nodes) & np.isin(cols, col_nodes)
-    rows = np.searchsorted(row_nodes, rows[keep])
-    keys, slot = np.unique(rows * col_nodes.size + np.searchsorted(col_nodes, cols[keep]),
-                           return_inverse=True)
     cells = np.repeat(np.arange(n_cells), corners * corners)[keep]
     values = np.tile(block.ravel(), n_cells)[keep]
-    fill = sp.csr_matrix((values, (slot, cells)), shape=(keys.size, n_cells))
-    indptr = np.searchsorted(keys // col_nodes.size, np.arange(row_nodes.size + 1))
-    shape = (row_nodes.size, col_nodes.size)
-    return functools.partial(_filled, fill, keys % col_nodes.size, indptr, shape)
+    return (np.searchsorted(row_nodes, rows[keep]), np.searchsorted(col_nodes, cols[keep]),
+            cells, values)
 
 
-# module level, not a closure, so that models holding the map pickle
-def _filled(fill, indices, indptr, shape, kappa):
-    return sp.csr_matrix((fill @ kappa, indices, indptr), shape=shape)
+def _cell_sum(cell_nodes, block, row_nodes, col_nodes):
+    """Dense sum over cells of ``block`` on the corners of each, restricted to
+    ``row_nodes`` x ``col_nodes``; every entry sums in cell order."""
+    rows, cols, _, values = _cell_entries(cell_nodes, block, row_nodes, col_nodes)
+    out = np.zeros((row_nodes.size, col_nodes.size))
+    np.add.at(out, (rows, cols), values)
+    return out
 
 
 class DiffusionModel(VectorValuedModel):
@@ -176,7 +179,8 @@ class DiffusionModel(VectorValuedModel):
     - ``point_pair``: interpolated values at two fixed points, diagonal metric
       diag(alpha, beta).
 
-    Each call fills the interior system's fixed pattern and factors it anew;
+    Each call fills the interior system's band (half-bandwidth g) from a map
+    fixed at construction and factors it anew with LAPACK's banded Cholesky;
     instances hold only immutable precomputed structure, safe across threads.
     """
 
@@ -191,18 +195,34 @@ class DiffusionModel(VectorValuedModel):
         self.lipschitz_constant = None
 
         nn = mesh.n_nodes
+        g = mesh.cells_per_side
+        n_int = mesh.interior.size
         cells = mesh.cell_nodes
-        self._a_ii = _cell_sum(cells, _K1, mesh.interior, mesh.interior)
-        self._a_ib = _cell_sum(cells, _K1, mesh.interior, mesh.boundary)
         self._boundary_values = mesh.nodes[:, 0] + mesh.nodes[:, 1]
+        # kappa -> A_ii in LAPACK's upper band storage, flattened in Fortran
+        # order: entry (i, j), i <= j, sits at g + i - j + (g + 1) j. The
+        # row-major interior numbering keeps every stencil neighbour within g
+        # of the diagonal. No (slot, cell) pair repeats, so each slot sums in
+        # cell order.
+        i, j, c, k1 = _cell_entries(cells, _K1, mesh.interior, mesh.interior)
+        upper = i <= j
+        self._band_map = sp.csr_matrix(
+            (k1[upper], ((g + i - j + (g + 1) * j)[upper], c[upper])),
+            shape=((g + 1) * n_int, mesh.n_cells),
+        )
+        # kappa -> the Dirichlet lift -A_ib(kappa) u_b
+        i, j, c, k1 = _cell_entries(cells, _K1, mesh.interior, mesh.boundary)
+        self._lift = sp.csr_matrix(
+            (-k1 * self._boundary_values[mesh.boundary][j], (i, c)),
+            shape=(n_int, mesh.n_cells),
+        )
 
         if scenario == "point_pair":
             if alpha <= 0 or beta <= 0:
                 raise ValueError("point weights alpha, beta must be positive")
-            obs = np.zeros((2, nn))
-            for row, point in enumerate((POINT_A, POINT_B)):
-                nodes, weights = mesh.interpolation_weights(point)
-                obs[row, nodes] = weights
+            picks = [mesh.interpolation_weights(point) for point in (POINT_A, POINT_B)]
+            obs_nodes = np.array([nodes for nodes, _ in picks])
+            obs_weights = np.array([weights for _, weights in picks])
             self.output_metric = SpdMatrix.diagonal([alpha, beta])
             self.point_weights = (float(alpha), float(beta))
         else:
@@ -218,57 +238,78 @@ class DiffusionModel(VectorValuedModel):
                     raise DimensionMismatch("subdomain contains no cell centers at this resolution")
             # every node of the full grid touches a cell, so full_field observes all of them
             out_nodes = np.unique(cells[inside].ravel())
-            h1 = _cell_sum(cells[inside], _M1 * (mesh.h * mesh.h) + _K1, out_nodes, out_nodes)
-            self.output_metric = SpdMatrix(h1(np.ones(inside.size)).toarray())
-            obs = np.zeros((out_nodes.size, nn))
-            obs[np.arange(out_nodes.size), out_nodes] = 1.0
+            self.output_metric = SpdMatrix(
+                _cell_sum(cells[inside], _M1 * (mesh.h * mesh.h) + _K1, out_nodes, out_nodes)
+            )
+            obs_nodes = out_nodes[:, None]
+            obs_weights = np.ones(obs_nodes.shape)
             self.point_weights = None
-        self._observation = obs
-        self.output_dim = obs.shape[0]
-        self._obs_interior_t = obs[:, mesh.interior].T.copy()
+        # output p is sum_k obs_weights[p, k] * u[obs_nodes[p, k]]
+        self._obs_nodes = obs_nodes
+        self._obs_weights = obs_weights
+        self.output_dim = obs_nodes.shape[0]
+        # the adjoint right-hand sides as (interior row, column, weight)
+        # entries; only the outputs that touch an interior node get a column
+        row = np.full(nn, -1)
+        row[mesh.interior] = np.arange(n_int)
+        row = row[obs_nodes]
+        self._adjoint_outputs = np.flatnonzero((row >= 0).any(axis=1))
+        col, k = np.nonzero(row[self._adjoint_outputs] >= 0)
+        out = self._adjoint_outputs[col]
+        self._adjoint_rhs = (row[out, k], col, obs_weights[out, k])
 
     def _forward(self, x):
-        """Assemble, factor (SuperLU) and solve the interior system.
+        """Fill the interior system's band, factor it (LAPACK ``dpbtrf``,
+        half-bandwidth g) and solve.
 
-        Returns the conductivities, the factorization's solve and the full
-        nodal solution, boundary values included. An exactly singular factor
-        or a relative residual above 1e-10 raises SolverFailure.
+        Returns the conductivities, the band Cholesky factor and the full
+        nodal solution, boundary values included. A factor that meets a
+        leading minor that is not positive, or a relative residual above
+        1e-10, raises SolverFailure.
         """
         kappa = np.exp(_clamped_log_conductivity(self._check_point(x)))
-        a_ii = self._a_ii(kappa).tocsc()
-        rhs = -(self._a_ib(kappa) @ self._boundary_values[self.mesh.boundary])
-        try:
-            solve = spla.splu(a_ii).solve
-        except RuntimeError as exc:  # SuperLU reports an exactly singular factor this way
-            raise SolverFailure(float("inf"), f"sparse factorization failed: {exc}") from exc
-        u_i = solve(rhs)
-        resid = float(np.linalg.norm(a_ii @ u_i - rhs))
+        g = self.mesh.cells_per_side
+        band = (self._band_map @ kappa).reshape(g + 1, -1, order="F")
+        factor, info = dpbtrf(band)
+        if info > 0:
+            raise SolverFailure(
+                float("inf"), f"banded Cholesky failed: leading minor {info} is not positive"
+            )
+        rhs = self._lift @ kappa
+        u_i, _ = dpbtrs(factor, rhs)
+        resid = float(np.linalg.norm(dsbmv(g, 1.0, band, u_i, beta=-1.0, y=rhs)))
         if resid > 1e-10 * (float(np.linalg.norm(rhs)) + 1e-30):
             raise SolverFailure(resid)
         u = self._boundary_values.copy()
         u[self.mesh.interior] = u_i
-        return kappa, solve, u
+        return kappa, factor, u
 
     def solve_field(self, x):
         """Full nodal solution vector, boundary values included."""
         return self._forward(x)[2]
 
     def eval(self, x):
-        return self._observation @ self.solve_field(x)
+        u = self.solve_field(x)
+        return (u[self._obs_nodes] * self._obs_weights).sum(axis=1)
 
     def jacobian(self, x):
-        """Adjoint Jacobian: one factorization, one solve per output row.
+        """Adjoint Jacobian: one factorization, one band solve per output row
+        that touches an interior node.
 
         Row j of the Jacobian is -kappa_c * lambda_j^T S_c u per cell c, with
         S_c the unit stiffness scatter of the cell and lambda_j the adjoint
-        solution for output j extended by zero to the boundary. The Dirichlet
-        lift enters through the boundary entries of u.
+        solution for output j extended by zero to the boundary; an output that
+        observes only boundary nodes has lambda_j = 0. The Dirichlet lift
+        enters through the boundary entries of u.
         """
-        kappa, solve, u = self._forward(x)
+        kappa, factor, u = self._forward(x)
 
-        lam_i = solve(self._obs_interior_t)  # (n_interior, n_out)
+        rows, cols, weights = self._adjoint_rhs
+        rhs = np.zeros((self.mesh.interior.size, self._adjoint_outputs.size), order="F")
+        rhs[rows, cols] = weights
+        lam_i, _ = dpbtrs(factor, rhs, overwrite_b=1)
         lam = np.zeros((self.mesh.n_nodes, self.output_dim))
-        lam[self.mesh.interior] = lam_i
+        lam[np.ix_(self.mesh.interior, self._adjoint_outputs)] = lam_i
 
         cells = self.mesh.cell_nodes
         u_cells = u[cells]                      # (n_cells, 4)

@@ -598,10 +598,11 @@ def test_rank_past_dim_fails_before_any_jacobian(tmp_path, monkeypatch, runner):
     assert Counting.calls == 0
 
 
-@pytest.mark.parametrize("seed", [4, 8])
+@pytest.mark.parametrize("seed", [5, 8])
 def test_cli_singular_diffusion_factor_exits_3_without_traceback(tmp_path, capsys, seed):
     # a 1e6 variance clamps the log-conductivities to +-40, and at these seeds
-    # one Sobol' point gives a system SuperLU finds exactly singular
+    # one Sobol' point gives a system whose band Cholesky meets a leading
+    # minor that is not positive
     cfg = _write_cfg(tmp_path, {
         "model": {"kind": "pde", "grid": 4, "scenario": "point_pair"},
         "measure": {"covariance": {"kind": "diagonal", "values": [1e6] * 16}},
@@ -616,8 +617,8 @@ def test_cli_singular_diffusion_factor_exits_3_without_traceback(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "numerical failure: SolverFailure: sparse factorization failed: "
-        "Factor is exactly singular"
+        "numerical failure: SolverFailure: banded Cholesky failed: "
+        "leading minor 8 is not positive"
     ]
 
 
@@ -633,7 +634,7 @@ def test_cli_prints_each_warning_as_one_line(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "gradridge", "sobol", "--config", str(cfg),
-         "--out", str(tmp_path / "out"), "--seed", "4"],
+         "--out", str(tmp_path / "out"), "--seed", "5"],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, timeout=120,
     )

@@ -157,11 +157,69 @@ def test_h1_metric_matches_cell_loop(g, scenario):
 
 def test_exactly_singular_factor_raises_solver_failure():
     # finite inputs clamped to +-40 spread the conductivities over e^80, and
-    # SuperLU reports an exactly singular factor as a bare RuntimeError
+    # at this point the band Cholesky meets a leading minor that is not positive
+    model = DiffusionModel(4, "point_pair")
+    x = 1000 * SampleStream(216).standard_normal(16)
+    with pytest.warns(InputClampedWarning), pytest.raises(
+        SolverFailure, match="^banded Cholesky failed: leading minor 8 is not positive$"
+    ) as failure:
+        model.eval(x)
+    assert failure.value.residual == float("inf")
+
+
+def test_clamped_extreme_point_solves_with_finite_output():
+    # conductivities spread over e^80, yet the band Cholesky factors this
+    # point and its solve passes the 1e-10 residual check
     model = DiffusionModel(4, "point_pair")
     x = 1000 * SampleStream(187).standard_normal(16)
-    with pytest.warns(InputClampedWarning), pytest.raises(SolverFailure, match="singular"):
-        model.eval(x)
+    with pytest.warns(InputClampedWarning):
+        out = model.eval(x)
+    assert out.shape == (2,) and np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("g", [2, 3, 5, 12])
+def test_band_map_fills_the_cell_loop_interior_system(g):
+    # the band holds A_ii in LAPACK's upper band storage, half-bandwidth g
+    model = DiffusionModel(g, "point_pair")
+    mesh = model.mesh
+    kappa = np.exp(np.random.default_rng(60 + g).standard_normal(mesh.n_cells))
+    a_ii = _cell_loop(mesh, _K1, kappa, range(mesh.n_cells))[np.ix_(mesh.interior, mesh.interior)]
+    assert not np.any(np.triu(a_ii, g + 1))
+    n = mesh.interior.size
+    expect = np.zeros((g + 1, n))
+    for j in range(n):
+        for i in range(max(0, j - g), j + 1):
+            expect[g + i - j, j] = a_ii[i, j]
+    band = (model._band_map @ kappa).reshape(g + 1, n, order="F")
+    np.testing.assert_array_equal(band, expect)
+
+
+@pytest.mark.parametrize("scenario", ["full_field", "subdomain", "point_pair"])
+def test_model_pickles_and_reproduces_eval_and_jacobian(scenario):
+    model = DiffusionModel(5, scenario)
+    x = np.random.default_rng(7).standard_normal(25)
+    back = pickle.loads(pickle.dumps(model))
+    np.testing.assert_array_equal(back.eval(x), model.eval(x))
+    np.testing.assert_array_equal(back.jacobian(x), model.jacobian(x))
+
+
+@pytest.mark.parametrize("scenario", ["full_field", "subdomain"])
+def test_field_outputs_are_nodal_values_and_boundary_rows_have_zero_jacobian(scenario):
+    g = 8
+    model = DiffusionModel(g, scenario)
+    mesh = model.mesh
+    lo, hi = SUBDOMAIN_BOUNDS
+    c = mesh.cell_centers
+    inside = np.arange(mesh.n_cells)
+    if scenario == "subdomain":
+        inside = np.where((c >= lo).all(axis=1) & (c <= hi).all(axis=1))[0]
+    nodes = np.unique(mesh.cell_nodes[inside])
+    x = np.random.default_rng(8).standard_normal(g * g)
+    np.testing.assert_array_equal(model.eval(x), model.solve_field(x)[nodes])
+    jac = model.jacobian(x)
+    on_boundary = np.isin(nodes, mesh.boundary)
+    assert not np.any(jac[on_boundary])
+    assert np.all(np.any(jac[~on_boundary], axis=1))
 
 
 def test_point_pair_output_at_zero_conductivity():
@@ -219,6 +277,20 @@ def test_jacobian_matches_finite_differences():
             fd[:, i] = (model.eval(x + e) - model.eval(x - e)) / (2 * h)
         rel = np.linalg.norm(jac - fd) / np.linalg.norm(fd)
         assert rel < 1e-5
+
+
+@pytest.mark.parametrize("scenario", ["full_field", "subdomain", "point_pair"])
+def test_jacobian_matches_directional_finite_difference_off_symmetry(scenario):
+    # g=7 puts the two points' interior corners at unequal weights, so an
+    # adjoint right-hand side paired with the wrong output shows
+    g = 7
+    model = DiffusionModel(g, scenario)
+    rng = np.random.default_rng(11)
+    x = 0.3 * rng.standard_normal(g * g)
+    v = rng.standard_normal(g * g)
+    h = 1e-6
+    fd = (model.eval(x + h * v) - model.eval(x - h * v)) / (2 * h)
+    np.testing.assert_allclose(model.jacobian(x) @ v, fd, rtol=1e-6, atol=1e-9 * np.abs(fd).max())
 
 
 def test_batch_evaluation_matches_loop():
