@@ -30,8 +30,6 @@ from .linalg import (
     SpdMatrix,
     cholesky,
     generalized_eig,
-    load_matrix_text,
-    save_matrix_text,
     sym_eig,
     trace_quadratic,
 )
@@ -55,7 +53,7 @@ from .models import (
     sines_bound,
     sines_cond_exp_error,
 )
-from .pde import DiffusionModel, Mesh2D, build_field_covariance, mode_field_export
+from .pde import DiffusionModel, Mesh2D, build_field_covariance
 from .projector import (
     RankRProjector,
     euclidean_projector,

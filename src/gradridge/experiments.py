@@ -5,6 +5,10 @@ derives every sample stream from a single seed, and writes CSV artifacts with
 a ``#`` metadata preamble (generator and library versions, config hash, seed).
 Stream tags are fixed per role, so outputs are byte-identical across runs and
 across worker counts; the worker count only changes who computes which chunk.
+
+This is the only module that writes files: every CSV goes through
+``_write_csv``, and ``run_sobol`` dumps its JSON document next to its CSV.
+The numerical modules return arrays and reports and never touch the disk.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import scipy
 
 from . import __version__
 from .errors import ConfigError, DimensionMismatch
-from .linalg import SpdMatrix, generalized_eig, save_matrix_text
+from .linalg import SpdMatrix, generalized_eig
 from .measure import GaussianMeasure, SampleStream
 from .models import LinearModel, QuadraticFormModel, SumOfSinesModel
-from .pde import DiffusionModel, Mesh2D, build_field_covariance, mode_field_export
+from .pde import DiffusionModel, Mesh2D, build_field_covariance
 from .ridge import (
     _warn_if_unidentifiable,
     basis_error_bounds,
@@ -78,6 +82,8 @@ _MODEL_KEYS = {
     "sines": ("kind", "amplitudes", "frequencies"),
     "pde": ("kind", "grid", "scenario", "alpha", "beta"),
 }
+_PDE_DEFAULTS = {"grid": 12, "scenario": "full_field", "alpha": 1.0, "beta": 1.0}
+_LENGTHSCALE = 0.15
 _RANDOM_KEYS = {"linear": ("rows", "cols", "seed", "scale"), "quadratic": ("dim", "seed")}
 _COVARIANCE_KEYS = {"squared_exponential": ("kind", "lengthscale"), "diagonal": ("kind", "values")}
 
@@ -115,6 +121,7 @@ def resolve_config(raw, seed_override=None):
         "groups": raw.get("groups", "singletons"),
         "comparisons": dict({"kl": True}, **sections["comparisons"]),
     }
+    _fill_model_defaults(kind, cfg["model"], cfg["measure"])
     if not isinstance(cfg["comparisons"]["kl"], bool):
         raise ConfigError("comparisons.kl must be true or false")
     if seed_override is not None:
@@ -133,6 +140,25 @@ def resolve_config(raw, seed_override=None):
     if ranks != "all" and not (isinstance(ranks, list) and ranks and all(map(_is_int, ranks))):
         raise ConfigError("ranks must be 'all' or a non-empty list of integers")
     return cfg
+
+
+def _fill_model_defaults(kind, model, measure):
+    """Spell out, in place, every model and measure default the builders
+    apply, so two configs that build the same run hash alike."""
+    if kind == "pde":
+        for key, value in _PDE_DEFAULTS.items():
+            model.setdefault(key, value)
+    if kind == "linear":
+        model.setdefault("output_metric", "identity")
+        if isinstance(model.get("random"), dict):
+            model["random"] = dict({"scale": 1.0}, **model["random"])
+    measure.setdefault("mean", 0.0)
+    measure.setdefault(
+        "covariance", {"kind": "squared_exponential"} if kind == "pde" else "identity"
+    )
+    cov = measure["covariance"]
+    if isinstance(cov, dict) and cov.get("kind") == "squared_exponential":
+        measure["covariance"] = dict({"lengthscale": _LENGTHSCALE}, **cov)
 
 
 def _reject_unknown(section, spec, allowed):
@@ -170,11 +196,11 @@ def build_model(cfg):
                 r = spec["random"]
                 _reject_unknown("model.random", r, _RANDOM_KEYS[kind])
                 matrix = _random_matrix(
-                    (int(r["rows"]), int(r["cols"])), r["seed"], float(r.get("scale", 1.0))
+                    (int(r["rows"]), int(r["cols"])), r["seed"], float(r["scale"])
                 )
             else:
                 raise ConfigError("linear model needs matrix or random")
-            metric = spec.get("output_metric")
+            metric = spec["output_metric"]
             if metric in (None, "identity"):
                 return LinearModel(matrix)
             return LinearModel(matrix, SpdMatrix(np.asarray(metric, dtype=float)))
@@ -192,12 +218,11 @@ def build_model(cfg):
             return QuadraticFormModel(matrix)
         if kind == "sines":
             return SumOfSinesModel(spec["amplitudes"], spec["frequencies"])
-        grid = int(spec.get("grid", 12))
         return DiffusionModel(
-            Mesh2D(grid),
-            scenario=spec.get("scenario", "full_field"),
-            alpha=float(spec.get("alpha", 1.0)),
-            beta=float(spec.get("beta", 1.0)),
+            Mesh2D(int(spec["grid"])),
+            scenario=spec["scenario"],
+            alpha=float(spec["alpha"]),
+            beta=float(spec["beta"]),
         )
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
@@ -206,9 +231,9 @@ def build_model(cfg):
 def build_measure(cfg, model):
     spec = cfg["measure"]
     d = model.input_dim
-    cov = spec.get("covariance", "identity")
+    cov = spec["covariance"]
     try:
-        mean = spec.get("mean", 0.0)
+        mean = spec["mean"]
         if isinstance(mean, (int, float)):
             mean = np.full(d, float(mean))
         else:
@@ -225,15 +250,11 @@ def build_measure(cfg, model):
                     raise ConfigError(
                         "squared_exponential covariance needs the pde model's mesh"
                     )
-                cov = build_field_covariance(
-                    model.mesh, float(cov.get("lengthscale", 0.15))
-                )
+                cov = build_field_covariance(model.mesh, float(cov["lengthscale"]))
             else:
                 cov = SpdMatrix.diagonal(np.asarray(cov["values"], dtype=float))
         else:
             cov = SpdMatrix(np.asarray(cov, dtype=float))
-        if isinstance(model, DiffusionModel) and spec.get("covariance") is None:
-            cov = build_field_covariance(model.mesh)
         return GaussianMeasure(mean, cov)
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad measure config: {exc}") from exc
@@ -261,9 +282,12 @@ def _groups(cfg, dim):
     return [list(g) for g in groups]
 
 
+_GENERATOR = f"gradridge {__version__}"
+
+
 def _metadata_lines(cfg):
     return [
-        f"# generator=gradridge {__version__}",
+        f"# generator={_GENERATOR}",
         f"# numpy={np.__version__} scipy={scipy.__version__}",
         f"# config_hash={config_hash(cfg)}",
         f"# seed={cfg['sampling']['seed']}",
@@ -372,11 +396,11 @@ def run_projector_audit(cfg, out_dir, threads=1):
 
 
 def run_spectrum(cfg, out_dir, threads=1):
-    """Spectrum table plus leading mode exports.
+    """Spectrum table plus the leading generalized and covariance modes.
 
-    For the pde model the six leading generalized modes and six leading
-    covariance modes are written as plottable cell-center CSV fields; for
-    analytical models the two bases go to plain matrix text files.
+    ``gen_modes.csv`` and ``kl_modes.csv`` hold one row per input coordinate
+    and one column per mode, for the min(6, d) leading modes. For the pde
+    model each row also carries its cell center, so the modes plot as fields.
     """
     model, mu, root = _prepare(cfg, out_dir)
     sampling = cfg["sampling"]
@@ -395,19 +419,15 @@ def run_spectrum(cfg, out_dir, threads=1):
     )
     n_modes = min(6, mu.dim)
     _, kl_vecs = mu._kl_eig()
+    header, coords = ["index"], np.empty((mu.dim, 0))
     if isinstance(model, DiffusionModel):
-        for i in range(n_modes):
-            mode_field_export(
-                model.mesh, pairs.vectors[:, i],
-                os.path.join(out_dir, f"gen_mode_{i + 1}.csv"),
-            )
-            mode_field_export(
-                model.mesh, kl_vecs[:, i],
-                os.path.join(out_dir, f"kl_mode_{i + 1}.csv"),
-            )
-    else:
-        save_matrix_text(os.path.join(out_dir, "gen_modes.txt"), pairs.vectors[:, :n_modes])
-        save_matrix_text(os.path.join(out_dir, "kl_modes.txt"), kl_vecs[:, :n_modes])
+        header, coords = header + ["cell_center_x", "cell_center_y"], model.mesh.cell_centers
+    header += [f"mode_{i + 1}" for i in range(n_modes)]
+    for name, vectors in (("gen_modes.csv", pairs.vectors), ("kl_modes.csv", kl_vecs)):
+        _write_csv(
+            os.path.join(out_dir, name), cfg, header,
+            ((i + 1, *coords[i], *vectors[i, :n_modes]) for i in range(mu.dim)),
+        )
     return out
 
 
@@ -420,20 +440,17 @@ def run_sobol(cfg, out_dir, threads=1):
         n_outer=sampling["sobol_outer"], m_inner=sampling["sobol_inner"],
         dgsm_samples=sampling["dgsm_k"], threads=threads,
     )
-    rows = [
-        (row["group"], row["s_hat"], row["s_se"], row["s_lower"],
-         row["t_hat"], row["t_se"], row["t_upper"], row["vacuous"])
-        for row in report.rows()
-    ]
+    rows = list(report.rows())
     out = _write_csv(
-        os.path.join(out_dir, "sobol.csv"), cfg,
-        ["group", "s_hat", "s_se", "s_lower", "t_hat", "t_se", "t_upper", "vacuous"],
-        rows,
+        os.path.join(out_dir, "sobol.csv"), cfg, list(rows[0]), [row.values() for row in rows]
     )
-    meta = {
-        "generator": f"gradridge {__version__}",
+    doc = {
+        "generator": _GENERATOR,
         "config_hash": config_hash(cfg),
         "seed": cfg["sampling"]["seed"],
     }
-    report.write_json(os.path.join(out_dir, "sobol.json"), metadata=meta)
+    doc.update(report.to_json_dict())
+    with open(os.path.join(out_dir, "sobol.json"), "w", encoding="ascii") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return out

@@ -30,8 +30,6 @@ __all__ = [
     "sym_eig",
     "generalized_eig",
     "trace_quadratic",
-    "save_matrix_text",
-    "load_matrix_text",
 ]
 
 
@@ -208,40 +206,3 @@ def trace_quadratic(sigma, h, p):
         raise NegativeTrace(f"trace {value:.3e} below round-off floor {floor:.3e}")
     return max(value, 0.0)
 
-
-def save_matrix_text(path, matrix):
-    """Plain-text matrix dump: a dimension line, then one row per line.
-
-    Square matrices write a single integer on the first line; rectangular ones
-    write ``rows cols``. Entries use repr floats, so a round-trip through
-    load_matrix_text is bit-exact.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d array, got shape {m.shape}")
-    rows, cols = m.shape
-    head = f"{rows}" if rows == cols else f"{rows} {cols}"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(head + "\n")
-        for i in range(rows):
-            fh.write(" ".join(repr(float(x)) for x in m[i]) + "\n")
-    return path
-
-
-def load_matrix_text(path):
-    """Read a matrix written by save_matrix_text."""
-    with open(path, "r", encoding="ascii") as fh:
-        head = fh.readline().split()
-        if len(head) == 1:
-            rows = cols = int(head[0])
-        elif len(head) == 2:
-            rows, cols = int(head[0]), int(head[1])
-        else:
-            raise DimensionMismatch("bad header line in matrix file")
-        out = np.empty((rows, cols))
-        for i in range(rows):
-            parts = fh.readline().split()
-            if len(parts) != cols:
-                raise DimensionMismatch(f"row {i} has {len(parts)} entries, expected {cols}")
-            out[i] = [float(x) for x in parts]
-    return out

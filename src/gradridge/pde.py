@@ -42,7 +42,6 @@ __all__ = [
     "Mesh2D",
     "DiffusionModel",
     "build_field_covariance",
-    "mode_field_export",
     "SCENARIOS",
     "SUBDOMAIN_BOUNDS",
     "POINT_A",
@@ -312,11 +311,17 @@ class DiffusionModel(VectorValuedModel):
         lam[np.ix_(self.mesh.interior, self._adjoint_outputs)] = lam_i
 
         cells = self.mesh.cell_nodes
-        u_cells = u[cells]                      # (n_cells, 4)
-        w = u_cells @ _K1.T                     # S_c u restricted to the cell
-        lam_cells = lam[cells]                  # (n_cells, 4, n_out)
-        jac_t = -kappa[:, None] * np.einsum("cap,ca->cp", lam_cells, w)
-        return jac_t.T
+        w = u[cells] @ _K1.T                    # S_c u restricted to the cell
+        # lambda_j^T S_c u summed one corner at a time and in place, so no
+        # (n_cells, 4, n_out) gather of lambda is ever held
+        acc = lam[cells[:, 0]]
+        acc *= w[:, 0, None]
+        for a in range(1, cells.shape[1]):
+            term = lam[cells[:, a]]
+            term *= w[:, a, None]
+            acc += term
+        acc *= -kappa[:, None]
+        return acc.T
 
 
 def build_field_covariance(mesh, lengthscale=0.15):
@@ -340,15 +345,3 @@ def build_field_covariance(mesh, lengthscale=0.15):
                 stacklevel=2,
             )
 
-
-def mode_field_export(mesh, values, path):
-    """Write a cell-indexed vector as (cell_center_x, cell_center_y, value)
-    CSV rows for plotting."""
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.shape[0] != mesh.n_cells:
-        raise DimensionMismatch(f"vector length {v.shape[0]} != cell count {mesh.n_cells}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("cell_center_x,cell_center_y,value\n")
-        for (cx, cy), val in zip(mesh.cell_centers, v):
-            fh.write(f"{float(cx)!r},{float(cy)!r},{float(val)!r}\n")
-    return path

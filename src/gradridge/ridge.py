@@ -261,9 +261,12 @@ class RidgeApproximation:
     Holds the projector and M frozen complement draws; an evaluation averages
     the model over P x + (I - P) Y_j. The draws never change after
     construction, so the approximation is an ordinary deterministic function.
+    The offsets (I - P) Y_j are computed once; when every one is exactly zero
+    (P = I) a single zero row stands for them all, so each evaluation costs
+    one model point per row and returns the model at P x exactly.
     """
 
-    __slots__ = ("projector", "cond_samples", "model")
+    __slots__ = ("projector", "cond_samples", "model", "_offsets")
 
     def __init__(self, projector, cond_samples, model):
         require_sigma_orthogonal(projector)
@@ -274,9 +277,14 @@ class RidgeApproximation:
             raise ValueError("at least one conditioning sample is required")
         ys = ys.copy()
         ys.setflags(write=False)
+        offsets = ys - projector.apply(ys)
+        if not offsets.any():
+            offsets = offsets[:1]
+        offsets.setflags(write=False)
         self.projector = projector
         self.cond_samples = ys
         self.model = model
+        self._offsets = offsets
 
     @property
     def profile_samples(self):
@@ -290,23 +298,17 @@ class RidgeApproximation:
         ModelEvaluationFailure with the row index."""
         xs = np.asarray(xs, dtype=float)
         p = self.projector
-        ys = self.cond_samples
-        m = ys.shape[0]
-        comp = ys - p.apply(ys)  # (I - P) Y_j, fixed across evaluations
-        if not comp.any():
-            # identity projector: every conditioning point collapses onto x,
-            # and averaging copies would cost exactness and model calls
-            out = self.model.eval_batch(p.apply(xs))
-        else:
-            n = self.model.output_dim
-            out = np.empty((xs.shape[0], n))
-            step = max(1, EVAL_BLOCK // m)
-            for start in range(0, xs.shape[0], step):
-                part = xs[start:start + step]
-                frozen = p.apply(part)
-                pts = (frozen[:, None, :] + comp[None, :, :]).reshape(-1, xs.shape[1])
-                vals = self.model.eval_batch(pts).reshape(part.shape[0], m, n)
-                out[start:start + step] = vals.mean(axis=1)
+        offsets = self._offsets
+        m = offsets.shape[0]
+        n = self.model.output_dim
+        out = np.empty((xs.shape[0], n))
+        step = max(1, EVAL_BLOCK // m)
+        for start in range(0, xs.shape[0], step):
+            part = xs[start:start + step]
+            frozen = p.apply(part)
+            pts = (frozen[:, None, :] + offsets[None, :, :]).reshape(-1, xs.shape[1])
+            vals = self.model.eval_batch(pts).reshape(part.shape[0], m, n)
+            out[start:start + step] = vals.mean(axis=1)
         _require_finite(out, 0, "ridge output")
         return out
 
@@ -314,7 +316,6 @@ class RidgeApproximation:
 def build_ridge(model, mu, p, stream, profile_samples):
     """Freeze ``profile_samples`` draws of mu and return the sampled
     conditional expectation of the model along ``p``."""
-    require_sigma_orthogonal(p)
     if int(profile_samples) < 1:
         raise ValueError("profile_samples must be at least 1")
     ys = sample(mu, stream, int(profile_samples))

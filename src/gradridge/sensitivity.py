@@ -12,7 +12,6 @@ meaning, so the error-curve machinery should be used instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,14 +267,6 @@ class SensitivityReport:
                 for row in self.rows()
             ],
         }
-
-    def write_json(self, path, metadata=None):
-        doc = dict(metadata or {})
-        doc.update(self.to_json_dict())
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
 
 
 def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,

@@ -22,7 +22,6 @@ from gradridge import (
     estimate_h,
     generalized_eig,
     kl_projector,
-    load_matrix_text,
     optimal_projector,
     sample,
 )
@@ -30,6 +29,7 @@ from gradridge.cli import main
 from gradridge.experiments import (
     _TAG_AUDIT,
     _TAG_H,
+    _metadata_lines,
     build_measure,
     build_model,
     config_hash,
@@ -99,6 +99,16 @@ def test_config_hash_canonical():
     assert all(c in "0123456789abcdef" for c in config_hash(a))
     c = resolve_config({"model": {"kind": "linear", "matrix": [[1.0, 2.5]]}})
     assert config_hash(c) != config_hash(a)
+    # spelling out a default the builders apply leaves the hash alone
+    sines = {"kind": "sines", "amplitudes": [1.0], "frequencies": [2.0]}
+    pairs = [
+        ({"model": {"kind": "pde"}},
+         {"model": {"kind": "pde", "grid": 12, "scenario": "full_field"}}),
+        ({"model": sines},
+         {"model": sines, "measure": {"covariance": "identity", "mean": 0.0}}),
+    ]
+    for short, spelled in pairs:
+        assert config_hash(resolve_config(short)) == config_hash(resolve_config(spelled))
 
 
 def test_build_model_variants():
@@ -370,6 +380,22 @@ def test_projector_audit_at_paper_scale(tmp_path):
         np.testing.assert_array_equal(flag, past)
 
 
+def _mode_table(path):
+    """The stamped metadata, header and float columns of a mode table."""
+    meta, header, rows = _read_csv(path)
+    return meta, header, np.array([[float(v) for v in row] for row in rows])
+
+
+def _expected_modes(cfg):
+    """The model, and the eigenvectors run_spectrum should write per table."""
+    model = build_model(cfg)
+    mu = build_measure(cfg, model)
+    sampling = cfg["sampling"]
+    est = estimate_h(model, mu, SampleStream(sampling["seed"]).substream(_TAG_H), sampling["k"])
+    return model, {"gen_modes.csv": generalized_eig(est.h, mu.cov).vectors,
+                   "kl_modes.csv": mu._kl_eig()[1]}
+
+
 def test_spectrum_artifacts_analytical(tmp_path):
     cfg = resolve_config(
         {
@@ -390,11 +416,19 @@ def test_spectrum_artifacts_analytical(tmp_path):
     # covariance spectrum column is exact for a diagonal measure
     assert [float(r[3]) for r in rows] == [4.0, 1.0, 1.0]
     assert [float(r[4]) for r in rows] == [2.0, 1.0, 0.0]
-    gen = load_matrix_text(tmp_path / "gen_modes.txt")
-    kl = load_matrix_text(tmp_path / "kl_modes.txt")
-    assert gen.shape == (3, 3)
-    assert kl.shape == (3, 3)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "gen_modes.csv", "kl_modes.csv", "spectrum.csv"
+    ]
+    _, expect = _expected_modes(cfg)
+    for name, vectors in expect.items():
+        meta, header, table = _mode_table(tmp_path / name)
+        assert meta == _metadata_lines(cfg)
+        assert header == ["index", "mode_1", "mode_2", "mode_3"]
+        np.testing.assert_array_equal(table[:, 0], [1, 2, 3])
+        # repr cells parse back bit for bit
+        np.testing.assert_array_equal(table[:, 1:], vectors[:, :3])
     # leading covariance mode picks the largest variance direction
+    kl = _mode_table(tmp_path / "kl_modes.csv")[2][:, 1:]
     np.testing.assert_allclose(np.abs(kl[:, 0]), [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -408,13 +442,19 @@ def test_spectrum_artifacts_pde(tmp_path):
     path = run_spectrum(cfg, tmp_path)
     _, _, rows = _read_csv(path)
     assert len(rows) == 9
-    for i in range(1, 7):
-        for stem in ("gen_mode", "kl_mode"):
-            mode_path = tmp_path / f"{stem}_{i}.csv"
-            lines = mode_path.read_text(encoding="ascii").splitlines()
-            assert lines[0] == "cell_center_x,cell_center_y,value"
-            assert len(lines) == 1 + 9
-    assert not (tmp_path / "gen_mode_7.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "gen_modes.csv", "kl_modes.csv", "spectrum.csv"
+    ]
+    model, expect = _expected_modes(cfg)
+    for name, vectors in expect.items():
+        meta, header, table = _mode_table(tmp_path / name)
+        assert meta == _metadata_lines(cfg)
+        assert header == ["index", "cell_center_x", "cell_center_y"] + [
+            f"mode_{i}" for i in range(1, 7)
+        ]
+        np.testing.assert_array_equal(table[:, 0], np.arange(1, 10))
+        np.testing.assert_array_equal(table[:, 1:3], model.mesh.cell_centers)
+        np.testing.assert_array_equal(table[:, 3:], vectors[:, :6])
 
 
 def test_sobol_artifacts(tmp_path):
@@ -432,11 +472,14 @@ def test_sobol_artifacts(tmp_path):
     for r in rows:
         assert r[7] in ("0", "1")
         assert float(r[6]) >= float(r[3]) - 1e-12  # upper bound above lower bound
+    assert meta == _metadata_lines(cfg)
     doc = json.loads((tmp_path / "sobol.json").read_text(encoding="ascii"))
     assert doc["config_hash"] == config_hash(cfg)
     assert doc["seed"] == 17
+    assert doc["generator"] == f"gradridge {gradridge.__version__}"
     assert len(doc["groups"]) == 3
-    assert doc["generator"].startswith("gradridge ")
+    assert len(doc["dgsm"]) == 3
+    assert [g["group"] for g in doc["groups"]] == [r[0] for r in rows]
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -513,6 +556,37 @@ def test_cli_config_errors(tmp_path, capsys):
 
 _LINEAR = {"kind": "linear", "matrix": [[1.0, 0.5]]}
 _SOBOL = {"sobol_outer": 10, "sobol_inner": 2, "dgsm_k": 10}
+
+
+def test_cli_stamps_every_artifact(tmp_path, capsys):
+    # every file each subcommand writes is a CSV that opens with the metadata
+    # preamble, or sobol.json with the same stamp as fields
+    sines = {"kind": "sines", "amplitudes": [1.0, 0.5], "frequencies": [1.0, 2.0]}
+    runs = {
+        "curve": {"model": _LINEAR, "sampling": {"k": 20, "n_val": 10, "m": [1]}},
+        "audit": {"model": _LINEAR, "sampling": {"k_ref": 20, "k_ladder": [2, 5]}},
+        "spectrum": {"model": _LINEAR, "sampling": {"k": 20}},
+        "spectrum-pde": {"model": {"kind": "pde", "grid": 3}, "sampling": {"k": 10}},
+        "sobol": {"model": sines, "sampling": _SOBOL},
+    }
+    for name, payload in runs.items():
+        command = name.split("-")[0]
+        out = tmp_path / name
+        cfg_path = _write_cfg(tmp_path, payload, f"{name}.json")
+        assert main([command, "--config", str(cfg_path), "--out", str(out), "--seed", "5"]) == 0
+        cfg = resolve_config(payload, seed_override=5)
+        written = sorted(p.name for p in out.iterdir())
+        csvs = [n for n in written if n.endswith(".csv")]
+        assert csvs and set(written) - set(csvs) == ({"sobol.json"} if command == "sobol" else set())
+        for n in csvs:
+            lines = (out / n).read_text(encoding="ascii").splitlines()
+            assert lines[:4] == _metadata_lines(cfg), f"{name}: {n} is not stamped"
+        if command == "sobol":
+            doc = json.loads((out / "sobol.json").read_text(encoding="ascii"))
+            assert doc["generator"] == f"gradridge {gradridge.__version__}"
+            assert doc["config_hash"] == config_hash(cfg)
+            assert doc["seed"] == 5
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

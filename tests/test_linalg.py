@@ -10,8 +10,6 @@ from gradridge import (
     SpdMatrix,
     cholesky,
     generalized_eig,
-    load_matrix_text,
-    save_matrix_text,
     sym_eig,
     trace_quadratic,
 )
@@ -248,24 +246,6 @@ def test_generalized_eig_rejects_nan_h():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         generalized_eig(SpdMatrix.identity(3), SpdMatrix.identity(2))
-
-
-def test_matrix_text_roundtrip_square(tmp_path):
-    rng = np.random.default_rng(40)
-    a = rng.standard_normal((5, 5))
-    path = tmp_path / "m.txt"
-    save_matrix_text(path, a)
-    first = path.read_text().splitlines()[0]
-    assert first.strip() == "5"
-    np.testing.assert_array_equal(load_matrix_text(path), a)
-
-
-def test_matrix_text_roundtrip_rectangular(tmp_path):
-    rng = np.random.default_rng(41)
-    a = rng.standard_normal((3, 7))
-    path = tmp_path / "m.txt"
-    save_matrix_text(path, a)
-    np.testing.assert_array_equal(load_matrix_text(path), a)
 
 
 def test_generalized_eigenpairs_is_frozen():

@@ -2,6 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrs
 
 import gradridge.pde as pde_mod
 from gradridge import (
@@ -17,7 +18,6 @@ from gradridge import (
     build_field_covariance,
     cholesky,
     estimate_h,
-    mode_field_export,
 )
 from gradridge.pde import (
     _K1,
@@ -390,18 +390,20 @@ def test_gradient_second_moment_rank_ceiling():
     assert ev[0] > 0.0
 
 
-def test_mode_field_export(tmp_path):
-    mesh = Mesh2D(3)
-    values = np.arange(9, dtype=float) / 7.0
-    path = tmp_path / "mode.csv"
-    mode_field_export(mesh, values, path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    assert lines[0] == "cell_center_x,cell_center_y,value"
-    assert len(lines) == 1 + 9
-    first = lines[1].split(",")
-    assert float(first[0]) == pytest.approx(mesh.cell_centers[0, 0])
-    assert float(first[2]) == values[0]
-    back = np.array([[float(t) for t in ln.split(",")] for ln in lines[1:]])
-    np.testing.assert_array_equal(back[:, 2], values)
-    with pytest.raises(DimensionMismatch):
-        mode_field_export(mesh, np.zeros(5), tmp_path / "bad.csv")
+@pytest.mark.parametrize("g", [4, 7])
+@pytest.mark.parametrize("scenario", pde_mod.SCENARIOS)
+def test_jacobian_bitwise_equals_gather_and_einsum(scenario, g):
+    # the corner-by-corner contraction reproduces, bit for bit, the formula
+    # that gathers lambda into an (n_cells, 4, n_out) array and runs one einsum
+    model = DiffusionModel(g, scenario)
+    x = 0.3 * np.random.default_rng(g).standard_normal(g * g)
+    kappa, factor, u = model._forward(x)
+    rows, cols, weights = model._adjoint_rhs
+    rhs = np.zeros((model.mesh.interior.size, model._adjoint_outputs.size), order="F")
+    rhs[rows, cols] = weights
+    lam = np.zeros((model.mesh.n_nodes, model.output_dim))
+    lam[np.ix_(model.mesh.interior, model._adjoint_outputs)] = dpbtrs(factor, rhs)[0]
+    cells = model.mesh.cell_nodes
+    w = u[cells] @ _K1.T
+    gathered = -kappa[:, None] * np.einsum("cap,ca->cp", lam[cells], w)
+    np.testing.assert_array_equal(model.jacobian(x), gathered.T)

@@ -340,6 +340,24 @@ def test_build_ridge_identity_projector_reproduces_model():
     assert mse == 0.0
 
 
+def test_identity_projector_ridge_evaluates_one_point_per_row():
+    # every offset (I - P) Y_j is zero, so the M frozen draws collapse to one
+    class Counting(LinearModel):
+        points = 0
+
+        def eval_batch(self, xs):
+            Counting.points += np.asarray(xs).shape[0]
+            return super().eval_batch(xs)
+
+    base, mu = make_linear(seed=16)
+    model = Counting(base.matrix, base.output_metric)
+    ridge = build_ridge(model, mu, RankRProjector.identity(7), SampleStream(16), 5)
+    assert ridge.profile_samples == 5
+    xs = sample(mu, SampleStream(17), 20)
+    ridge.eval_batch(xs)
+    assert Counting.points == 20
+
+
 def test_build_ridge_linear_closed_form():
     # for linear f the ridge is F P x + F (I - P) Ybar with the stored mean
     model, mu = make_linear(seed=19)
