@@ -62,6 +62,16 @@ class SampleStream:
         """Independent child stream; deterministic in (stream_id, tag)."""
         return SampleStream(self.seed, _mix64(self.stream_id, int(tag)))
 
+    def ahead(self, count):
+        """A copy of this stream that starts ``count`` normals further on: it
+        draws what this stream would draw after its next ``count`` normals.
+        One Philox block holds four normals, so ``count`` must be a
+        nonnegative multiple of 4."""
+        count = int(count)
+        if count < 0 or count % 4:
+            raise ValueError(f"can only skip a nonnegative multiple of 4 normals, not {count}")
+        return SampleStream(self.seed, self.stream_id, self.counter + count // 4)
+
     def standard_normal(self, count):
         """The next ``count`` independent N(0, 1) draws."""
         count = int(count)

@@ -25,6 +25,7 @@ from gradridge import (
     optimal_projector,
     sample,
 )
+from gradridge import sensitivity
 from gradridge.cli import main
 from gradridge.experiments import (
     _TAG_AUDIT,
@@ -508,6 +509,26 @@ def test_thread_count_never_changes_output(tmp_path):
     run_error_curve(cfg, one, threads=1)
     run_error_curve(cfg, four, threads=4)
     assert (one / "curve.csv").read_bytes() == (four / "curve.csv").read_bytes()
+
+
+def test_cli_sobol_threads_write_identical_artifacts_across_blocks(tmp_path):
+    # 200 outer rows of 64 inner points in 4 dimensions fill four blocks, so
+    # --threads 2 runs the nested estimator on the pool
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "sines", "amplitudes": [1.0, 0.6, 0.3, 0.2],
+                  "frequencies": [0.8, 1.3, 2.0, 0.5]},
+        "groups": [[1], [2, 4]],
+        "sampling": {"sobol_outer": 200, "sobol_inner": 64, "dgsm_k": 50, "seed": 7},
+    })
+    assert 200 // sensitivity._block_rows(64 * 4) >= 2
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["sobol", "--config", str(cfg), "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        outs.append(out)
+    for name in ("sobol.csv", "sobol.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):

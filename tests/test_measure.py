@@ -48,6 +48,20 @@ def test_stream_counter_advances_in_blocks():
     assert s.counter == c0 + 3
 
 
+@pytest.mark.parametrize("skip, count", [(0, 9), (12, 28), (12, 27), (40, 1)])
+def test_stream_ahead_draws_the_tail_of_a_long_draw(skip, count):
+    s = SampleStream(9, stream_id=3, counter=5)
+    long = SampleStream(9, stream_id=3, counter=5).standard_normal(skip + count)
+    np.testing.assert_array_equal(s.ahead(skip).standard_normal(count), long[skip:])
+    assert s.counter == 5
+
+
+@pytest.mark.parametrize("skip", [1, 2, 6, -4])
+def test_stream_ahead_rejects_a_partial_philox_block(skip):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        SampleStream(9).ahead(skip)
+
+
 def test_substreams_are_reproducible_and_distinct():
     root = SampleStream(42)
     a = root.substream(1).standard_normal(32)

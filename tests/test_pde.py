@@ -177,6 +177,38 @@ def test_clamped_extreme_point_solves_with_finite_output():
     assert out.shape == (2,) and np.all(np.isfinite(out))
 
 
+def _tiny_rhs_point(model):
+    """Log-conductivity 40 on the cells whose corners are all interior and
+    -40 on the rest: the interior system is scaled by e^40 while the
+    Dirichlet lift, which only the boundary cells carry, is of order e^-40."""
+    mesh = model.mesh
+    return np.where(np.isin(mesh.cell_nodes, mesh.interior).all(axis=1), 40.0, -40.0)
+
+
+def test_backward_stable_solve_of_a_tiny_rhs_passes_the_residual_check():
+    # the residual, about 1e-16, is far above 1e-10 |rhs| but far below
+    # 1e-10 |A| |u|: a backward-stable solve, not a failed one
+    model = DiffusionModel(4, "point_pair")
+    kappa, _, u = model._forward(_tiny_rhs_point(model))
+    assert float(np.linalg.norm(model._lift @ kappa)) < 1e-16
+    assert np.all(np.isfinite(u))
+
+
+@pytest.mark.parametrize("tiny_rhs", [False, True])
+def test_corrupted_solution_fails_the_residual_check(monkeypatch, tiny_rhs):
+    model = DiffusionModel(4, "point_pair")
+    x = _tiny_rhs_point(model) if tiny_rhs else 0.3 * SampleStream(61).standard_normal(16)
+
+    def corrupted(factor, b, **kwargs):
+        u, info = dpbtrs(factor, b, **kwargs)
+        u[0] += 1e-6 * np.abs(u).max()
+        return u, info
+
+    monkeypatch.setattr(pde_mod, "dpbtrs", corrupted)
+    with pytest.raises(SolverFailure, match="^linear solver failed"):
+        model._forward(x)
+
+
 @pytest.mark.parametrize("g", [2, 3, 5, 12])
 def test_band_map_fills_the_cell_loop_interior_system(g):
     # the band holds A_ii in LAPACK's upper band storage, half-bandwidth g

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from gradridge import (
     sobol_estimates,
     validate_error,
 )
+from gradridge import sensitivity
 from gradridge.sensitivity import IndexGroup
 
 
@@ -345,3 +347,118 @@ def test_sobol_reports_outer_index_of_overflowing_residual(through_report):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInput, match=f"at outer sample {first} is too large"):
             _sobol(_HugePast(), mu, root, through_report, n_outer=n_outer, inner=inner)
+
+
+def _one_shot_sobol(model, mu, tau, stream, n_outer, inner):
+    """The nested estimator with each group's whole inner design drawn and
+    evaluated at once: the reference the blocked estimator must match bit for
+    bit. Returns the GroupEstimate fields after ``group``."""
+    keep = IndexGroup.coerce(tau).mask(mu.dim)
+    metric = model.output_metric.entries
+    xs = sample(mu, stream.substream(0), n_outer)
+    f_xs = model.eval_batch(xs)
+    centered = f_xs - f_xs.mean(axis=0)
+    dev = np.einsum("kn,nm,km->k", centered, metric, centered)
+    total_var = float(np.sum(dev) / (n_outer - 1))
+    total_se = float(np.std(dev, ddof=1) / np.sqrt(n_outer))
+    nums = []
+    for mask, tag in ((keep, 1), (~keep, 2)):
+        ys = sample(mu, stream.substream(tag), n_outer * inner).reshape(n_outer, inner, mu.dim)
+        pts = np.where(mask, xs[:, None, :], ys).reshape(-1, mu.dim)
+        ghat = model.eval_batch(pts).reshape(n_outer, inner, model.output_dim).mean(axis=1)
+        w = np.einsum("kn,nm,km->k", f_xs - ghat, metric, f_xs - ghat)
+        scale = 1.0 + 1.0 / inner
+        nums.append((float(np.mean(w)) / scale,
+                     float(np.std(w, ddof=1) / np.sqrt(n_outer)) / scale))
+    (num_s, se_s), (num_t, se_t) = nums
+    return (1.0 - num_s / total_var,
+            np.hypot(se_s / total_var, num_s * total_se / total_var**2),
+            num_t / total_var,
+            np.hypot(se_t / total_var, num_t * total_se / total_var**2),
+            total_var, total_se)
+
+
+def _fields(est):
+    return (est.s_hat, est.s_se, est.t_hat, est.t_se, est.total_variance,
+            est.total_variance_se)
+
+
+# d=3 and M=5 make M*d odd; 2502 outer rows end on a partial block both at the
+# default block size (1092 rows) and at 4 rows
+_BLOCKED = [
+    (SumOfSinesModel([1.0, 0.5, 0.8], [1.0, 2.0, 0.7]), [1, 3]),
+    (LinearModel(np.array([[2.0, -1.0, 0.5], [0.3, 1.0, 1.5]])), [2]),
+]
+
+
+@pytest.mark.parametrize("model, tau", _BLOCKED)
+@pytest.mark.parametrize("block_normals", [None, 1, 1 << 40])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_blocked_sobol_matches_the_one_shot_draw_bitwise(monkeypatch, model, tau,
+                                                          block_normals, threads):
+    # None keeps the default; 1 gives blocks of 4 rows, 1 << 40 one block
+    if block_normals is not None:
+        monkeypatch.setattr(sensitivity, "_BLOCK_NORMALS", block_normals)
+    mu = GaussianMeasure(np.zeros(3), SpdMatrix.diagonal([1.0, 2.0, 0.5]))
+    n_outer, inner = 2502, 5
+    assert n_outer % sensitivity._block_rows(inner * 3) != 0
+    est = sobol_estimates(model, mu, tau, SampleStream(31), n_outer=n_outer, m_inner=inner,
+                          threads=threads)
+    assert _fields(est) == _one_shot_sobol(model, mu, tau, SampleStream(31), n_outer, inner)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_conditional_residual_leaves_the_stream_where_one_draw_would(threads):
+    model = SumOfSinesModel([1.0, 0.5, 0.8], [1.0, 2.0, 0.7])
+    mu = GaussianMeasure.standard(3)
+    xs = sample(mu, SampleStream(33), 2502)
+    stream = SampleStream(34, stream_id=2, counter=11)
+    sensitivity._conditional_residual(model, mu, np.array([True, False, True]), xs,
+                                      model.eval_batch(xs), stream, 5, threads)
+    long = SampleStream(34, stream_id=2, counter=11)
+    long.standard_normal(2502 * 5 * 3)
+    assert stream.counter == long.counter
+
+
+def test_sobol_memory_peak_stays_bounded_at_default_sizes():
+    # one draw of the whole inner design held about 70 MiB of temporaries
+    # here (2000 x 64 points in 16 dimensions, 16 MiB per array)
+    mu = GaussianMeasure.standard(16)
+    model = SumOfSinesModel(np.ones(16), np.linspace(0.5, 2.0, 16))
+    tracemalloc.start()
+    try:
+        sobol_estimates(model, mu, [1, 2], SampleStream(35), n_outer=2000, m_inner=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sobol_guards_name_the_global_outer_index_in_any_block(monkeypatch, threads):
+    # blocks of 4 outer rows, so each first bad row sits past the first block
+    monkeypatch.setattr(sensitivity, "_BLOCK_NORMALS", 1)
+    mu = GaussianMeasure.standard(2)
+    root = SampleStream(26)
+    n_outer, inner = 40, 8
+    cut = float(sample(mu, root.substream(1).substream(0), n_outer)[:, 0].max())
+    ys = sample(mu, root.substream(1).substream(2), n_outer * inner).reshape(n_outer, inner, 2)
+    first = int(np.argmax((ys[:, :, 0] > cut).any(axis=1)))
+    assert first >= 4
+    with pytest.raises(ModelEvaluationFailure,
+                       match=f"non-finite conditional average at sample {first}$"):
+        sobol_estimates(_NanPast(cut), mu, [1], root.substream(1), n_outer=n_outer,
+                        m_inner=inner, threads=threads)
+
+    mu = GaussianMeasure.standard(3)
+    root = SampleStream(7)
+    n_outer, inner = 2000, 64
+    xs = sample(mu, root.substream(1).substream(0), n_outer)
+    ys = sample(mu, root.substream(1).substream(1), n_outer * inner).reshape(n_outer, inner, 3)
+    first = int(np.argmax((xs[:, 1] > 4.0) | (ys[:, :, 1] > 4.0).any(axis=1)))
+    assert first >= 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match=f"at outer sample {first} is too large"):
+            sobol_estimates(_HugePast(), mu, [1], root.substream(1), n_outer=n_outer,
+                            m_inner=inner, threads=threads)
