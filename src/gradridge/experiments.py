@@ -21,8 +21,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError, DimensionMismatch
-from .linalg import SpdMatrix, generalized_eig
+from .errors import ConfigError, DimensionMismatch, NonFiniteInput, NotPositiveDefinite
+from .linalg import SpdMatrix, cholesky, generalized_eig
 from .measure import GaussianMeasure, SampleStream
 from .models import LinearModel, QuadraticFormModel, SumOfSinesModel
 from .pde import DiffusionModel, Mesh2D, build_field_covariance
@@ -175,14 +175,63 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
 def config_hash(cfg):
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
 
 
 def _random_matrix(shape, seed, scale=1.0):
-    stream = SampleStream(int(seed), stream_id=_TAG_RANDOM_MODEL)
+    stream = SampleStream(seed, stream_id=_TAG_RANDOM_MODEL)
     return scale * stream.normal_matrix(*shape)
+
+
+def _integer(spec, key, section):
+    """``spec[key]`` if it is a JSON integer; a string or a float that would
+    convert is a ConfigError, since it would hash apart from the integer."""
+    value = spec[key]
+    if not _is_int(value):
+        raise ConfigError(f"{section}.{key} must be an integer")
+    return value
+
+
+def _number(spec, key, section):
+    """``spec[key]`` as a float if it is a JSON number, not a string or a boolean."""
+    value = spec[key]
+    if not _is_number(value):
+        raise ConfigError(f"{section}.{key} must be a number")
+    return float(value)
+
+
+def _factored(matrix, what):
+    """``matrix`` with its Cholesky factor cached, or a ConfigError: a
+    covariance or metric the config supplies that is not positive definite is
+    a config problem, not a numerical failure later in the run."""
+    try:
+        cholesky(matrix)
+    except (NotPositiveDefinite, NonFiniteInput) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    return matrix
+
+
+def _model_matrix(kind, spec):
+    """The matrix of a linear or quadratic model: given, or drawn from its seed."""
+    if ("matrix" in spec) == ("random" in spec):
+        raise ConfigError(f"{kind} model needs exactly one of matrix and random")
+    if "matrix" in spec:
+        return np.asarray(spec["matrix"], dtype=float)
+    r = spec["random"]
+    _reject_unknown("model.random", r, _RANDOM_KEYS[kind])
+    seed = _integer(r, "seed", "model.random")
+    if kind == "linear":
+        shape = (_integer(r, "rows", "model.random"), _integer(r, "cols", "model.random"))
+        return _random_matrix(shape, seed, _number(r, "scale", "model.random"))
+    dim = _integer(r, "dim", "model.random")
+    raw = _random_matrix((dim, dim), seed)
+    return raw + raw.T
 
 
 def build_model(cfg):
@@ -190,39 +239,21 @@ def build_model(cfg):
     kind = spec["kind"]
     try:
         if kind == "linear":
-            if "matrix" in spec:
-                matrix = np.asarray(spec["matrix"], dtype=float)
-            elif "random" in spec:
-                r = spec["random"]
-                _reject_unknown("model.random", r, _RANDOM_KEYS[kind])
-                matrix = _random_matrix(
-                    (int(r["rows"]), int(r["cols"])), r["seed"], float(r["scale"])
-                )
-            else:
-                raise ConfigError("linear model needs matrix or random")
+            matrix = _model_matrix(kind, spec)
             metric = spec["output_metric"]
             if metric in (None, "identity"):
                 return LinearModel(matrix)
-            return LinearModel(matrix, SpdMatrix(np.asarray(metric, dtype=float)))
+            metric = _factored(SpdMatrix(np.asarray(metric, dtype=float)), "model.output_metric")
+            return LinearModel(matrix, metric)
         if kind == "quadratic":
-            if "matrix" in spec:
-                matrix = np.asarray(spec["matrix"], dtype=float)
-            elif "random" in spec:
-                r = spec["random"]
-                _reject_unknown("model.random", r, _RANDOM_KEYS[kind])
-                dim = int(r["dim"])
-                raw = _random_matrix((dim, dim), r["seed"])
-                matrix = raw + raw.T
-            else:
-                raise ConfigError("quadratic model needs matrix or random")
-            return QuadraticFormModel(matrix)
+            return QuadraticFormModel(_model_matrix(kind, spec))
         if kind == "sines":
             return SumOfSinesModel(spec["amplitudes"], spec["frequencies"])
         return DiffusionModel(
-            Mesh2D(int(spec["grid"])),
+            Mesh2D(_integer(spec, "grid", "model")),
             scenario=spec["scenario"],
-            alpha=float(spec["alpha"]),
-            beta=float(spec["beta"]),
+            alpha=_number(spec, "alpha", "model"),
+            beta=_number(spec, "beta", "model"),
         )
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
@@ -234,7 +265,7 @@ def build_measure(cfg, model):
     cov = spec["covariance"]
     try:
         mean = spec["mean"]
-        if isinstance(mean, (int, float)):
+        if _is_number(mean):
             mean = np.full(d, float(mean))
         else:
             mean = np.asarray(mean, dtype=float)
@@ -250,11 +281,13 @@ def build_measure(cfg, model):
                     raise ConfigError(
                         "squared_exponential covariance needs the pde model's mesh"
                     )
-                cov = build_field_covariance(model.mesh, float(cov["lengthscale"]))
+                lengthscale = _number(cov, "lengthscale", "measure.covariance")
+                cov = build_field_covariance(model.mesh, lengthscale)
             else:
                 cov = SpdMatrix.diagonal(np.asarray(cov["values"], dtype=float))
+                cov = _factored(cov, "measure.covariance")
         else:
-            cov = SpdMatrix(np.asarray(cov, dtype=float))
+            cov = _factored(SpdMatrix(np.asarray(cov, dtype=float)), "measure.covariance")
         return GaussianMeasure(mean, cov)
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad measure config: {exc}") from exc

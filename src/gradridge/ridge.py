@@ -50,6 +50,7 @@ __all__ = [
 
 CHUNK = 512  # fixed chunk size; part of the determinism contract, not tunable
 EVAL_BLOCK = 4096  # model points per call in RidgeApproximation.eval_batch
+JACOBIAN_BYTES = 4 << 20  # Jacobian bytes per estimate_h block; bounds memory, not tunable
 
 
 def _chunk_sizes(total):
@@ -91,11 +92,13 @@ class HMatrixEstimate:
 def estimate_h(model, mu, stream, count, threads=1):
     """Average J(X)^T R J(X) over ``count`` draws X ~ mu.
 
-    Accumulation is a running (Welford-style) mean: within a chunk the batch
-    Jacobian path averages directly and the per-sample path updates
-    m += (term - m) / k; chunks merge by the pooled-mean rule in index order.
-    A NaN or inf Jacobian entry raises ModelEvaluationFailure with the index
-    of the first such sample.
+    Each chunk walks its samples in blocks and adds J^T (R J) over the stacked
+    Jacobians of a block, one expression for every model: a model with its own
+    ``jacobian_batch`` is called on blocks of at most JACOBIAN_BYTES of
+    Jacobians (one Jacobian, if a single one is larger), any other model one
+    point at a time. Chunks return sums, which add in index order and are
+    divided by ``count`` once. A NaN or inf Jacobian entry raises
+    ModelEvaluationFailure with the index of the first such sample.
     """
     count = int(count)
     if count < 1:
@@ -105,36 +108,32 @@ def estimate_h(model, mu, stream, count, threads=1):
     metric = model.output_metric.entries
     sizes = _chunk_sizes(count)
     has_batch = type(model).jacobian_batch is not VectorValuedModel.jacobian_batch
+    step = max(1, JACOBIAN_BYTES // (8 * n * d)) if has_batch else 1
 
-    def one_chunk(i):
-        sub = stream.substream(i)
-        xs = sample(mu, sub, sizes[i])
+    def jacobians(xs, at):
         if has_batch:
             jac = model.jacobian_batch(xs)
-            if jac.shape != (sizes[i], n, d):
+            if jac.shape != (xs.shape[0], n, d):
                 raise DimensionMismatch(f"jacobian_batch returned shape {jac.shape}")
-            _require_finite(jac, i * CHUNK, "Jacobian")
-            weighted = np.einsum("nm,kmi->kni", metric, jac)
-            return sizes[i], np.einsum("kni,knj->ij", jac, weighted) / sizes[i]
-        mean = np.zeros((d, d))
-        for k in range(sizes[i]):
-            try:
-                jac = np.asarray(model.jacobian(xs[k]), dtype=float).reshape(n, d)
-            except Exception as exc:  # noqa: BLE001 - annotate with the sample index
-                raise ModelEvaluationFailure(i * CHUNK + k) from exc
-            _require_finite(jac[None], i * CHUNK + k, "Jacobian")
-            term = jac.T @ metric @ jac
-            mean += (term - mean) / (k + 1)
-        return sizes[i], mean
+            return jac
+        try:
+            return np.asarray(model.jacobian(xs[0]), dtype=float).reshape(1, n, d)
+        except Exception as exc:  # noqa: BLE001 - annotate with the sample index
+            raise ModelEvaluationFailure(at) from exc
 
-    parts = _map_chunks(one_chunk, len(sizes), threads)
-    total = 0
-    mean = np.zeros((d, d))
-    for k, part in parts:
-        total += k
-        mean += (part - mean) * (k / total)
+    def one_chunk(i):
+        xs = sample(mu, stream.substream(i), sizes[i])
+        total = np.zeros((d, d))
+        for start in range(0, sizes[i], step):
+            at = i * CHUNK + start
+            jac = jacobians(xs[start:start + step], at)
+            _require_finite(jac, at, "Jacobian")
+            total += jac.reshape(-1, d).T @ (metric @ jac).reshape(-1, d)
+        return total
+
+    h = sum(_map_chunks(one_chunk, len(sizes), threads)) / count
     return HMatrixEstimate(
-        h=SpdMatrix(mean),
+        h=SpdMatrix(h),
         samples_used=count,
         rank_upper_bound=min(d, count * n),
     )
@@ -380,9 +379,8 @@ def m_inflation_check(model, mu, p, profile_samples, replicates, stream):
     for rep in range(int(replicates)):
         ys = sample(mu, stream.substream(rep), m)
         shift = ys.mean(axis=0) - mu.mean
-        ratio = (base + float(shift @ quad @ shift)) / base
-        total += (ratio - total) / (rep + 1)
-    return total
+        total += (base + float(shift @ quad @ shift)) / base
+    return total / int(replicates)
 
 
 def _linear_profile_error_terms(model, mu, p):

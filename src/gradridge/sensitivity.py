@@ -268,7 +268,11 @@ def sobol_bounds(dgsm_values, mu, tau, total_variance):
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Per-group indices, their standard errors, and the derivative sandwich."""
+    """Per-group indices, their standard errors, and the derivative sandwich.
+
+    Each group's bounds divide by that group's own total-variance estimate,
+    as its indices do; ``total_variance`` is group 0's.
+    """
 
     groups: tuple
     estimates: tuple          # GroupEstimate per group
@@ -323,10 +327,9 @@ def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
             sobol_estimates(model, mu, grp, stream.substream(k + 1),
                             n_outer=n_outer, m_inner=m_inner, threads=threads)
         )
-    total_var = estimates[0].total_variance
     lows, ups, vacs = [], [], []
-    for grp in groups:
-        lo, up, vac = sobol_bounds(g_vec, mu, grp, total_var)
+    for grp, est in zip(groups, estimates):
+        lo, up, vac = sobol_bounds(g_vec, mu, grp, est.total_variance)
         lows.append(lo)
         ups.append(up)
         vacs.append(vac)
@@ -337,5 +340,5 @@ def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
         t_upper=tuple(ups),
         vacuous=tuple(vacs),
         dgsm_values=g_vec,
-        total_variance=total_var,
+        total_variance=estimates[0].total_variance,
     )

@@ -472,7 +472,11 @@ def test_sobol_artifacts(tmp_path):
     assert [r[0] for r in rows] == ["{1}", "{2}", "{3}"]
     for r in rows:
         assert r[7] in ("0", "1")
-        assert float(r[6]) >= float(r[3]) - 1e-12  # upper bound above lower bound
+        # each group's bounds divide by its own variance estimate, as its
+        # indices do, so they sandwich them up to the indices' standard errors
+        s_hat, s_se, s_lower, t_hat, t_se, t_upper = map(float, r[1:7])
+        assert s_lower <= s_hat + 3.0 * s_se
+        assert t_hat <= t_upper + 3.0 * t_se
     assert meta == _metadata_lines(cfg)
     doc = json.loads((tmp_path / "sobol.json").read_text(encoding="ascii"))
     assert doc["config_hash"] == config_hash(cfg)
@@ -653,6 +657,45 @@ def test_cli_stamps_every_artifact(tmp_path, capsys):
         ("curve", {"model": _LINEAR, "sampling": []}),
         ("curve", {"model": _LINEAR, "measure": 0, "sampling": {"k": 5, "m": []}}),
         ("curve", {"model": _LINEAR, "measure": None, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "measure": {"covariance": [[1, 2], [2, 1]]},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR,
+                   "measure": {"covariance": {"kind": "diagonal", "values": [1, -1]}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear", "matrix": [[1.0, 0.5], [0.5, 1.0]],
+                             "output_metric": [[1, 0], [0, -1]]},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": "4"}, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": 4.9}, "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": 4, "alpha": "2"},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": 4, "beta": True},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": 4},
+                   "measure": {"covariance": {"kind": "squared_exponential",
+                                              "lengthscale": "0.2"}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear", "random": {"rows": 2.7, "cols": 3, "seed": 1}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear", "random": {"rows": 2, "cols": "3", "seed": 1}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear", "random": {"rows": 2, "cols": 3, "seed": 1.0}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear",
+                             "random": {"rows": 2, "cols": 3, "seed": 1, "scale": "2"}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "quadratic", "random": {"dim": 3.0, "seed": 1}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear", "matrix": [[1.0, 0.5]],
+                             "random": {"rows": 1, "cols": 2, "seed": 1}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "quadratic", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                             "random": {"dim": 2, "seed": 1}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "measure": {"mean": True}, "sampling": {"k": 5, "m": []}}),
+        # Python's json reads NaN, so a supplied covariance can hold one
+        ("curve", {"model": _LINEAR, "measure": {"covariance": [[1.0, 0.0], [0.0, float("nan")]]},
+                   "sampling": {"k": 5, "m": []}}),
     ],
     ids=[
         "k-zero", "m-zero", "m-fractional", "n-val-one", "ranks-string", "rank-past-dim",
@@ -663,6 +706,11 @@ def test_cli_stamps_every_artifact(tmp_path, capsys):
         "covariance-key-unknown", "random-key-unknown", "random-not-object",
         "ranks-empty", "k-ladder-empty", "comparisons-false", "comparisons-kl-string",
         "sampling-empty-list", "measure-zero", "measure-null",
+        "covariance-indefinite", "diagonal-covariance-negative", "output-metric-indefinite",
+        "grid-string", "grid-fractional", "alpha-string", "beta-boolean", "lengthscale-string",
+        "rows-fractional", "cols-string", "random-seed-float", "scale-string",
+        "quadratic-dim-float", "linear-matrix-and-random", "quadratic-matrix-and-random",
+        "mean-boolean", "covariance-nan",
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, payload):
@@ -758,15 +806,18 @@ def test_cli_sobol_rejects_correlated_measure(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
+    # a valid config whose gradient second moment overflows; an indefinite
+    # covariance, which this test used to feed, is a config error (exit 2)
     cfg = _write_cfg(
         tmp_path,
         {
-            "model": {"kind": "linear", "matrix": [[1.0, 1.0]]},
-            "measure": {"covariance": [[1.0, 2.0], [2.0, 1.0]]},  # indefinite
+            "model": {"kind": "linear", "matrix": [[1e200, 1.0]]},
             "sampling": {"k": 10, "n_val": 5, "m": [], "seed": 3},
         },
     )
-    assert main(["curve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        assert main(["curve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

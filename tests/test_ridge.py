@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,10 @@ from gradridge import (
     spectrum_report,
     validate_error,
 )
+from gradridge import ridge
 from gradridge.models import VectorValuedModel
 from gradridge.projector import euclidean_projector, sigma_inverse_projector
-from gradridge.ridge import CHUNK, _chunk_sizes
+from gradridge.ridge import CHUNK, JACOBIAN_BYTES, _chunk_sizes
 
 
 def random_spd(rng, d):
@@ -161,15 +164,83 @@ def draws_at(mu, stream, count, indices):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("model_cls", [NanAt, NanAtBatched], ids=["per-sample", "batch"])
-def test_estimate_h_reports_first_non_finite_jacobian(model_cls, threads):
+def test_estimate_h_reports_first_non_finite_jacobian(monkeypatch, model_cls, threads):
     mu = GaussianMeasure.standard(3)
     count = CHUNK + 200
     # two bad samples in the second chunk: the first one is reported
     poison = draws_at(mu, SampleStream(40), count, [CHUNK + 150, CHUNK + 88])
     model = model_cls(np.ones((2, 3)), poison)
-    with pytest.raises(ModelEvaluationFailure, match=f"Jacobian at sample {CHUNK + 88}") as err:
-        estimate_h(model, mu, SampleStream(40), count, threads=threads)
-    assert err.value.sample_index == CHUNK + 88
+    # at the second budget a batch chunk walks 32-row blocks, and the first
+    # bad sample sits in the third block of its chunk
+    for block_bytes in (JACOBIAN_BYTES, 32 * 2 * 3 * 8):
+        monkeypatch.setattr(ridge, "JACOBIAN_BYTES", block_bytes)
+        with pytest.raises(ModelEvaluationFailure,
+                           match=f"Jacobian at sample {CHUNK + 88}") as err:
+            estimate_h(model, mu, SampleStream(40), count, threads=threads)
+        assert err.value.sample_index == CHUNK + 88
+
+
+class PerPoint(VectorValuedModel):
+    """A batch model seen through a per-point ``jacobian`` only, so
+    estimate_h walks its samples one Jacobian at a time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.input_dim, self.output_dim = inner.input_dim, inner.output_dim
+        self.output_metric = inner.output_metric
+
+    def jacobian(self, x):
+        return self.inner.jacobian_batch(x[None])[0]
+
+
+def _assert_same_h(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("which", ["linear", "quadratic"])
+def test_estimate_h_per_point_model_matches_the_batch_path(which):
+    model, mu = make_linear(seed=42)
+    if which == "quadratic":
+        model = QuadraticFormModel(np.random.default_rng(42).standard_normal((7, 7)))
+    count = CHUNK + 100
+    batch = estimate_h(model, mu, SampleStream(42), count).h.entries
+    per_point = estimate_h(PerPoint(model), mu, SampleStream(42), count).h.entries
+    _assert_same_h(per_point, batch)
+
+
+def test_estimate_h_block_budget_does_not_change_h(monkeypatch):
+    model, mu = make_linear(seed=43)
+    rows = []
+
+    class Recording(LinearModel):
+        def jacobian_batch(self, xs):
+            rows.append(xs.shape[0])
+            return super().jacobian_batch(xs)
+
+    recording = Recording(model.matrix, model.output_metric)
+    count = 2 * CHUNK + 70
+    whole = estimate_h(recording, mu, SampleStream(43), count).h.entries
+    assert rows == _chunk_sizes(count)
+    # 3 x 7 Jacobians of 8 bytes: a 100-row budget, so 6 blocks per full chunk
+    rows.clear()
+    monkeypatch.setattr(ridge, "JACOBIAN_BYTES", 100 * 3 * 7 * 8)
+    split = estimate_h(recording, mu, SampleStream(43), count, threads=2).h.entries
+    assert sorted(rows) == sorted([100] * 10 + [12, 12, 70])
+    _assert_same_h(split, whole)
+
+
+def test_estimate_h_batch_memory_stays_within_one_block():
+    # the whole 512-row chunk of 40 x 400 Jacobians, and R J beside it, held
+    # 128 MiB; one block holds JACOBIAN_BYTES of each
+    model = LinearModel(np.random.default_rng(44).standard_normal((40, 400)))
+    mu = GaussianMeasure.standard(400)
+    tracemalloc.start()
+    try:
+        estimate_h(model, mu, SampleStream(44), CHUNK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -251,6 +251,23 @@ def test_report_assembly_and_json():
     assert json.loads(json.dumps(data)) == data
 
 
+def test_report_bounds_divide_by_each_groups_own_variance():
+    # s_hat and t_hat of group k divide by group k's variance estimate, so
+    # its sandwich must too; the report's own total_variance is group 0's
+    model = LinearModel(np.array([[2.0, 1.0, 0.5]]))
+    mu = GaussianMeasure.standard(3)
+    groups = [[1], [2], [2, 3]]
+    report = build_sensitivity_report(
+        model, mu, groups, SampleStream(24), n_outer=200, m_inner=8, dgsm_samples=50
+    )
+    assert report.total_variance == report.estimates[0].total_variance
+    for k in range(1, len(groups)):
+        variance = report.estimates[k].total_variance
+        assert variance != report.total_variance
+        bounds = sobol_bounds(report.dgsm_values, mu, groups[k], variance)
+        assert (report.s_lower[k], report.t_upper[k], report.vacuous[k]) == bounds
+
+
 def test_report_without_groups_fails_before_any_jacobian():
     class Counting(LinearModel):
         calls = 0
