@@ -7,7 +7,8 @@ Four subcommands, one JSON config each:
     gradridge spectrum --config cfg.json ...
     gradridge sobol    --config cfg.json ...
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
+Exit codes: 0 success, 2 configuration problems (including a config file or
+output path that cannot be read or written), 3 numerical failures.
 Each warning prints as one stderr line, ``warning: <Category>: <message>``.
 ``--threads`` changes wall time only; outputs are byte-identical for any
 worker count. The pool runs the gradient samples of ``estimate_h`` (which the
@@ -96,12 +97,14 @@ def _run(args):
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)
         return 2
-    except (OSError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, ConfigError) as exc:
+        # RecursionError: json gives up on arrays or objects nested too deep
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         path = _RUNNERS[args.command](cfg, args.out, threads=args.threads)
-    except (NonDiagonalCovariance, ConfigError) as exc:
+    except (NonDiagonalCovariance, ConfigError, OSError) as exc:
+        # OSError: --out or an artifact path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GradRidgeError as exc:

@@ -13,9 +13,11 @@ The numerical modules return arrays and reports and never touch the disk.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import scipy
@@ -25,7 +27,7 @@ from .errors import ConfigError, DimensionMismatch, NonFiniteInput, NotPositiveD
 from .linalg import SpdMatrix, cholesky, generalized_eig
 from .measure import GaussianMeasure, SampleStream
 from .models import LinearModel, QuadraticFormModel, SumOfSinesModel
-from .pde import DiffusionModel, Mesh2D, build_field_covariance
+from .pde import SCENARIOS, DiffusionModel, Mesh2D, build_field_covariance
 from .ridge import (
     _warn_if_unidentifiable,
     basis_error_bounds,
@@ -49,43 +51,101 @@ __all__ = [
     "run_sobol",
 ]
 
-_DEFAULT_SAMPLING = {
-    "k": 4000,
-    "k_ref": 4000,
-    "k_ladder": [10, 30, 100, 400],
-    "m": [1, 5, 20],
-    "n_val": 300,
-    "sobol_outer": 2000,
-    "sobol_inner": 64,
-    "dgsm_k": 2000,
-    "seed": 20260822,
+_REQUIRED = object()
+
+
+def _is_integer(value, low):
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool) and (low is None or value >= low)
+
+
+def _is_number(value, low):
+    # Python's json reads NaN and Infinity, and an integer may pass max_float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _is_boolean(value, low):
+    return isinstance(value, bool)
+
+
+def _list(item):
+    """The type test for a non-empty JSON list whose entries all pass ``item``."""
+    def check(value, low):
+        return isinstance(value, list) and value != [] and all(item(v, low) for v in value)
+    return check
+
+
+_integer_list = _list(_is_integer)
+_number_list = _list(_is_number)
+_index_lists = _list(
+    lambda group, low: isinstance(group, list) and all(_is_integer(i, low) for i in group)
+)
+
+
+def _is_matrix(value, low):
+    return _list(_number_list)(value, low) and len(set(map(len, value))) == 1
+
+
+_TYPE_NAMES = {
+    _is_integer: "an integer",
+    _is_number: "a finite number",
+    _is_boolean: "true or false",
+    _integer_list: "a non-empty list of integers",
+    _number_list: "a non-empty list of finite numbers",
+    _index_lists: "a non-empty list of index lists",
+    _is_matrix: "a list of equal-length rows of finite numbers",
 }
 
-# Smallest value each sampling count accepts: a Monte Carlo standard error
-# needs two validation samples and the nested Sobol' estimator two outer ones.
-_SAMPLING_MIN = {
-    "k": 1,
-    "k_ref": 1,
-    "n_val": 2,
-    "sobol_outer": 2,
-    "sobol_inner": 1,
-    "dgsm_k": 1,
-    "seed": 0,
+# Every config field as (JSON type, least value, default). A type is one
+# alternative or a tuple of them: a type test above, a literal the value may
+# equal, or a dict of fields for a JSON object, whose "kind" entry, if any,
+# maps each kind to its own fields. The least value bounds an integer or each
+# integer of a list. A field whose default is _REQUIRED must be given; one
+# whose default is None stays absent unless given. Checks that need the
+# model's input dimension or numpy run in the builders.
+_RANDOM_SEED = (_is_integer, 0, _REQUIRED)
+_COVARIANCE = ("identity", _is_matrix, {"kind": {
+    "squared_exponential": {"lengthscale": (_is_number, None, 0.15)},
+    "diagonal": {"values": (_number_list, None, _REQUIRED)},
+}})
+_FIELDS = {
+    "model": ({"kind": {
+        "linear": {
+            "matrix": (_is_matrix, None, None),
+            "random": ({"rows": (_is_integer, 1, _REQUIRED), "cols": (_is_integer, 1, _REQUIRED),
+                        "seed": _RANDOM_SEED, "scale": (_is_number, None, 1.0)}, None, None),
+            "output_metric": (("identity", None, _is_matrix), None, "identity"),
+        },
+        "quadratic": {
+            "matrix": (_is_matrix, None, None),
+            "random": ({"dim": (_is_integer, 1, _REQUIRED), "seed": _RANDOM_SEED}, None, None),
+        },
+        "sines": {"amplitudes": ((_is_number, _number_list), None, _REQUIRED),
+                  "frequencies": ((_is_number, _number_list), None, _REQUIRED)},
+        "pde": {"grid": (_is_integer, 2, 12), "scenario": (SCENARIOS, None, "full_field"),
+                "alpha": (_is_number, None, 1.0), "beta": (_is_number, None, 1.0)},
+    }}, None, _REQUIRED),
+    # the covariance defaults to "identity", or for pde to the field covariance
+    "measure": ({"mean": ((_is_number, _number_list), None, 0.0),
+                 "covariance": (_COVARIANCE, None, None)}, None, {}),
+    # a Monte Carlo standard error needs two validation samples and the nested
+    # Sobol' estimator two outer ones; an empty m means bounds only
+    "sampling": ({
+        "k": (_is_integer, 1, 4000),
+        "k_ref": (_is_integer, 1, 4000),
+        "k_ladder": (_integer_list, 1, [10, 30, 100, 400]),
+        "m": (([], _integer_list), 1, [1, 5, 20]),
+        "n_val": (_is_integer, 2, 300),
+        "sobol_outer": (_is_integer, 2, 2000),
+        "sobol_inner": (_is_integer, 1, 64),
+        "dgsm_k": (_is_integer, 1, 2000),
+        "seed": (_is_integer, 0, 20260822),
+    }, None, {}),
+    "ranks": (("all", _integer_list), None, "all"),
+    "groups": (("singletons", _index_lists), None, "singletons"),
+    "comparisons": ({"kl": (_is_boolean, None, True)}, None, {}),
 }
-
-# The keys each config section accepts; any other key is a ConfigError, since
-# a misspelt one would otherwise fall back to its default without a word.
-_TOP_KEYS = ("model", "measure", "sampling", "ranks", "groups", "comparisons")
-_MODEL_KEYS = {
-    "linear": ("kind", "matrix", "random", "output_metric"),
-    "quadratic": ("kind", "matrix", "random"),
-    "sines": ("kind", "amplitudes", "frequencies"),
-    "pde": ("kind", "grid", "scenario", "alpha", "beta"),
-}
-_PDE_DEFAULTS = {"grid": 12, "scenario": "full_field", "alpha": 1.0, "beta": 1.0}
-_LENGTHSCALE = 0.15
-_RANDOM_KEYS = {"linear": ("rows", "cols", "seed", "scale"), "quadratic": ("dim", "seed")}
-_COVARIANCE_KEYS = {"squared_exponential": ("kind", "lengthscale"), "diagonal": ("kind", "values")}
 
 # Stream tags, one per sampling role. Routines never share a tag, so adding a
 # stage cannot shift the draws of another.
@@ -98,85 +158,61 @@ _TAG_RANDOM_MODEL = 6
 
 
 def resolve_config(raw, seed_override=None):
-    """Fill defaults and normalize a raw config dict. Raises ConfigError on
-    anything malformed; the result is what gets hashed into output headers."""
-    _reject_unknown("config", raw, _TOP_KEYS)
-    sections = {key: raw.get(key, {}) for key in ("model", "measure", "sampling", "comparisons")}
-    for key, section in sections.items():
-        if not isinstance(section, dict):
-            raise ConfigError(f"{key} must be a JSON object")
-    kind = sections["model"].get("kind")
-    if kind is None:
-        raise ConfigError("model.kind is required")
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
-        raise ConfigError(f"unknown model.kind {kind!r}")
-    for key, allowed in (("model", _MODEL_KEYS[kind]), ("measure", ("mean", "covariance")),
-                         ("sampling", _DEFAULT_SAMPLING), ("comparisons", ("kl",))):
-        _reject_unknown(key, sections[key], allowed)
-    cfg = {
-        "model": dict(sections["model"]),
-        "measure": dict(sections["measure"]),
-        "sampling": dict(_DEFAULT_SAMPLING, **sections["sampling"]),
-        "ranks": raw.get("ranks", "all"),
-        "groups": raw.get("groups", "singletons"),
-        "comparisons": dict({"kl": True}, **sections["comparisons"]),
-    }
-    _fill_model_defaults(kind, cfg["model"], cfg["measure"])
-    if not isinstance(cfg["comparisons"]["kl"], bool):
-        raise ConfigError("comparisons.kl must be true or false")
+    """Check a raw config dict against ``_FIELDS`` and fill its defaults.
+    Raises ConfigError on anything malformed; the result, every value as the
+    config gave it, is what gets hashed into output headers."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    cfg = _object("", raw, _FIELDS)
+    model = cfg["model"]
+    if model["kind"] in ("linear", "quadratic") and ("matrix" in model) == ("random" in model):
+        raise ConfigError(f"{model['kind']} model needs exactly one of matrix and random")
+    if "covariance" not in cfg["measure"]:
+        default = {"kind": "squared_exponential"} if model["kind"] == "pde" else "identity"
+        cfg["measure"]["covariance"] = _check("measure.covariance", default, _COVARIANCE, None)
     if seed_override is not None:
-        cfg["sampling"]["seed"] = int(seed_override)
-    for key, low in _SAMPLING_MIN.items():
-        if not _is_int(cfg["sampling"][key]) or cfg["sampling"][key] < low:
-            raise ConfigError(f"sampling.{key} must be an integer >= {low}")
-    for key in ("m", "k_ladder"):
-        value = cfg["sampling"][key]
-        if not isinstance(value, list) or not all(_is_int(v) and v >= 1 for v in value):
-            raise ConfigError(f"sampling.{key} must be a list of positive integers")
-    # an empty m means bounds only; an empty ladder or rank list means no rows
-    if not cfg["sampling"]["k_ladder"]:
-        raise ConfigError("sampling.k_ladder must not be empty")
-    ranks = cfg["ranks"]
-    if ranks != "all" and not (isinstance(ranks, list) and ranks and all(map(_is_int, ranks))):
-        raise ConfigError("ranks must be 'all' or a non-empty list of integers")
+        cfg["sampling"]["seed"] = _check("--seed", int(seed_override), _is_integer, 0)
     return cfg
 
 
-def _fill_model_defaults(kind, model, measure):
-    """Spell out, in place, every model and measure default the builders
-    apply, so two configs that build the same run hash alike."""
-    if kind == "pde":
-        for key, value in _PDE_DEFAULTS.items():
-            model.setdefault(key, value)
-    if kind == "linear":
-        model.setdefault("output_metric", "identity")
-        if isinstance(model.get("random"), dict):
-            model["random"] = dict({"scale": 1.0}, **model["random"])
-    measure.setdefault("mean", 0.0)
-    measure.setdefault(
-        "covariance", {"kind": "squared_exponential"} if kind == "pde" else "identity"
-    )
-    cov = measure["covariance"]
-    if isinstance(cov, dict) and cov.get("kind") == "squared_exponential":
-        measure["covariance"] = dict({"lengthscale": _LENGTHSCALE}, **cov)
-
-
-def _reject_unknown(section, spec, allowed):
-    """ConfigError unless ``spec`` is an object whose keys are all in ``allowed``."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{section} must be a JSON object")
-    unknown = sorted(set(spec) - set(allowed))
+def _object(where, spec, fields):
+    """``spec`` checked field by field against ``fields``, defaults filled."""
+    kinds = fields.get("kind")
+    if isinstance(kinds, dict):
+        kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{where}.kind must be one of {', '.join(kinds)}, not {kind!r}")
+        fields = {"kind": (kind, None, _REQUIRED), **kinds[kind]}
+    # a misspelt key would otherwise fall back to its default without a word
+    unknown = sorted(set(spec) - set(fields))
     if unknown:
-        raise ConfigError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
+        raise ConfigError(f"unknown {where or 'config'} key(s): {', '.join(map(repr, unknown))}")
+    out = {}
+    for key, (types, low, default) in fields.items():
+        name = f"{where}.{key}" if where else key
+        if key in spec:
+            out[key] = _check(name, spec[key], types, low)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        elif default is not None:
+            out[key] = _check(name, copy.deepcopy(default), types, low)
+    return out
 
 
-def _is_int(value):
-    # JSON true/false arrive as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return _is_int(value) or isinstance(value, float)
+def _check(name, value, types, low):
+    """``value`` if it has one of ``types``, with an object's defaults filled."""
+    types = types if isinstance(types, tuple) else (types,)
+    for t in types:
+        if isinstance(t, dict) and isinstance(value, dict):
+            return _object(name, value, t)
+        if t(value, low) if callable(t) else value == t:
+            return value
+    allowed = [
+        "a JSON object" if isinstance(t, dict) else _TYPE_NAMES[t] if callable(t) else json.dumps(t)
+        for t in types
+    ]
+    bound = "" if low is None else f" >= {low}"
+    raise ConfigError(f"{name} must be {' or '.join(allowed)}{bound}")
 
 
 def config_hash(cfg):
@@ -187,23 +223,6 @@ def config_hash(cfg):
 def _random_matrix(shape, seed, scale=1.0):
     stream = SampleStream(seed, stream_id=_TAG_RANDOM_MODEL)
     return scale * stream.normal_matrix(*shape)
-
-
-def _integer(spec, key, section):
-    """``spec[key]`` if it is a JSON integer; a string or a float that would
-    convert is a ConfigError, since it would hash apart from the integer."""
-    value = spec[key]
-    if not _is_int(value):
-        raise ConfigError(f"{section}.{key} must be an integer")
-    return value
-
-
-def _number(spec, key, section):
-    """``spec[key]`` as a float if it is a JSON number, not a string or a boolean."""
-    value = spec[key]
-    if not _is_number(value):
-        raise ConfigError(f"{section}.{key} must be a number")
-    return float(value)
 
 
 def _factored(matrix, what):
@@ -217,21 +236,15 @@ def _factored(matrix, what):
     return matrix
 
 
-def _model_matrix(kind, spec):
+def _model_matrix(spec):
     """The matrix of a linear or quadratic model: given, or drawn from its seed."""
-    if ("matrix" in spec) == ("random" in spec):
-        raise ConfigError(f"{kind} model needs exactly one of matrix and random")
     if "matrix" in spec:
         return np.asarray(spec["matrix"], dtype=float)
     r = spec["random"]
-    _reject_unknown("model.random", r, _RANDOM_KEYS[kind])
-    seed = _integer(r, "seed", "model.random")
-    if kind == "linear":
-        shape = (_integer(r, "rows", "model.random"), _integer(r, "cols", "model.random"))
-        return _random_matrix(shape, seed, _number(r, "scale", "model.random"))
-    dim = _integer(r, "dim", "model.random")
-    raw = _random_matrix((dim, dim), seed)
-    return raw + raw.T
+    if "dim" in r:
+        raw = _random_matrix((r["dim"], r["dim"]), r["seed"])
+        return raw + raw.T
+    return _random_matrix((r["rows"], r["cols"]), r["seed"], float(r["scale"]))
 
 
 def build_model(cfg):
@@ -239,57 +252,42 @@ def build_model(cfg):
     kind = spec["kind"]
     try:
         if kind == "linear":
-            matrix = _model_matrix(kind, spec)
+            matrix = _model_matrix(spec)
             metric = spec["output_metric"]
-            if metric in (None, "identity"):
+            if not isinstance(metric, list):
                 return LinearModel(matrix)
-            metric = _factored(SpdMatrix(np.asarray(metric, dtype=float)), "model.output_metric")
+            metric = _factored(SpdMatrix(metric), "model.output_metric")
             return LinearModel(matrix, metric)
         if kind == "quadratic":
-            return QuadraticFormModel(_model_matrix(kind, spec))
+            return QuadraticFormModel(_model_matrix(spec))
         if kind == "sines":
             return SumOfSinesModel(spec["amplitudes"], spec["frequencies"])
         return DiffusionModel(
-            Mesh2D(_integer(spec, "grid", "model")),
-            scenario=spec["scenario"],
-            alpha=_number(spec, "alpha", "model"),
-            beta=_number(spec, "beta", "model"),
+            Mesh2D(spec["grid"]), scenario=spec["scenario"],
+            alpha=float(spec["alpha"]), beta=float(spec["beta"]),
         )
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
 
 
 def build_measure(cfg, model):
     spec = cfg["measure"]
     d = model.input_dim
-    cov = spec["covariance"]
+    mean, cov = spec["mean"], spec["covariance"]
     try:
-        mean = spec["mean"]
-        if _is_number(mean):
-            mean = np.full(d, float(mean))
-        else:
-            mean = np.asarray(mean, dtype=float)
+        mean = np.asarray(mean, dtype=float) if isinstance(mean, list) else np.full(d, float(mean))
         if cov == "identity":
             cov = SpdMatrix.identity(d)
-        elif isinstance(cov, dict):
-            kind = cov.get("kind")
-            if kind not in _COVARIANCE_KEYS:
-                raise ConfigError(f"unknown covariance kind {kind!r}")
-            _reject_unknown("measure.covariance", cov, _COVARIANCE_KEYS[kind])
-            if kind == "squared_exponential":
-                if not isinstance(model, DiffusionModel):
-                    raise ConfigError(
-                        "squared_exponential covariance needs the pde model's mesh"
-                    )
-                lengthscale = _number(cov, "lengthscale", "measure.covariance")
-                cov = build_field_covariance(model.mesh, lengthscale)
-            else:
-                cov = SpdMatrix.diagonal(np.asarray(cov["values"], dtype=float))
-                cov = _factored(cov, "measure.covariance")
+        elif isinstance(cov, list):
+            cov = _factored(SpdMatrix(cov), "measure.covariance")
+        elif cov["kind"] == "diagonal":
+            cov = _factored(SpdMatrix.diagonal(cov["values"]), "measure.covariance")
+        elif isinstance(model, DiffusionModel):
+            cov = build_field_covariance(model.mesh, float(cov["lengthscale"]))
         else:
-            cov = _factored(SpdMatrix(np.asarray(cov, dtype=float)), "measure.covariance")
+            raise ConfigError("squared_exponential covariance needs the pde model's mesh")
         return GaussianMeasure(mean, cov)
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad measure config: {exc}") from exc
 
 
@@ -307,11 +305,9 @@ def _groups(cfg, dim):
     groups = cfg["groups"]
     if groups == "singletons":
         return [[i] for i in range(1, dim + 1)]
-    if not isinstance(groups, list) or not groups or not all(isinstance(g, list) for g in groups):
-        raise ConfigError("groups must be a non-empty list of index lists or 'singletons'")
     for i in (i for g in groups for i in g):
-        if not _is_int(i) or not 1 <= i <= dim:
-            raise ConfigError(f"group index {i!r} is not an integer in [1, {dim}]")
+        if not 1 <= i <= dim:
+            raise ConfigError(f"group index {i} outside [1, {dim}]")
     return [list(g) for g in groups]
 
 

@@ -1,17 +1,19 @@
-"""Property-based test of the CLI over arbitrary configs.
+"""Property-based tests of the config resolver and the CLI over arbitrary configs.
 
-Whatever the config holds, ``main()`` must end with exit 0 (success), 2 (bad
-config) or 3 (numerical failure) and at most one line on stderr, never with
-an escaping exception or a traceback. Configs are drawn well formed and then
-have a few entries corrupted. Every size the strategy can draw is small
-(d <= 8, grid <= 4, counts <= 16, one or two threads), so a run costs
-milliseconds; the corrupted values may be malformed, negative, empty,
-non-finite or under unknown keys.
+Whatever the config holds, ``resolve_config`` must raise ConfigError or
+return a finite config that resolves to itself, and ``main()`` must end with
+exit 0 (success), 2 (bad config) or 3 (numerical failure) and at most one
+line on stderr, never with an escaping exception or a traceback. Configs are
+drawn well formed and then have a few entries corrupted. Every size the
+strategy can draw is small (d <= 8, grid <= 4, counts <= 16, one or two
+threads), so a run costs milliseconds; the corrupted values may be malformed,
+negative, empty, non-finite or under unknown keys.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -23,6 +25,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gradridge.cli import main  # noqa: E402
+from gradridge.errors import ConfigError  # noqa: E402
+from gradridge.experiments import resolve_config  # noqa: E402
 
 MAX_DIM = 8
 MAX_GRID = 4
@@ -134,3 +138,22 @@ def test_cli_never_crashes_on_any_config(command, config, threads, seed):
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1)
+
+
+def _floats(tree):
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return [f for item in tree for f in _floats(item)]
+    return [tree] if isinstance(tree, float) else []
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(config=configs())
+def test_resolved_config_is_finite_and_resolves_to_itself(config):
+    try:
+        cfg = resolve_config(config)
+    except ConfigError:
+        return
+    assert all(math.isfinite(f) for f in _floats(cfg))
+    assert resolve_config(cfg) == cfg

@@ -159,17 +159,17 @@ def test_build_measure_variants():
     mu2 = build_measure(cfg, build_model(cfg))
     np.testing.assert_array_equal(mu2.mean, [1.0, -1.0])
     np.testing.assert_array_equal(mu2.cov.entries, np.diag([4.0, 9.0]))
-    bad = resolve_config(
-        {"model": {"kind": "linear", "matrix": [[1.0, 2.0]]},
-         "measure": {"covariance": {"kind": "mystery"}}}
-    )
     with pytest.raises(ConfigError):
+        bad = resolve_config(
+            {"model": {"kind": "linear", "matrix": [[1.0, 2.0]]},
+             "measure": {"covariance": {"kind": "mystery"}}}
+        )
         build_measure(bad, build_model(bad))
-    se_on_linear = resolve_config(
-        {"model": {"kind": "linear", "matrix": [[1.0, 2.0]]},
-         "measure": {"covariance": {"kind": "squared_exponential"}}}
-    )
     with pytest.raises(ConfigError):
+        se_on_linear = resolve_config(
+            {"model": {"kind": "linear", "matrix": [[1.0, 2.0]]},
+             "measure": {"covariance": {"kind": "squared_exponential"}}}
+        )
         build_measure(se_on_linear, build_model(se_on_linear))
     pde_cfg = resolve_config({"model": {"kind": "pde", "grid": 3, "scenario": "point_pair"}})
     pde = build_model(pde_cfg)
@@ -580,6 +580,7 @@ def test_cli_config_errors(tmp_path, capsys):
 
 
 _LINEAR = {"kind": "linear", "matrix": [[1.0, 0.5]]}
+_SINES = {"kind": "sines", "amplitudes": [1.0, 2.0], "frequencies": [1.0, 2.0]}
 _SOBOL = {"sobol_outer": 10, "sobol_inner": 2, "dgsm_k": 10}
 
 
@@ -696,6 +697,37 @@ def test_cli_stamps_every_artifact(tmp_path, capsys):
         # Python's json reads NaN, so a supplied covariance can hold one
         ("curve", {"model": _LINEAR, "measure": {"covariance": [[1.0, 0.0], [0.0, float("nan")]]},
                    "sampling": {"k": 5, "m": []}}),
+        # a string or boolean where a number belongs would hash apart from the number
+        ("curve", {"model": dict(_SINES, amplitudes=["1.0", 2]), "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear", "matrix": [[True, 2]]},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": dict(_SINES, frequencies=[True, 1]), "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR,
+                   "measure": {"covariance": {"kind": "diagonal", "values": ["1", 2]}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "measure": {"mean": float("nan")},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "measure": {"mean": [float("inf"), 0]},
+                   "sampling": {"k": 5, "m": []}}),
+        # a negative seed would be masked to 2**64 - 1: one matrix under two hashes
+        ("curve", {"model": {"kind": "linear", "random": {"rows": 1, "cols": 2, "seed": -1}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": _LINEAR, "groups": 5, "sampling": {"k": 5, "m": []}}),
+        # json reads 1e400 as inf; none of these is a numerical failure of the run
+        ("curve", {"model": {"kind": "linear", "matrix": [[1e400, 2]]},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": dict(_SINES, amplitudes=[float("nan"), 2]),
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": 4, "scenario": "point_pair",
+                             "alpha": float("inf")},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": 4},
+                   "measure": {"covariance": {"kind": "squared_exponential",
+                                              "lengthscale": float("nan")}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "linear",
+                             "random": {"rows": 1, "cols": 2, "seed": 1, "scale": float("nan")}},
+                   "sampling": {"k": 5, "m": []}}),
     ],
     ids=[
         "k-zero", "m-zero", "m-fractional", "n-val-one", "ranks-string", "rank-past-dim",
@@ -711,6 +743,9 @@ def test_cli_stamps_every_artifact(tmp_path, capsys):
         "rows-fractional", "cols-string", "random-seed-float", "scale-string",
         "quadratic-dim-float", "linear-matrix-and-random", "quadratic-matrix-and-random",
         "mean-boolean", "covariance-nan",
+        "amplitudes-string", "matrix-boolean", "frequencies-boolean", "diagonal-values-string",
+        "mean-nan", "mean-list-infinite", "random-seed-negative", "groups-number",
+        "matrix-overflow", "amplitudes-nan", "alpha-infinite", "lengthscale-nan", "scale-nan",
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, payload):
@@ -720,6 +755,42 @@ def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, payload
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+def _config_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [('{"model": {"kind": "linear", "matrix": [[1.0]]}} \xe9'.encode("latin-1"), "utf-8"),
+     (b"[" * 100_000, "recursion")],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_cli_unreadable_config_exits_2_with_one_line(tmp_path, capsys, content, expected):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert expected in _config_error_line(["curve", "--config", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "taken, expected",
+    [("out", "File exists"), ("out/curve.csv", "Is a directory")],
+    ids=["out-is-a-file", "artifact-is-a-directory"],
+)
+def test_cli_unwritable_output_exits_2_with_one_line(tmp_path, capsys, taken, expected):
+    cfg = _write_cfg(tmp_path, {"model": _LINEAR, "sampling": {"k": 5, "m": []}})
+    if taken == "out":
+        (tmp_path / "out").write_text("", encoding="ascii")
+    else:
+        (tmp_path / taken).mkdir(parents=True)
+    argv = ["curve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert expected in _config_error_line(argv, capsys)
 
 
 @pytest.mark.parametrize("runner", [run_error_curve, run_projector_audit])
