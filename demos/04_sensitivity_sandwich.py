@@ -6,7 +6,8 @@ For independent Gaussian inputs, diagonal gradient energies give a
 one-pass sandwich around the pick-freeze Sobol' estimates: a Poincare
 lower bound on the closed index of a group and an upper bound on its
 total index.  The sandwich costs one gradient sweep for all groups at
-once, where pick-freeze pays a nested loop per group.  The lower bound
+once, where pick-freeze pays one model evaluation per base row and
+group on top of the two shared base draws.  The lower bound
 degrades as frequencies rise, and when it crosses zero it is reported
 as vacuous rather than clipped -- a vacuous bound is a finding about
 the model, not an error.
@@ -48,8 +49,7 @@ total_var = float(np.sum(amps**2 * (1.0 - np.exp(-2.0 * freqs**2))) / 2.0)
 # reported standard errors.
 print("group   s_lower   s_hat     t_hat     t_upper   vacuous")
 for i in range(1, d + 1):
-    g = sobol_estimates(model, mu, {i}, stream.substream(i),
-                        n_outer=2000, m_inner=64)
+    g = sobol_estimates(model, mu, {i}, stream.substream(i), n_outer=2000)
     s_lo, t_up, vac = sobol_bounds(nu, mu, {i}, total_var)
     print(f"{{{i}}}    {s_lo:8.4f}  {g.s_hat:8.4f}  {g.t_hat:8.4f}  "
           f"{t_up:8.4f}   {vac}")
@@ -62,7 +62,7 @@ print()
 # sandwich are needed to see interaction structure.
 inter = QuadraticFormModel(np.array([[0.0, 1.0], [1.0, 0.0]]))
 mu2 = GaussianMeasure(np.zeros(2), np.eye(2))
-est = sobol_estimates(inter, mu2, {1}, SampleStream(7), n_outer=4000, m_inner=64)
+est = sobol_estimates(inter, mu2, {1}, SampleStream(7), n_outer=4000)
 nu2 = dgsm(inter, mu2, SampleStream(8), count=20000)
 s_lo, t_up, vac = sobol_bounds(nu2, mu2, {1}, est.total_variance)
 print("pure interaction f = x1 * x2, group {1}:")
@@ -73,7 +73,7 @@ print()
 # The same numbers as a single report object, ready to serialize.
 report = build_sensitivity_report(model, mu, [{1}, {2}, {3, 4}],
                                   stream.substream(50),
-                                  n_outer=1000, m_inner=32, dgsm_samples=10000)
+                                  n_outer=1000, dgsm_samples=10000)
 for row in report.rows():
     print(row["group"], "->",
           {k: round(v, 4) for k, v in row.items()

@@ -57,8 +57,7 @@ sens_cfg = {
     "model": {"kind": "sines",
               "amplitudes": [1.0, 0.6, 0.3],
               "frequencies": [0.8, 1.2, 2.0]},
-    "sampling": {"seed": 11, "sobol_outer": 500, "sobol_inner": 32,
-                 "dgsm_k": 2000},
+    "sampling": {"seed": 11, "sobol_outer": 500, "dgsm_k": 2000},
 }
 sens_path = workdir / "sobol.json"
 sens_path.write_text(json.dumps(sens_cfg))

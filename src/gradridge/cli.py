@@ -13,10 +13,9 @@ Each warning prints as one stderr line, ``warning: <Category>: <message>``.
 ``--threads`` changes wall time only; outputs are byte-identical for any
 worker count. The pool runs the gradient samples of ``estimate_h`` (which the
 ``sobol`` derivative bounds use too), the validation samples of
-``validate_error`` and the blocks of the nested Sobol' estimator. It pays
-where one chunk of work costs half a millisecond or more, as with
-``point_pair`` at grid 32 or the Sobol' blocks of a 16-input sine sum, and
-not at grid 12.
+``validate_error`` and the blocks of the Sobol' base rows. It pays where
+one chunk of work costs half a millisecond or more, as with ``point_pair``
+at grid 32, and not at grid 12.
 
 Every command runs with the OpenBLAS copies that numpy and scipy bundle set
 to one thread, and restores their thread counts when it returns. So the

@@ -59,6 +59,11 @@ def _is_integer(value, low):
     return isinstance(value, int) and not isinstance(value, bool) and (low is None or value >= low)
 
 
+def _is_seed(value, low):
+    # the sampler keys Philox with 64 bits; a larger seed would alias a smaller one
+    return _is_integer(value, 0) and value < 1 << 64
+
+
 def _is_number(value, low):
     # Python's json reads NaN and Infinity, and an integer may pass max_float
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -89,6 +94,7 @@ def _is_matrix(value, low):
 
 _TYPE_NAMES = {
     _is_integer: "an integer",
+    _is_seed: "an integer in [0, 2**64)",
     _is_number: "a finite number",
     _is_boolean: "true or false",
     _integer_list: "a non-empty list of integers",
@@ -104,7 +110,7 @@ _TYPE_NAMES = {
 # integer of a list. A field whose default is _REQUIRED must be given; one
 # whose default is None stays absent unless given. Checks that need the
 # model's input dimension or numpy run in the builders.
-_RANDOM_SEED = (_is_integer, 0, _REQUIRED)
+_RANDOM_SEED = (_is_seed, None, _REQUIRED)
 _COVARIANCE = ("identity", _is_matrix, {"kind": {
     "squared_exponential": {"lengthscale": (_is_number, None, 0.15)},
     "diagonal": {"values": (_number_list, None, _REQUIRED)},
@@ -129,8 +135,10 @@ _FIELDS = {
     # the covariance defaults to "identity", or for pde to the field covariance
     "measure": ({"mean": ((_is_number, _number_list), None, 0.0),
                  "covariance": (_COVARIANCE, None, None)}, None, {}),
-    # a Monte Carlo standard error needs two validation samples and the nested
-    # Sobol' estimator two outer ones; an empty m means bounds only
+    # a Monte Carlo standard error needs two validation samples and the Sobol'
+    # estimator two base rows; an empty m means bounds only. sobol_inner sized
+    # the nested Sobol' estimator that the shared base replaced: it is accepted
+    # and ignored, so configs that give it keep their hash
     "sampling": ({
         "k": (_is_integer, 1, 4000),
         "k_ref": (_is_integer, 1, 4000),
@@ -140,7 +148,7 @@ _FIELDS = {
         "sobol_outer": (_is_integer, 2, 2000),
         "sobol_inner": (_is_integer, 1, 64),
         "dgsm_k": (_is_integer, 1, 2000),
-        "seed": (_is_integer, 0, 20260822),
+        "seed": (_is_seed, None, 20260822),
     }, None, {}),
     "ranks": (("all", _integer_list), None, "all"),
     "groups": (("singletons", _index_lists), None, "singletons"),
@@ -171,7 +179,7 @@ def resolve_config(raw, seed_override=None):
         default = {"kind": "squared_exponential"} if model["kind"] == "pde" else "identity"
         cfg["measure"]["covariance"] = _check("measure.covariance", default, _COVARIANCE, None)
     if seed_override is not None:
-        cfg["sampling"]["seed"] = _check("--seed", int(seed_override), _is_integer, 0)
+        cfg["sampling"]["seed"] = _check("--seed", int(seed_override), _is_seed, None)
     return cfg
 
 
@@ -466,8 +474,7 @@ def run_sobol(cfg, out_dir, threads=1):
     sampling = cfg["sampling"]
     report = build_sensitivity_report(
         model, mu, _groups(cfg, mu.dim), root.substream(_TAG_SOBOL),
-        n_outer=sampling["sobol_outer"], m_inner=sampling["sobol_inner"],
-        dgsm_samples=sampling["dgsm_k"], threads=threads,
+        n_outer=sampling["sobol_outer"], dgsm_samples=sampling["dgsm_k"], threads=threads,
     )
     rows = list(report.rows())
     out = _write_csv(

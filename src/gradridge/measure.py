@@ -51,7 +51,11 @@ class SampleStream:
     __slots__ = ("seed", "stream_id", "counter")
 
     def __init__(self, seed, stream_id=0, counter=0):
-        self.seed = int(seed) & _MASK64
+        seed = int(seed)
+        # Philox takes a 64-bit key word: a wider seed would alias a narrower one
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64), not {seed}")
+        self.seed = seed
         self.stream_id = int(stream_id) & _MASK64
         self.counter = int(counter)
 
@@ -196,12 +200,16 @@ def squared_exponential_covariance(points, lengthscale, nugget=0.0):
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if lengthscale <= 0:
-        raise ValueError("lengthscale must be positive")
+    scale = float(lengthscale) * float(lengthscale)
+    # a square that underflows, is subnormal or overflows divides to inf or NaN
+    if not (lengthscale > 0 and np.finfo(float).tiny <= scale <= np.finfo(float).max):
+        raise ValueError(
+            f"lengthscale must be positive with a normal square, not {float(lengthscale)!r}"
+        )
     sq = np.sum(pts * pts, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     np.maximum(d2, 0.0, out=d2)
-    k = np.exp(-d2 / (lengthscale * lengthscale))
+    k = np.exp(-d2 / scale)
     if nugget:
         k[np.diag_indices_from(k)] += nugget
     return SpdMatrix(k)

@@ -100,7 +100,10 @@ class LinearModel(VectorValuedModel):
         if output_metric.dim != self.output_dim:
             raise DimensionMismatch("output metric dimension does not match rows of F")
         self.output_metric = output_metric
-        h = f.T @ output_metric.entries @ f
+        # an F^T R F that overflows is refused by sym_eig as NonFiniteInput;
+        # the overflow itself is not a second report of the same fault
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = f.T @ output_metric.entries @ f
         top = sym_eig(h)[0][0]
         self.lipschitz_constant = float(np.sqrt(max(top, 0.0)))
 

@@ -1,21 +1,30 @@
 """Vector-valued global sensitivity: Sobol' indices and derivative bounds.
 
-Closed and total Sobol' indices of coordinate groups are estimated by nested
-Monte Carlo: outer draws of the input, inner redraws of the coordinates
-outside the conditioning group. The derivative-based quantities (the diagonal
-of the gradient second-moment matrix) sandwich both indices from the cheap
-side: a lower bound on the closed index, an upper bound on the total index.
-Everything here requires a diagonal covariance; for correlated inputs the
-coordinate groups are not independent factors and the indices lose their
-meaning, so the error-curve machinery should be used instead.
+Closed and total Sobol' indices of coordinate groups are estimated by
+pick-freeze sampling on one shared base (Saltelli et al. 2010): two
+independent n-row draws A and B of the input and, for each group tau, the
+points A_B^tau that take the tau coordinates from B and the rest from A. Both
+indices use Jansen's form, with squares taken in the output metric R as
+Gamboa, Janon, Klein & Lagnoux (2014) do for vector outputs:
 
-The inner design is never held whole. The outer rows go in blocks of about
-2^14 redrawn normals (128 KiB per float64 temporary), and each block reads its
-normals from the stream positioned where they sit in one long draw. So memory
-stays bounded whatever n_outer is, and neither the block size nor the thread
+    S_tau = 1 - mean(|f(B) - f(A_B^tau)|_R^2 / 2) / V
+    T_tau =     mean(|f(A) - f(A_B^tau)|_R^2 / 2) / V
+
+V is the unbiased R-norm variance of f over the 2n rows of A and B, shared by
+every group, so G groups cost n (2 + G) model evaluations. The
+derivative-based quantities (the diagonal of the gradient second-moment
+matrix) sandwich both indices from the cheap side: a lower bound on the
+closed index, an upper bound on the total index. Everything here requires a
+diagonal covariance; for correlated inputs the coordinate groups are not
+independent factors and the indices lose their meaning, so the error-curve
+machinery should be used instead.
+
+The base is never held whole. Its rows go in blocks of about 2^14 normals
+(128 KiB per float64 temporary), each read from the streams of A and B
+positioned where it sits in one long draw, and a block keeps only f(A), f(B)
+and two scalars per row and group. So neither the block size nor the thread
 count changes a digit. ``threads`` workers evaluate the blocks, which merge in
-block order. The pool pays when a block costs half a millisecond or more, as
-for a 16-input sine sum at 64 inner points.
+block order.
 """
 
 from __future__ import annotations
@@ -26,13 +35,14 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    ModelEvaluationFailure,
     NonDiagonalCovariance,
     NonFiniteInput,
     ZeroVariance,
 )
 from .measure import sample
 from .projector import ORTH_EUCLIDEAN, ORTH_SIGMA_INVERSE, RankRProjector
-from .ridge import _map_chunks, _require_finite, estimate_h
+from .ridge import _map_chunks, estimate_h
 
 __all__ = [
     "IndexGroup",
@@ -45,11 +55,8 @@ __all__ = [
     "build_sensitivity_report",
 ]
 
-# Inner-loop bias of the nested estimator is exactly (1 + 1/M); dividing it
-# out makes the numerators unbiased.
 DEFAULT_OUTER = 2000
-DEFAULT_INNER = 64
-# Normals one block of the nested estimator draws: 128 KiB per float64
+# Normals one block of the base draws, A and B together: 128 KiB per float64
 # temporary, whatever n_outer is. Results do not depend on it.
 _BLOCK_NORMALS = 1 << 14
 
@@ -124,7 +131,7 @@ class GroupEstimate:
 
 
 def _block_rows(per_row):
-    """Outer rows per block: a multiple of 4, so every block but the last
+    """Base rows per block: a multiple of 4, so every block but the last
     draws whole Philox blocks, with about ``_BLOCK_NORMALS`` normals each."""
     return 4 * max(1, _BLOCK_NORMALS // (4 * per_row))
 
@@ -133,106 +140,97 @@ def _metric_sq_norms(diff, metric):
     return np.einsum("kn,nm,km->k", diff, metric, diff)
 
 
-def _conditional_residual(model, mu, keep, xs, f_xs, stream, inner, threads):
-    """Mean and se of |f(x) - g_hat(x)|^2 with the (1 + 1/M) bias divided out.
+def _pick_freeze(model, mu, groups, stream, n, threads):
+    """A GroupEstimate per group in ``groups``, all from one base of ``n``
+    rows: A from ``stream.substream(0)``, B from ``stream.substream(1)``.
 
-    g_hat(x) averages the model over ``inner`` points that take the
-    coordinates in the mask ``keep`` from x and redraw the others. The outer
-    rows go in blocks of ``_block_rows``; each block draws its redraws from
-    ``stream`` positioned where they sit in one draw of all n_outer * inner
-    points, so neither the block size nor ``threads`` changes a digit, and
-    ``stream`` ends where that one draw would leave it. A non-finite average
-    raises ModelEvaluationFailure at its outer index, and a squared residual
-    too large to average raises NonFiniteInput naming it.
-    """
-    n_outer, d = xs.shape
-    rows = _block_rows(inner * d)
-    starts = range(0, n_outer, rows)
-    subs = [stream.ahead(lo * inner * d) for lo in starts]
-
-    def one_block(b):
-        lo = starts[b]
-        x = xs[lo:lo + rows]
-        ys = sample(mu, subs[b], x.shape[0] * inner).reshape(x.shape[0], inner, d)
-        pts = np.where(keep, x[:, None, :], ys)
-        vals = model.eval_batch(pts.reshape(-1, d))
-        return vals.reshape(x.shape[0], inner, model.output_dim).mean(axis=1)
-
-    ghat = np.concatenate(_map_chunks(one_block, len(subs), threads))
-    # the last block drew the tail of the one long draw
-    stream.counter = subs[-1].counter
-    _require_finite(ghat, 0, "conditional average")
-    w = _metric_sq_norms(f_xs - ghat, model.output_metric.entries)
-    # np.std squares deviations of w, which stay finite below this limit
-    bad = ~(w < np.sqrt(np.finfo(float).max / n_outer))
-    if bad.any():
-        index = int(np.argmax(bad))
-        raise NonFiniteInput(f"squared residual at outer sample {index} is too large to average")
-    scale = 1.0 + 1.0 / inner
-    mean = float(np.mean(w)) / scale
-    se = float(np.std(w, ddof=1) / np.sqrt(n_outer)) / scale
-    return mean, se
-
-
-def sobol_estimates(model, mu, tau, stream, n_outer=DEFAULT_OUTER, m_inner=DEFAULT_INNER,
-                    threads=1):
-    """Closed and total Sobol' indices of the group ``tau`` with standard errors.
-
-    Nested pick-freeze sampling: S from conditioning on tau (complement
-    redrawn), T from conditioning on the complement (tau redrawn). Requires a
-    diagonal covariance. A NaN or inf model output raises
-    ModelEvaluationFailure with the index of the outer sample it belongs to.
-    ``threads`` workers evaluate the inner blocks; the result is the same for
-    any count.
+    A non-finite output raises ModelEvaluationFailure at its base row, and a
+    squared term too large to average raises NonFiniteInput naming it.
+    Standard errors come from the delta method on the per-row terms, with
+    each numerator's covariance with the shared variance.
     """
     if not mu.has_diagonal_cov:
         raise NonDiagonalCovariance(
             "Sobol' indices assume independent inputs; run the error-curve "
             "analysis instead for correlated covariances"
         )
-    n_outer = int(n_outer)
-    m_inner = int(m_inner)
-    if n_outer < 2 or m_inner < 1:
-        raise ValueError("need n_outer >= 2 and m_inner >= 1")
-    group = IndexGroup.coerce(tau).validate(mu.dim)
-    keep = group.mask(mu.dim)
-
-    xs = sample(mu, stream.substream(0), n_outer)
-    f_xs = model.eval_batch(xs)
-    _require_finite(f_xs, 0, "output")
+    n = int(n)
+    if n < 2:
+        raise ValueError("need n_outer >= 2")
+    d = mu.dim
+    masks = [g.mask(d) for g in groups]
     metric = model.output_metric.entries
-    center = f_xs.mean(axis=0)
-    dev = _metric_sq_norms(f_xs - center, metric)
-    # Unbiased total variance in the metric norm.
-    total_var = float(np.sum(dev) / (n_outer - 1))
-    # the delta-method terms below divide by the squared variance
+    rows = _block_rows(2 * d)
+    starts = range(0, n, rows)
+    stream_a, stream_b = stream.substream(0), stream.substream(1)
+
+    def one_block(k):
+        lo = starts[k]
+        size = min(rows, n - lo)
+        a = sample(mu, stream_a.ahead(lo * d), size)
+        b = sample(mu, stream_b.ahead(lo * d), size)
+        f_a, f_b = model.eval_batch(a), model.eval_batch(b)
+        finite = np.isfinite(f_a).all(axis=1) & np.isfinite(f_b).all(axis=1)
+        # per group: |f(B) - f(A_B)|^2 / 2, then |f(A) - f(A_B)|^2 / 2
+        halves = np.empty((len(masks), 2, size))
+        for g, mask in enumerate(masks):
+            f_ab = model.eval_batch(np.where(mask, b, a))
+            finite &= np.isfinite(f_ab).all(axis=1)
+            if finite.all():
+                halves[g, 0] = 0.5 * _metric_sq_norms(f_b - f_ab, metric)
+                halves[g, 1] = 0.5 * _metric_sq_norms(f_a - f_ab, metric)
+        if not finite.all():
+            index = lo + int(np.argmin(finite))
+            raise ModelEvaluationFailure(index, f"non-finite output at sample {index}")
+        return f_a, f_b, halves
+
+    blocks = _map_chunks(one_block, len(starts), threads)
+    f = np.concatenate([blk[0] for blk in blocks] + [blk[1] for blk in blocks])
+    halves = np.concatenate([blk[2] for blk in blocks], axis=2)
+    dev = _metric_sq_norms(f - f.mean(axis=0), metric)
+    # Unbiased total variance in the metric norm, pooled over A and B.
+    total_var = float(np.sum(dev) / (2 * n - 1))
+    # the standard errors below divide by the squared variance
     if total_var * total_var == 0.0:
         raise ZeroVariance(f"model output variance {total_var:g} is zero or too small to square")
     if not np.isfinite(total_var * total_var):
         raise NonFiniteInput(f"model output variance {total_var:g} is too large to square")
-    total_se = float(np.std(dev, ddof=1) / np.sqrt(n_outer))
+    per_row = 0.5 * (dev[:n] + dev[n:])
+    # np.mean and np.std stay finite on terms below this limit
+    bad = ~(np.maximum(halves.max(axis=(0, 1)), per_row) < np.sqrt(np.finfo(float).max / n))
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise NonFiniteInput(f"squared term at base sample {index} is too large to average")
+    total_se = float(np.std(per_row, ddof=1) / np.sqrt(n))
 
-    num_s, se_s_num = _conditional_residual(
-        model, mu, keep, xs, f_xs, stream.substream(1), m_inner, threads
-    )
-    num_t, se_t_num = _conditional_residual(
-        model, mu, ~keep, xs, f_xs, stream.substream(2), m_inner, threads
-    )
+    def ratio(terms):
+        """mean(terms) / V and its standard error: ratio r has influence
+        (term - r * per_row) / V per row."""
+        r = float(np.mean(terms)) / total_var
+        return r, float(np.std(terms - r * per_row, ddof=1) / np.sqrt(n)) / total_var
 
-    s_hat = 1.0 - num_s / total_var
-    t_hat = num_t / total_var
-    # Delta method over the ratio; numerator noise dominates in practice.
-    s_se = np.hypot(se_s_num / total_var, num_s * total_se / total_var**2)
-    t_se = np.hypot(se_t_num / total_var, num_t * total_se / total_var**2)
-    return GroupEstimate(
-        group=group,
-        s_hat=float(s_hat),
-        s_se=float(s_se),
-        t_hat=float(t_hat),
-        t_se=float(t_se),
-        total_variance=total_var,
-        total_variance_se=total_se,
-    )
+    estimates = []
+    for group, (closed, total) in zip(groups, halves):
+        s_rest, s_se = ratio(closed)
+        t_hat, t_se = ratio(total)
+        estimates.append(GroupEstimate(group=group, s_hat=1.0 - s_rest, s_se=s_se, t_hat=t_hat,
+                                       t_se=t_se, total_variance=total_var,
+                                       total_variance_se=total_se))
+    return tuple(estimates)
+
+
+def sobol_estimates(model, mu, tau, stream, n_outer=DEFAULT_OUTER, m_inner=None, threads=1):
+    """Closed and total Sobol' indices of the group ``tau`` with standard errors.
+
+    Pick-freeze on one base of ``n_outer`` rows; see the module docstring.
+    Requires a diagonal covariance. A NaN or inf model output raises
+    ModelEvaluationFailure with the index of the base row it belongs to.
+    ``threads`` workers evaluate the blocks; the result is the same for any
+    count. ``m_inner``, the inner sample count of the nested estimator this
+    one replaced, is accepted and ignored.
+    """
+    group = IndexGroup.coerce(tau).validate(mu.dim)
+    return _pick_freeze(model, mu, (group,), stream, n_outer, threads)[0]
 
 
 def dgsm(model, mu, stream, count, threads=1):
@@ -270,8 +268,8 @@ def sobol_bounds(dgsm_values, mu, tau, total_variance):
 class SensitivityReport:
     """Per-group indices, their standard errors, and the derivative sandwich.
 
-    Each group's bounds divide by that group's own total-variance estimate,
-    as its indices do; ``total_variance`` is group 0's.
+    Every group's indices and bounds divide by the one shared estimate
+    ``total_variance``.
     """
 
     groups: tuple
@@ -309,11 +307,12 @@ class SensitivityReport:
 
 
 def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
-                             m_inner=DEFAULT_INNER, dgsm_samples=None, threads=1):
+                             m_inner=None, dgsm_samples=None, threads=1):
     """Estimate indices and bounds for every group and assemble the report.
 
-    Substreams: tag 0 for the derivative estimate, tags 1.. for the groups in
-    the order given, so adding a group never changes the others' draws.
+    Substreams: tag 0 for the derivative estimate, tag 1 for the base that
+    every group shares, so adding a group never changes the others' numbers.
+    ``m_inner`` is accepted and ignored, as in ``sobol_estimates``.
     """
     groups = tuple(IndexGroup.coerce(g).validate(mu.dim) for g in groups)
     if not groups:
@@ -321,24 +320,15 @@ def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
     if dgsm_samples is None:
         dgsm_samples = DEFAULT_OUTER
     g_vec = dgsm(model, mu, stream.substream(0), dgsm_samples, threads=threads)
-    estimates = []
-    for k, grp in enumerate(groups):
-        estimates.append(
-            sobol_estimates(model, mu, grp, stream.substream(k + 1),
-                            n_outer=n_outer, m_inner=m_inner, threads=threads)
-        )
-    lows, ups, vacs = [], [], []
-    for grp, est in zip(groups, estimates):
-        lo, up, vac = sobol_bounds(g_vec, mu, grp, est.total_variance)
-        lows.append(lo)
-        ups.append(up)
-        vacs.append(vac)
+    estimates = _pick_freeze(model, mu, groups, stream.substream(1), n_outer, threads)
+    total_var = estimates[0].total_variance
+    lows, ups, vacs = zip(*(sobol_bounds(g_vec, mu, grp, total_var) for grp in groups))
     return SensitivityReport(
         groups=groups,
-        estimates=tuple(estimates),
-        s_lower=tuple(lows),
-        t_upper=tuple(ups),
-        vacuous=tuple(vacs),
+        estimates=estimates,
+        s_lower=lows,
+        t_upper=ups,
+        vacuous=vacs,
         dgsm_values=g_vec,
-        total_variance=estimates[0].total_variance,
+        total_variance=total_var,
     )

@@ -516,15 +516,15 @@ def test_thread_count_never_changes_output(tmp_path):
 
 
 def test_cli_sobol_threads_write_identical_artifacts_across_blocks(tmp_path):
-    # 200 outer rows of 64 inner points in 4 dimensions fill four blocks, so
-    # --threads 2 runs the nested estimator on the pool
+    # 5000 base rows in 4 dimensions fill three blocks, so --threads 2 runs
+    # the Sobol' estimator on the pool
     cfg = _write_cfg(tmp_path, {
         "model": {"kind": "sines", "amplitudes": [1.0, 0.6, 0.3, 0.2],
                   "frequencies": [0.8, 1.3, 2.0, 0.5]},
         "groups": [[1], [2, 4]],
-        "sampling": {"sobol_outer": 200, "sobol_inner": 64, "dgsm_k": 50, "seed": 7},
+        "sampling": {"sobol_outer": 5000, "sobol_inner": 64, "dgsm_k": 50, "seed": 7},
     })
-    assert 200 // sensitivity._block_rows(64 * 4) >= 2
+    assert 5000 // sensitivity._block_rows(2 * 4) >= 2
     outs = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
@@ -728,6 +728,23 @@ def test_cli_stamps_every_artifact(tmp_path, capsys):
         ("curve", {"model": {"kind": "linear",
                              "random": {"rows": 1, "cols": 2, "seed": 1, "scale": float("nan")}},
                    "sampling": {"k": 5, "m": []}}),
+        # the sampler keys on 64 bits, so 2**64 + 7 would draw what 7 draws
+        ("curve", {"model": _LINEAR, "sampling": {"k": 5, "m": [], "seed": 2**64}}),
+        ("curve", {"model": {"kind": "linear", "random": {"rows": 1, "cols": 2, "seed": 2**64}},
+                   "sampling": {"k": 5, "m": []}}),
+        # a lengthscale whose square is not a normal double cannot build the kernel
+        ("curve", {"model": {"kind": "pde", "grid": 4},
+                   "measure": {"covariance": {"kind": "squared_exponential",
+                                              "lengthscale": 1e-170}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": 4},
+                   "measure": {"covariance": {"kind": "squared_exponential",
+                                              "lengthscale": 1e-160}},
+                   "sampling": {"k": 5, "m": []}}),
+        ("curve", {"model": {"kind": "pde", "grid": 4},
+                   "measure": {"covariance": {"kind": "squared_exponential",
+                                              "lengthscale": 1e160}},
+                   "sampling": {"k": 5, "m": []}}),
     ],
     ids=[
         "k-zero", "m-zero", "m-fractional", "n-val-one", "ranks-string", "rank-past-dim",
@@ -746,6 +763,8 @@ def test_cli_stamps_every_artifact(tmp_path, capsys):
         "amplitudes-string", "matrix-boolean", "frequencies-boolean", "diagonal-values-string",
         "mean-nan", "mean-list-infinite", "random-seed-negative", "groups-number",
         "matrix-overflow", "amplitudes-nan", "alpha-infinite", "lengthscale-nan", "scale-nan",
+        "sampling-seed-2-to-64", "random-seed-2-to-64", "lengthscale-square-underflows",
+        "lengthscale-square-subnormal", "lengthscale-square-overflows",
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, payload):
@@ -764,6 +783,26 @@ def _config_error_line(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     return lines[0]
+
+
+@pytest.mark.parametrize("where", ["sampling", "random", "--seed"])
+def test_cli_seed_must_fit_in_64_bits(tmp_path, capsys, where):
+    # 2**64 - 1 is the largest seed the sampler keys without aliasing
+    def argv(seed):
+        random_seed = seed if where == "random" else 1
+        sampling = {"k": 5, "m": []}
+        if where == "sampling":
+            sampling["seed"] = seed
+        cfg = _write_cfg(tmp_path, {
+            "model": {"kind": "linear", "random": {"rows": 1, "cols": 2, "seed": random_seed}},
+            "sampling": sampling,
+        }, name=f"cfg-{seed}.json")
+        extra = ["--seed", str(seed)] if where == "--seed" else []
+        return ["spectrum", "--config", str(cfg), "--out", str(tmp_path / f"out-{seed}"), *extra]
+
+    assert "[0, 2**64)" in _config_error_line(argv(2**64), capsys)
+    assert main(argv(2**64 - 1)) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -815,12 +854,12 @@ def test_rank_past_dim_fails_before_any_jacobian(tmp_path, monkeypatch, runner):
 @pytest.mark.parametrize("seed", [5, 8])
 def test_cli_singular_diffusion_factor_exits_3_without_traceback(tmp_path, capsys, seed):
     # a 1e6 variance clamps the log-conductivities to +-40, and at these seeds
-    # one Sobol' point gives a system whose band Cholesky meets a leading
-    # minor that is not positive
+    # one of the first 1000 Sobol' base rows gives a system whose band
+    # Cholesky meets a leading minor that is not positive
     cfg = _write_cfg(tmp_path, {
         "model": {"kind": "pde", "grid": 4, "scenario": "point_pair"},
         "measure": {"covariance": {"kind": "diagonal", "values": [1e6] * 16}},
-        "sampling": {"dgsm_k": 3, "sobol_outer": 200, "sobol_inner": 4},
+        "sampling": {"dgsm_k": 3, "sobol_outer": 1000, "sobol_inner": 4},
         "groups": [[1]],
     })
     with warnings.catch_warnings():
@@ -842,7 +881,7 @@ def test_cli_prints_each_warning_as_one_line(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "model": {"kind": "pde", "grid": 4, "scenario": "point_pair"},
         "measure": {"covariance": {"kind": "diagonal", "values": [1e6] * 16}},
-        "sampling": {"dgsm_k": 3, "sobol_outer": 200, "sobol_inner": 4},
+        "sampling": {"dgsm_k": 3, "sobol_outer": 1000, "sobol_inner": 4},
         "groups": [[1]],
     })
     src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
@@ -912,6 +951,24 @@ def test_cli_non_finite_intermediate_exits_3_without_traceback(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "numerical failure: NonFiniteInput" in proc.stderr
+
+
+def test_cli_overflowing_linear_model_prints_one_line(tmp_path):
+    # the overflow of F^T R F inside LinearModel is the numerical failure
+    # itself; it must not print a RuntimeWarning line before it
+    cfg = _write_cfg(tmp_path, {"model": {"kind": "linear", "matrix": [[1e200, 1.0]]},
+                                "sampling": {"k": 10, "n_val": 5, "m": [], "seed": 3}})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradridge", "curve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "numerical failure: NonFiniteInput: sym_eig input has NaN or infinite entries"
+    ]
 
 
 class _NanJacobianAt(LinearModel):

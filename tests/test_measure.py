@@ -24,6 +24,15 @@ def test_stream_determinism():
     np.testing.assert_array_equal(a, b)
 
 
+def test_stream_seed_must_fit_in_64_bits():
+    # Philox keys on 64 bits; a wider or negative seed would alias another
+    top = SampleStream(2**64 - 1).standard_normal(8)
+    assert np.abs(top - SampleStream(0).standard_normal(8)).max() > 1e-6
+    for seed in (2**64, 2**64 + 7, -1):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SampleStream(seed)
+
+
 def test_stream_seed_and_id_separate():
     base = SampleStream(1, stream_id=0).standard_normal(64)
     for other in (SampleStream(2, stream_id=0), SampleStream(1, stream_id=1)):

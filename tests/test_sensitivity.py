@@ -251,21 +251,34 @@ def test_report_assembly_and_json():
     assert json.loads(json.dumps(data)) == data
 
 
-def test_report_bounds_divide_by_each_groups_own_variance():
-    # s_hat and t_hat of group k divide by group k's variance estimate, so
-    # its sandwich must too; the report's own total_variance is group 0's
+def test_report_groups_share_one_variance():
+    # every group divides by the one variance estimate of the shared base,
+    # so the sandwich of each group uses that same number
     model = LinearModel(np.array([[2.0, 1.0, 0.5]]))
     mu = GaussianMeasure.standard(3)
     groups = [[1], [2], [2, 3]]
     report = build_sensitivity_report(
         model, mu, groups, SampleStream(24), n_outer=200, m_inner=8, dgsm_samples=50
     )
-    assert report.total_variance == report.estimates[0].total_variance
-    for k in range(1, len(groups)):
-        variance = report.estimates[k].total_variance
-        assert variance != report.total_variance
-        bounds = sobol_bounds(report.dgsm_values, mu, groups[k], variance)
+    for k, group in enumerate(groups):
+        assert report.estimates[k].total_variance == report.total_variance
+        assert report.estimates[k].total_variance_se == report.estimates[0].total_variance_se
+        bounds = sobol_bounds(report.dgsm_values, mu, group, report.total_variance)
         assert (report.s_lower[k], report.t_upper[k], report.vacuous[k]) == bounds
+
+
+def test_report_groups_match_single_group_estimates_bitwise():
+    # sobol_estimates is the one-group case of the report's estimator, on the
+    # report's tag-1 stream, so adding or reordering groups moves no digit
+    model = LinearModel(np.array([[2.0, -1.0, 0.5, 0.3], [0.3, 1.0, 1.5, -0.7]]),
+                        SpdMatrix([[2.0, 0.5], [0.5, 1.0]]))
+    mu = GaussianMeasure(np.zeros(4), SpdMatrix.diagonal([1.0, 2.0, 0.5, 1.5]))
+    groups = [[1], [2, 4], [3], [1, 2, 3, 4], []]
+    report = build_sensitivity_report(model, mu, groups, SampleStream(27), n_outer=300,
+                                      dgsm_samples=10)
+    for group, est in zip(groups, report.estimates):
+        alone = sobol_estimates(model, mu, group, SampleStream(27).substream(1), n_outer=300)
+        assert est == alone
 
 
 def test_report_without_groups_fails_before_any_jacobian():
@@ -283,116 +296,138 @@ def test_report_without_groups_fails_before_any_jacobian():
 
 
 class _NanPast(SumOfSinesModel):
-    """A sine sum whose output is NaN wherever x_1 exceeds ``cut``."""
+    """A sine sum whose output is NaN wherever x . ``weights`` exceeds ``cut``."""
 
-    def __init__(self, cut):
+    def __init__(self, cut, weights=(1.0, 0.0)):
         super().__init__([1.0, 0.5], [1.0, 2.0])
         self.cut = cut
+        self.weights = np.array(weights)
 
     def eval_batch(self, xs):
         out = super().eval_batch(xs)
-        out[xs[:, 0] > self.cut] = np.nan
+        out[xs @ self.weights > self.cut] = np.nan
         return out
 
 
-def _sobol(model, mu, root, through_report, n_outer, inner):
+def _base(mu, root, n_outer):
+    """The base rows A and B that group {1} gets from ``root``, called
+    directly on ``root.substream(1)`` or through build_sensitivity_report."""
+    base = root.substream(1)
+    return sample(mu, base.substream(0), n_outer), sample(mu, base.substream(1), n_outer)
+
+
+def _hits(mu, root, n_outer, bad):
+    """Per base row: does ``bad`` hold at A, at B or at the point that takes
+    coordinate 1 from B and the rest from A?"""
+    a, b = _base(mu, root, n_outer)
+    mixed = np.where(IndexGroup((1,)).mask(mu.dim), b, a)
+    return bad(a), bad(b), bad(mixed)
+
+
+def _sobol(model, mu, root, through_report, n_outer, threads=1):
     """sobol_estimates of group {1} on the stream that group gets, called
     directly or through build_sensitivity_report."""
     if through_report:
         return build_sensitivity_report(model, mu, [[1]], root, n_outer=n_outer,
-                                        m_inner=inner, dgsm_samples=10)
-    return sobol_estimates(model, mu, [1], root.substream(1), n_outer=n_outer, m_inner=inner)
+                                        dgsm_samples=10, threads=threads)
+    return sobol_estimates(model, mu, [1], root.substream(1), n_outer=n_outer, threads=threads)
 
 
 @pytest.mark.parametrize("through_report", [False, True])
 def test_sobol_reports_first_non_finite_outer_output(through_report):
     mu = GaussianMeasure.standard(2)
     root = SampleStream(25)
-    xs = sample(mu, root.substream(1).substream(0), 40)
-    first = int(np.argmax(xs[:, 0] > 1.0))
-    assert xs[first, 0] > 1.0
+    at_a, at_b, _ = _hits(mu, root, 40, lambda x: x[:, 0] > 1.0)
+    first = int(np.argmax(at_a | at_b))
+    assert at_a[first] or at_b[first]
     with pytest.raises(ModelEvaluationFailure,
                        match=f"non-finite output at sample {first}$") as err:
-        _sobol(_NanPast(1.0), mu, root, through_report, n_outer=40, inner=4)
+        _sobol(_NanPast(1.0), mu, root, through_report, n_outer=40)
     assert err.value.sample_index == first
 
 
+def _mixed_only_cut(mu, root, n_outer):
+    """A cut on x_1 - x_2 that no row of A or B passes, and the first base row
+    whose mixed point passes it."""
+    a, b = _base(mu, root, n_outer)
+    cut = float(max((a[:, 0] - a[:, 1]).max(), (b[:, 0] - b[:, 1]).max()))
+    _, _, at_mixed = _hits(mu, root, n_outer, lambda x: x[:, 0] - x[:, 1] > cut)
+    first = int(np.argmax(at_mixed))
+    assert at_mixed[first]
+    return cut, first
+
+
 @pytest.mark.parametrize("through_report", [False, True])
-def test_sobol_reports_outer_index_of_non_finite_inner_average(through_report):
-    # the outer draws all stay below the cut, so only the total index's inner
-    # loop, which redraws x_1, can meet a NaN
+def test_sobol_reports_base_index_of_non_finite_mixed_output(through_report):
+    # f(A) and f(B) are finite; only a point that takes x_1 from B and x_2
+    # from A meets a NaN, and the error names that point's base row
     mu = GaussianMeasure.standard(2)
-    root = SampleStream(26)
-    n_outer, inner = 40, 8
-    cut = float(sample(mu, root.substream(1).substream(0), n_outer)[:, 0].max())
-    ys = sample(mu, root.substream(1).substream(2), n_outer * inner).reshape(n_outer, inner, 2)
-    hit = (ys[:, :, 0] > cut).any(axis=1)
-    first = int(np.argmax(hit))
-    assert hit[first]
+    root = SampleStream(22)
+    cut, first = _mixed_only_cut(mu, root, 40)
     with pytest.raises(ModelEvaluationFailure,
-                       match=f"non-finite conditional average at sample {first}$") as err:
-        _sobol(_NanPast(cut), mu, root, through_report, n_outer=n_outer, inner=inner)
+                       match=f"non-finite output at sample {first}$") as err:
+        _sobol(_NanPast(cut, (1.0, -1.0)), mu, root, through_report, n_outer=40)
     assert err.value.sample_index == first
 
 
 class _HugePast(LinearModel):
-    """f(x) = x_1, but 1e300 wherever x_2 exceeds 4: every output is finite,
-    while the squared residual of a conditional average overflows."""
+    """f(x) = x_1, but 1e77 wherever x_2 exceeds 3: the variance stays small
+    enough to square, while one squared difference is too large to average."""
 
     def __init__(self):
         super().__init__(np.array([[1.0, 0.0, 0.0]]))
 
     def eval_batch(self, xs):
         out = super().eval_batch(xs)
-        out[xs[:, 1] > 4.0] = 1e300
+        out[xs[:, 1] > 3.0] = 1e77
         return out
+
+
+def _first_huge(mu, root, n_outer):
+    # group {1} takes x_2 from A, so its mixed points add no new hit
+    at_a, at_b, _ = _hits(mu, root, n_outer, lambda x: x[:, 1] > 3.0)
+    first = int(np.argmax(at_a | at_b))
+    assert at_a[first] or at_b[first]
+    return first
 
 
 @pytest.mark.parametrize("through_report", [False, True])
 def test_sobol_reports_outer_index_of_overflowing_residual(through_report):
     mu = GaussianMeasure.standard(3)
     root = SampleStream(7)
-    n_outer, inner = 2000, 64
-    # the closed index keeps x_1 and redraws x_2, so a row overflows when its
-    # outer draw or any of its inner draws has x_2 > 4
-    xs = sample(mu, root.substream(1).substream(0), n_outer)
-    ys = sample(mu, root.substream(1).substream(1), n_outer * inner).reshape(n_outer, inner, 3)
-    hit = (xs[:, 1] > 4.0) | (ys[:, :, 1] > 4.0).any(axis=1)
-    first = int(np.argmax(hit))
-    assert hit[first]
+    first = _first_huge(mu, root, 2000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteInput, match=f"at outer sample {first} is too large"):
-            _sobol(_HugePast(), mu, root, through_report, n_outer=n_outer, inner=inner)
+        with pytest.raises(NonFiniteInput, match=f"at base sample {first} is too large"):
+            _sobol(_HugePast(), mu, root, through_report, n_outer=2000)
 
 
-def _one_shot_sobol(model, mu, tau, stream, n_outer, inner):
-    """The nested estimator with each group's whole inner design drawn and
-    evaluated at once: the reference the blocked estimator must match bit for
-    bit. Returns the GroupEstimate fields after ``group``."""
-    keep = IndexGroup.coerce(tau).mask(mu.dim)
+def _one_shot_sobol(model, mu, tau, stream, n_outer):
+    """The shared-base estimator with the whole base drawn and evaluated at
+    once: the reference the blocked estimator must match bit for bit. Returns
+    the GroupEstimate fields after ``group``."""
+    mask = IndexGroup.coerce(tau).mask(mu.dim)
     metric = model.output_metric.entries
-    xs = sample(mu, stream.substream(0), n_outer)
-    f_xs = model.eval_batch(xs)
-    centered = f_xs - f_xs.mean(axis=0)
-    dev = np.einsum("kn,nm,km->k", centered, metric, centered)
-    total_var = float(np.sum(dev) / (n_outer - 1))
-    total_se = float(np.std(dev, ddof=1) / np.sqrt(n_outer))
-    nums = []
-    for mask, tag in ((keep, 1), (~keep, 2)):
-        ys = sample(mu, stream.substream(tag), n_outer * inner).reshape(n_outer, inner, mu.dim)
-        pts = np.where(mask, xs[:, None, :], ys).reshape(-1, mu.dim)
-        ghat = model.eval_batch(pts).reshape(n_outer, inner, model.output_dim).mean(axis=1)
-        w = np.einsum("kn,nm,km->k", f_xs - ghat, metric, f_xs - ghat)
-        scale = 1.0 + 1.0 / inner
-        nums.append((float(np.mean(w)) / scale,
-                     float(np.std(w, ddof=1) / np.sqrt(n_outer)) / scale))
-    (num_s, se_s), (num_t, se_t) = nums
-    return (1.0 - num_s / total_var,
-            np.hypot(se_s / total_var, num_s * total_se / total_var**2),
-            num_t / total_var,
-            np.hypot(se_t / total_var, num_t * total_se / total_var**2),
-            total_var, total_se)
+
+    def sq(diff):
+        return np.einsum("kn,nm,km->k", diff, metric, diff)
+
+    a = sample(mu, stream.substream(0), n_outer)
+    b = sample(mu, stream.substream(1), n_outer)
+    f_a, f_b = model.eval_batch(a), model.eval_batch(b)
+    f_ab = model.eval_batch(np.where(mask, b, a))
+    f = np.concatenate([f_a, f_b])
+    dev = sq(f - f.mean(axis=0))
+    total_var = float(np.sum(dev) / (2 * n_outer - 1))
+    per_row = 0.5 * (dev[:n_outer] + dev[n_outer:])
+    total_se = float(np.std(per_row, ddof=1) / np.sqrt(n_outer))
+    fields = []
+    for terms in (0.5 * sq(f_b - f_ab), 0.5 * sq(f_a - f_ab)):
+        r = float(np.mean(terms)) / total_var
+        fields.append((r, float(np.std(terms - r * per_row, ddof=1) / np.sqrt(n_outer))
+                       / total_var))
+    (s_rest, s_se), (t_hat, t_se) = fields
+    return 1.0 - s_rest, s_se, t_hat, t_se, total_var, total_se
 
 
 def _fields(est):
@@ -400,11 +435,13 @@ def _fields(est):
             est.total_variance_se)
 
 
-# d=3 and M=5 make M*d odd; 2502 outer rows end on a partial block both at the
-# default block size (1092 rows) and at 4 rows
+# d=3 makes a base row 3 normals; 6002 rows end on a partial block both at the
+# default block size (2728 rows) and at 4 rows. The linear model has two
+# outputs and a metric that is not the identity.
 _BLOCKED = [
     (SumOfSinesModel([1.0, 0.5, 0.8], [1.0, 2.0, 0.7]), [1, 3]),
-    (LinearModel(np.array([[2.0, -1.0, 0.5], [0.3, 1.0, 1.5]])), [2]),
+    (LinearModel(np.array([[2.0, -1.0, 0.5], [0.3, 1.0, 1.5]]),
+                 SpdMatrix([[2.0, 0.5], [0.5, 1.0]])), [2]),
 ]
 
 
@@ -417,34 +454,20 @@ def test_blocked_sobol_matches_the_one_shot_draw_bitwise(monkeypatch, model, tau
     if block_normals is not None:
         monkeypatch.setattr(sensitivity, "_BLOCK_NORMALS", block_normals)
     mu = GaussianMeasure(np.zeros(3), SpdMatrix.diagonal([1.0, 2.0, 0.5]))
-    n_outer, inner = 2502, 5
-    assert n_outer % sensitivity._block_rows(inner * 3) != 0
-    est = sobol_estimates(model, mu, tau, SampleStream(31), n_outer=n_outer, m_inner=inner,
-                          threads=threads)
-    assert _fields(est) == _one_shot_sobol(model, mu, tau, SampleStream(31), n_outer, inner)
-
-
-@pytest.mark.parametrize("threads", [1, 3])
-def test_conditional_residual_leaves_the_stream_where_one_draw_would(threads):
-    model = SumOfSinesModel([1.0, 0.5, 0.8], [1.0, 2.0, 0.7])
-    mu = GaussianMeasure.standard(3)
-    xs = sample(mu, SampleStream(33), 2502)
-    stream = SampleStream(34, stream_id=2, counter=11)
-    sensitivity._conditional_residual(model, mu, np.array([True, False, True]), xs,
-                                      model.eval_batch(xs), stream, 5, threads)
-    long = SampleStream(34, stream_id=2, counter=11)
-    long.standard_normal(2502 * 5 * 3)
-    assert stream.counter == long.counter
+    n_outer = 6002
+    assert n_outer % sensitivity._block_rows(2 * 3) != 0
+    est = sobol_estimates(model, mu, tau, SampleStream(31), n_outer=n_outer, threads=threads)
+    assert _fields(est) == _one_shot_sobol(model, mu, tau, SampleStream(31), n_outer)
 
 
 def test_sobol_memory_peak_stays_bounded_at_default_sizes():
-    # one draw of the whole inner design held about 70 MiB of temporaries
-    # here (2000 x 64 points in 16 dimensions, 16 MiB per array)
+    # one draw of the whole base peaked at about 13 MiB here (2 x 20000
+    # points in 16 dimensions, 2.4 MiB per array); the blocks stay near 2 MiB
     mu = GaussianMeasure.standard(16)
     model = SumOfSinesModel(np.ones(16), np.linspace(0.5, 2.0, 16))
     tracemalloc.start()
     try:
-        sobol_estimates(model, mu, [1, 2], SampleStream(35), n_outer=2000, m_inner=64)
+        sobol_estimates(model, mu, [1, 2], SampleStream(35), n_outer=20000, m_inner=64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -453,29 +476,45 @@ def test_sobol_memory_peak_stays_bounded_at_default_sizes():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sobol_guards_name_the_global_outer_index_in_any_block(monkeypatch, threads):
-    # blocks of 4 outer rows, so each first bad row sits past the first block
+    # blocks of 4 base rows, so each first bad row sits past the first block
     monkeypatch.setattr(sensitivity, "_BLOCK_NORMALS", 1)
     mu = GaussianMeasure.standard(2)
-    root = SampleStream(26)
-    n_outer, inner = 40, 8
-    cut = float(sample(mu, root.substream(1).substream(0), n_outer)[:, 0].max())
-    ys = sample(mu, root.substream(1).substream(2), n_outer * inner).reshape(n_outer, inner, 2)
-    first = int(np.argmax((ys[:, :, 0] > cut).any(axis=1)))
+    root = SampleStream(22)
+    cut, first = _mixed_only_cut(mu, root, 40)
     assert first >= 4
-    with pytest.raises(ModelEvaluationFailure,
-                       match=f"non-finite conditional average at sample {first}$"):
-        sobol_estimates(_NanPast(cut), mu, [1], root.substream(1), n_outer=n_outer,
-                        m_inner=inner, threads=threads)
+    with pytest.raises(ModelEvaluationFailure, match=f"non-finite output at sample {first}$"):
+        _sobol(_NanPast(cut, (1.0, -1.0)), mu, root, False, n_outer=40, threads=threads)
 
     mu = GaussianMeasure.standard(3)
     root = SampleStream(7)
-    n_outer, inner = 2000, 64
-    xs = sample(mu, root.substream(1).substream(0), n_outer)
-    ys = sample(mu, root.substream(1).substream(1), n_outer * inner).reshape(n_outer, inner, 3)
-    first = int(np.argmax((xs[:, 1] > 4.0) | (ys[:, :, 1] > 4.0).any(axis=1)))
+    first = _first_huge(mu, root, 2000)
     assert first >= 4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteInput, match=f"at outer sample {first} is too large"):
-            sobol_estimates(_HugePast(), mu, [1], root.substream(1), n_outer=n_outer,
-                            m_inner=inner, threads=threads)
+        with pytest.raises(NonFiniteInput, match=f"at base sample {first} is too large"):
+            _sobol(_HugePast(), mu, root, False, n_outer=2000, threads=threads)
+
+
+def _sines_index(amplitudes, frequencies):
+    """Closed-form Sobol' index of each coordinate of sum a_i sin(w_i x_i)
+    under N(0, I); closed and total coincide for an additive model."""
+    var = amplitudes**2 * (1.0 - np.exp(-2.0 * frequencies**2)) / 2.0
+    return var / var.sum()
+
+
+def test_sobol_standard_errors_are_calibrated_on_16_sines():
+    # over 60 seeds x 16 groups at the benchmark's size, the z-scores of both
+    # indices against the closed form have a root mean square near 1
+    amplitudes, frequencies = np.linspace(1.0, 0.1, 16), np.linspace(0.5, 2.0, 16)
+    model = SumOfSinesModel(amplitudes, frequencies)
+    mu = GaussianMeasure.standard(16)
+    index = _sines_index(amplitudes, frequencies)
+    z_s, z_t = [], []
+    for seed in range(60):
+        report = build_sensitivity_report(model, mu, [[i] for i in range(1, 17)],
+                                          SampleStream(seed), n_outer=2000, dgsm_samples=1)
+        for est, exact in zip(report.estimates, index):
+            z_s.append((est.s_hat - exact) / est.s_se)
+            z_t.append((est.t_hat - exact) / est.t_se)
+    for z in (z_s, z_t):
+        assert 0.8 <= np.sqrt(np.mean(np.square(z))) <= 1.2
