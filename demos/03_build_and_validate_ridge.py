@@ -5,7 +5,7 @@ Building a ridge approximation and validating it
 The full pipeline on a quadratic-form model: estimate the gradient
 second-moment matrix from samples, read the spectrum to pick a rank,
 build the sampled conditional expectation along the optimal projector,
-and validate the certified bound with independent Monte Carlo.  Along
+and validate the estimated bound with independent Monte Carlo.  Along
 the way, the cost of using M conditioning samples instead of the exact
 conditional expectation is measured: the expected squared error inflates
 by exactly 1 + 1/M on a linear model.
@@ -44,11 +44,11 @@ stream = SampleStream(2026)
 est = estimate_h(model, mu, stream.substream(1), count=4000)
 report = spectrum_report(est, mu)
 print("generalized eigenvalues:", np.array2string(report.eigenvalues, precision=3))
-print("certified tails by rank:", np.array2string(report.tail_sums, precision=3))
+print("estimated tails by rank:", np.array2string(report.tail_sums, precision=3))
 
-# Pick the smallest rank certifying an error of 0.5 or better.
+# Pick the smallest rank whose estimated bound is an error of 0.5 or better.
 rank = select_rank(report, eps=0.5)
-print("smallest rank certifying error <= 0.5:", rank)
+print("smallest rank with estimated error <= 0.5:", rank)
 print()
 
 # Build the approximation with M = 20 conditioning samples and validate.
@@ -56,7 +56,7 @@ p = optimal_projector(est, mu, rank)
 approx = build_ridge(model, mu, p, stream.substream(2), profile_samples=20)
 mse, se = validate_error(approx, model, mu, stream.substream(3), count=20000)
 bound = error_bound(p, est, mu)
-print(f"certified bound on the squared error: {bound:.4f}")
+print(f"estimated bound on the squared error: {bound:.4f}")
 print(f"validated squared error:              {mse:.4f} +/- {se:.4f}")
 # The bound covers the exact conditional expectation; the sampled profile
 # adds a 1 + 1/M factor on top, so expect mse <~ bound * (1 + 1/20).

@@ -44,20 +44,20 @@ for tag, scenario in enumerate(("full_field", "point_pair")):
     lam = report.eigenvalues
     print(f"generalized spectrum decay lambda_1 / lambda_20: {lam[0] / lam[19]:.1f}")
 
-    # Ranks needed to certify a fraction of the total gradient energy.
+    # Ranks whose estimated tail is a fraction of the total gradient energy.
     total = report.tail_sums[0]
     for frac in (0.1, 0.01):
         r_opt = int(np.searchsorted(-report.tail_sums, -frac * total))
-        print(f"rank certifying {frac:.0%} residual energy: {r_opt}")
+        print(f"rank leaving {frac:.0%} residual energy: {r_opt}")
 
     # Optimal projector vs Karhunen-Loeve input truncation at rank 10:
     # same rank, same machinery, different subspace.
     rank = 10
     p_opt = optimal_projector(est, mu, rank)
     p_kl = kl_projector(mu, rank)
-    print(f"rank-{rank} certified bound, gradient-informed: "
+    print(f"rank-{rank} estimated bound, gradient-informed: "
           f"{error_bound(p_opt, est, mu):.3e}")
-    print(f"rank-{rank} certified bound, Karhunen-Loeve:    "
+    print(f"rank-{rank} estimated bound, Karhunen-Loeve:    "
           f"{error_bound(p_kl, est, mu):.3e}")
 
     # Validate the gradient-informed bound with an actual ridge build.

@@ -21,7 +21,7 @@ from gradridge.cli import main
 scratch = tempfile.TemporaryDirectory(prefix="gradridge_demo_")
 workdir = pathlib.Path(scratch.name)
 
-# A small error-curve study on a quadratic model: certified bounds and
+# A small error-curve study on a quadratic model: estimated bounds and
 # validated errors along a rank ladder, optimal projector vs K-L.
 config = {
     "model": {"kind": "quadratic", "matrix": [[2.0, 0.5, 0.0],

@@ -1,5 +1,5 @@
 """Gradient-based ridge approximation for vector-valued functions of Gaussian
-inputs: certified low-dimensional projections, error bounds, and global
+inputs: low-dimensional projections, gradient-based error bounds, and global
 sensitivity indices."""
 
 __version__ = "0.1.0"
@@ -20,15 +20,14 @@ from .errors import (
     NotPositiveDefinite,
     NotPositiveSemidefinite,
     NotSigmaOrthogonal,
-    NuggetEscalationWarning,
     RankOutOfRange,
     SolverFailure,
     ZeroVariance,
 )
 from .linalg import (
+    EigenRoot,
     GeneralizedEigenPairs,
     SpdMatrix,
-    cholesky,
     generalized_eig,
     sym_eig,
     trace_quadratic,

@@ -10,11 +10,7 @@ class DimensionMismatch(GradRidgeError):
 
 
 class NotPositiveDefinite(GradRidgeError):
-    """Cholesky pivot failure. Carries the 0-based index of the bad pivot."""
-
-    def __init__(self, pivot_index, message=None):
-        self.pivot_index = pivot_index
-        super().__init__(message or f"matrix is not positive definite (pivot {pivot_index})")
+    """A matrix that must be SPD has its least eigenvalue at or below the floor."""
 
 
 class NotPositiveSemidefinite(GradRidgeError):
@@ -87,7 +83,3 @@ class NonUniqueProjectorWarning(UserWarning):
 
 class InputClampedWarning(UserWarning):
     """Input coordinates were clamped to the admissible range before use."""
-
-
-class NuggetEscalationWarning(UserWarning):
-    """A covariance needed a larger diagonal nugget than the default to factor."""

@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__
 from .errors import ConfigError, DimensionMismatch, NonFiniteInput, NotPositiveDefinite
-from .linalg import SpdMatrix, cholesky, generalized_eig
+from .linalg import SpdMatrix, generalized_eig
 from .measure import GaussianMeasure, SampleStream
 from .models import LinearModel, QuadraticFormModel, SumOfSinesModel
 from .pde import SCENARIOS, DiffusionModel, Mesh2D, build_field_covariance
@@ -234,11 +234,11 @@ def _random_matrix(shape, seed, scale=1.0):
 
 
 def _factored(matrix, what):
-    """``matrix`` with its Cholesky factor cached, or a ConfigError: a
-    covariance or metric the config supplies that is not positive definite is
-    a config problem, not a numerical failure later in the run."""
+    """``matrix`` with its root cached, or a ConfigError: a covariance or
+    metric the config supplies that is not positive definite is a config
+    problem, not a numerical failure later in the run."""
     try:
-        cholesky(matrix)
+        matrix.root()
     except (NotPositiveDefinite, NonFiniteInput) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
     return matrix
@@ -358,14 +358,15 @@ def _prepare(cfg, out_dir):
 
 
 def run_error_curve(cfg, out_dir, threads=1):
-    """Bound-versus-error curve: per rank the certified bounds for the optimal
-    and covariance-truncation projectors, per (rank, M) the validated Monte
-    Carlo error of the sampled ridge profile.
+    """Bound-versus-error curve: per rank the error bounds of the optimal and
+    covariance-truncation projectors under the estimated H, per (rank, M) the
+    validated Monte Carlo error of the sampled ridge profile.
 
     Both bound columns are read off the spectra: the optimal bound is the
     generalized eigenvalue tail sum, the K-L bound a tail sum over the
-    Karhunen-Loeve basis. A projector is built only for a rank whose ridge
-    is validated.
+    Karhunen-Loeve basis. The optimal bound estimates the true optimal bound
+    and is biased low (Ky Fan), so it is not a certificate. A projector is
+    built only for a rank whose ridge is validated.
     """
     model, mu, root = _prepare(cfg, out_dir)
     ranks = _ranks(cfg, mu.dim)
@@ -375,8 +376,8 @@ def run_error_curve(cfg, out_dir, threads=1):
     opt_sq = tail_sums(pairs.values)
     kl_sq = np.full(mu.dim + 1, np.nan)
     if cfg["comparisons"]["kl"]:
-        kl_vals, kl_vecs = mu._kl_eig()
-        kl_sq = basis_error_bounds(est, kl_vecs * np.sqrt(kl_vals))
+        cov_root = mu.cov.root()
+        kl_sq = basis_error_bounds(est, cov_root.vectors * np.sqrt(cov_root.values))
     m_list = sampling["m"]
     rows = []
     for r in ranks:
@@ -455,7 +456,7 @@ def run_spectrum(cfg, out_dir, threads=1):
         rows,
     )
     n_modes = min(6, mu.dim)
-    _, kl_vecs = mu._kl_eig()
+    kl_vecs = mu.cov.root().vectors
     header, coords = ["index"], np.empty((mu.dim, 0))
     if isinstance(model, DiffusionModel):
         header, coords = header + ["cell_center_x", "cell_center_y"], model.mesh.cell_centers

@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra kernels.
 
-Cholesky (LAPACK dpotrf) and the symmetric eigendecomposition (scipy.linalg.eigh)
-in float64, plus the generalized symmetric-definite eigenproblem reduced through
-the Cholesky factor of the covariance. Every kernel rejects NaN or infinite
-input with NonFiniteInput rather than returning a silently wrong answer.
+The symmetric eigendecomposition (scipy.linalg.eigh) in float64, the square
+root of an SPD matrix that one such decomposition gives, and the generalized
+symmetric-definite eigenproblem reduced through that root. Every kernel
+rejects NaN or infinite input with NonFiniteInput rather than returning a
+silently wrong answer.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg import LinAlgError, eigh
 
 from .errors import (
     DimensionMismatch,
@@ -25,8 +25,9 @@ from .errors import (
 
 __all__ = [
     "SpdMatrix",
+    "EigenRoot",
     "GeneralizedEigenPairs",
-    "cholesky",
+    "PD_FLOOR",
     "sym_eig",
     "generalized_eig",
     "trace_quadratic",
@@ -42,17 +43,21 @@ def _as_square(a):
     return m
 
 
+# An SPD matrix's least eigenvalue must exceed dim * PD_FLOOR * max(diag).
+PD_FLOOR = 1e-14
+
+
 class SpdMatrix:
-    """Symmetric matrix wrapper with a write-once Cholesky cache.
+    """Symmetric matrix wrapper with a write-once square-root cache.
 
     Construction symmetrizes the input as (A + A^T)/2, so ``entries`` is exactly
     symmetric and read-only afterwards. Positive definiteness is not checked
-    here; it surfaces when a Cholesky factor is first requested. The factor is
-    cached on first success and never recomputed, which makes instances safe to
-    share between worker threads.
+    here; it surfaces when ``root`` is first called. The root is cached on
+    first success and never recomputed, which makes instances safe to share
+    between worker threads.
     """
 
-    __slots__ = ("dim", "entries", "_chol")
+    __slots__ = ("dim", "entries", "_root")
 
     def __init__(self, entries):
         m = _as_square(entries)
@@ -60,7 +65,7 @@ class SpdMatrix:
         sym.setflags(write=False)
         self.dim = sym.shape[0]
         self.entries = sym
-        self._chol = None
+        self._root = None
 
     def __repr__(self):
         return f"SpdMatrix(dim={self.dim})"
@@ -72,6 +77,51 @@ class SpdMatrix:
     @classmethod
     def diagonal(cls, values):
         return cls(np.diag(np.asarray(values, dtype=float)))
+
+    def root(self):
+        """The EigenRoot of this matrix, from one eigendecomposition, cached.
+
+        NaN or infinite entries raise NonFiniteInput; a least eigenvalue at or
+        below dim * PD_FLOOR * max(diag) raises NotPositiveDefinite.
+        """
+        if self._root is None:
+            values, vectors = sym_eig(self.entries)
+            floor = self.dim * PD_FLOOR * max(float(np.max(np.diag(self.entries))), 0.0)
+            if float(values[-1]) <= floor:
+                raise NotPositiveDefinite(
+                    f"not positive definite: least eigenvalue {values[-1]:.3e} <= {floor:.3e}")
+            self._root = EigenRoot(values, vectors)
+        return self._root
+
+
+class EigenRoot:
+    """S = Q diag(sqrt(values)) Q^T, the symmetric square root of an SPD
+    matrix Sigma = Q diag(values) Q^T, so S S^T = Sigma.
+
+    ``values`` are descending (stable order among ties) and the columns of
+    ``vectors`` are the orthonormal Q; both are the Karhunen-Loeve pairs when
+    Sigma is a covariance. For a diagonal Sigma, Q is a permutation and S is
+    exactly diag(sqrt(diag(Sigma))). All three arrays are read-only.
+    """
+
+    __slots__ = ("values", "vectors", "factor")
+
+    def __init__(self, values, vectors):
+        factor = (vectors * np.sqrt(values)) @ vectors.T
+        for a in (values, vectors, factor):
+            a.setflags(write=False)
+        self.values = values
+        self.vectors = vectors
+        self.factor = factor
+
+    def whiten(self, b):
+        """S^{-1} b, which is also S^{-T} b: Q ((Q^T b) / sqrt(values)).
+
+        Formed on b^T, so the result is Fortran-ordered: the layout of a
+        projector's dual picks the BLAS kernel, and so the digits, of ``apply``.
+        """
+        q = self.vectors
+        return (((b.T @ q) / np.sqrt(self.values)) @ q.T).T
 
 
 def _entries(a):
@@ -85,40 +135,6 @@ def _require_finite(m, what):
     if not np.all(np.isfinite(m)):
         raise NonFiniteInput(f"{what} input has NaN or infinite entries")
     return m
-
-
-def cholesky(a):
-    """Lower-triangular L with L @ L.T equal to ``a`` (LAPACK dpotrf).
-
-    ``a`` may be an SpdMatrix (the factor is cached on it) or a plain array.
-    A pivot L[j, j]^2 at or below dim * 1e-14 * max(diag), or one where dpotrf
-    stops, raises NotPositiveDefinite carrying the first such 0-based index.
-    NaN or infinite entries raise NonFiniteInput.
-    """
-    holder = None
-    if isinstance(a, SpdMatrix):
-        if a._chol is not None:
-            return a._chol
-        holder = a
-        m = a.entries
-    else:
-        m = _entries(a)
-    _require_finite(m, "cholesky")
-    d = m.shape[0]
-    tol = d * 1e-14 * max(float(np.max(np.diag(m))), 0.0)
-    low, info = dpotrf(m, lower=1, clean=1)
-    # On failure dpotrf has factored the leading info - 1 columns; a pivot
-    # there may already sit under the floor.
-    done = info - 1 if info > 0 else d
-    below = np.flatnonzero(np.diag(low)[:done] ** 2 <= tol)
-    if below.size:
-        raise NotPositiveDefinite(int(below[0]))
-    if info > 0:
-        raise NotPositiveDefinite(done)
-    low.setflags(write=False)
-    if holder is not None:
-        holder._chol = low
-    return low
 
 
 def sym_eig(a):
@@ -159,20 +175,23 @@ class GeneralizedEigenPairs:
 def generalized_eig(h, sigma):
     """Solve H v = lambda Sigma^{-1} v for SPD Sigma and symmetric PSD H.
 
-    With Sigma = L L^T the problem reduces to the ordinary symmetric
-    eigenproblem L^T H L w = lambda w, with v = L w and its dual
-    Sigma^{-1} v = L^{-T} w; Sigma^{-1} is never formed.
+    With S the root of Sigma (S S^T = Sigma) the problem reduces to the
+    ordinary symmetric eigenproblem S^T H S w = lambda w, with v = S w and its
+    dual Sigma^{-1} v = S^{-T} w; Sigma^{-1} is never formed.
     Eigenvalues in [-1e-10 * lambda_max, 0) are clamped to zero; anything more
     negative raises NotPositiveSemidefinite; a NaN or infinite entry in either
     matrix raises NonFiniteInput.
     """
     hm = _require_finite(_entries(h), "generalized_eig")
-    lowt = cholesky(sigma)
-    if hm.shape[0] != lowt.shape[0]:
+    if not isinstance(sigma, SpdMatrix):
+        sigma = SpdMatrix(sigma)
+    if hm.shape[0] != sigma.dim:
         raise DimensionMismatch(
-            f"H is {hm.shape[0]}x{hm.shape[0]} but Sigma is {lowt.shape[0]}x{lowt.shape[0]}"
+            f"H is {hm.shape[0]}x{hm.shape[0]} but Sigma is {sigma.dim}x{sigma.dim}"
         )
-    reduced = lowt.T @ hm @ lowt
+    root = sigma.root()
+    s = root.factor
+    reduced = s.T @ hm @ s
     values, w = sym_eig(reduced)
     lam_max = max(float(values[0]), 0.0)
     clamp = 1e-10 * lam_max
@@ -181,8 +200,7 @@ def generalized_eig(h, sigma):
             f"generalized eigenvalue {values[-1]:.3e} below -1e-10 * lambda_max"
         )
     values = np.where(values < 0.0, 0.0, values)
-    duals = solve_triangular(lowt, w, trans="T", lower=True)
-    return GeneralizedEigenPairs(values=values, vectors=lowt @ w, duals=duals)
+    return GeneralizedEigenPairs(values=values, vectors=s @ w, duals=root.whiten(w))
 
 
 def trace_quadratic(sigma, h, p):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, RankOutOfRange
-from .linalg import SpdMatrix, cholesky, sym_eig
+from .linalg import SpdMatrix
 from .projector import ORTH_SIGMA_INVERSE, euclidean_projector, require_sigma_orthogonal
 
 __all__ = [
@@ -104,13 +104,14 @@ class SampleStream:
 
 
 class GaussianMeasure:
-    """N(mean, cov) with the lower Cholesky factor of cov kept for sampling.
+    """N(mean, cov). The one square root of cov, ``cov.root()``, serves
+    sampling, whitening and the Karhunen-Loeve pairs.
 
-    The covariance must be strictly positive definite; the factorization runs
-    at construction so a bad covariance fails fast.
+    The covariance must be strictly positive definite; the root is taken at
+    construction so a bad covariance fails fast.
     """
 
-    __slots__ = ("mean", "cov", "sampler_factor", "_kl_cache")
+    __slots__ = ("mean", "cov")
 
     def __init__(self, mean, cov):
         if not isinstance(cov, SpdMatrix):
@@ -124,8 +125,7 @@ class GaussianMeasure:
         mean.setflags(write=False)
         self.mean = mean
         self.cov = cov
-        self.sampler_factor = cholesky(cov)
-        self._kl_cache = None
+        cov.root()
 
     @classmethod
     def standard(cls, dim):
@@ -146,21 +146,15 @@ class GaussianMeasure:
         c = self.cov.entries
         return bool(np.count_nonzero(c - np.diag(np.diag(c))) == 0)
 
-    def _kl_eig(self):
-        # Write-once cache; the measure is immutable so this is thread-safe
-        # in the same sense as the Cholesky cache.
-        if self._kl_cache is None:
-            self._kl_cache = sym_eig(self.cov.entries)
-        return self._kl_cache
-
 
 def sample(mu, stream, count):
-    """``count`` independent draws of mu as rows: m + L z with z ~ N(0, I)."""
+    """``count`` independent draws of mu as rows: m + S z with z ~ N(0, I)
+    and S the root of the covariance."""
     count = int(count)
     if count < 0:
         raise ValueError("count must be nonnegative")
     z = stream.normal_matrix(count, mu.dim)
-    return mu.mean + z @ mu.sampler_factor.T
+    return mu.mean + z @ mu.cov.root().factor.T
 
 
 def kl_projector(mu, rank):
@@ -172,9 +166,8 @@ def kl_projector(mu, rank):
     """
     if not 1 <= rank <= mu.dim:
         raise RankOutOfRange(f"rank {rank} outside [1, {mu.dim}]")
-    _, vecs = mu._kl_eig()
     extra = (ORTH_SIGMA_INVERSE,) if mu.has_diagonal_cov else ()
-    return euclidean_projector(vecs[:, :rank], extra_flags=extra)
+    return euclidean_projector(mu.cov.root().vectors[:, :rank], extra_flags=extra)
 
 
 def conditioned_resample(mu, p, x, stream, count):

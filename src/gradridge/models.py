@@ -17,7 +17,7 @@ from .errors import (
     NonStandardMeasure,
     NotSigmaOrthogonal,
 )
-from .linalg import SpdMatrix, cholesky, sym_eig
+from .linalg import SpdMatrix, sym_eig
 
 __all__ = [
     "VectorValuedModel",
@@ -203,19 +203,16 @@ def linear_cond_exp_error(model, mu, p):
 
     For f = F x and a sigma-inverse-orthogonal P, the error is the Gaussian
     second moment |F (I - P)(X - m)|_R^2, evaluated here as the squared
-    Frobenius norm of R^{1/2} F (I - P) L with L the covariance factor. The
-    trace form trace(Sigma (I-P)^T F^T R F (I-P)) is the same number through a
-    different float path, which is exactly what makes this usable as an oracle
-    against the trace-based bound.
+    Frobenius norm of R^{1/2} F (I - P) S, with R^{1/2} and S the roots of the
+    output metric and of the covariance. The trace form
+    trace(Sigma (I-P)^T F^T R F (I-P)) is the same number through a different
+    float path, which is exactly what makes this usable as an oracle against
+    the trace-based bound.
     """
     if not getattr(p, "is_sigma_orthogonal", False):
         raise NotSigmaOrthogonal("closed form is valid for sigma-inverse-orthogonal projectors")
-    r_v = model.output_metric
-    vals, vecs = sym_eig(r_v.entries)
-    root = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-    low = cholesky(mu.cov)
     resid = np.eye(model.input_dim) - p.matrix
-    core = root @ model.matrix @ resid @ low
+    core = model.output_metric.root().factor @ model.matrix @ resid @ mu.cov.root().factor
     return float(np.sum(core * core))
 
 

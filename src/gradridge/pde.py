@@ -27,14 +27,8 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .errors import (
-    DimensionMismatch,
-    InputClampedWarning,
-    NotPositiveDefinite,
-    NuggetEscalationWarning,
-    SolverFailure,
-)
-from .linalg import SpdMatrix, cholesky
+from .errors import DimensionMismatch, InputClampedWarning, SolverFailure
+from .linalg import PD_FLOOR, SpdMatrix
 from .measure import squared_exponential_covariance
 from .models import VectorValuedModel
 
@@ -332,24 +326,18 @@ class DiffusionModel(VectorValuedModel):
         return acc.T
 
 
-def build_field_covariance(mesh, lengthscale=0.15):
-    """Squared-exponential covariance over cell centers, with the smallest
-    diagonal nugget (starting at 1e-10, escalating tenfold up to 1e-6) that
-    lets the Cholesky factorization succeed."""
-    base = squared_exponential_covariance(mesh.cell_centers, lengthscale).entries
-    nugget = 1e-10
-    while True:
-        cov = SpdMatrix(base + nugget * np.eye(base.shape[0]))
-        try:
-            cholesky(cov)
-            return cov
-        except NotPositiveDefinite:
-            nugget *= 10.0
-            if nugget > 1e-6:
-                raise
-            warnings.warn(
-                f"covariance nugget escalated to {nugget:g}",
-                NuggetEscalationWarning,
-                stacklevel=2,
-            )
+def _field_nugget(dim):
+    """The diagonal nugget of a dim x dim field covariance: 1e-10, or ten
+    times the dim * PD_FLOOR eigenvalue floor once that is larger (dim > 1000),
+    so the kernel's eigenvalues, which round-off can push just below zero,
+    still clear the floor."""
+    return max(1e-10, 10.0 * dim * PD_FLOOR)
 
+
+def build_field_covariance(mesh, lengthscale=0.15):
+    """Squared-exponential covariance over cell centers plus the diagonal
+    nugget ``_field_nugget(n_cells)``; its root is taken once, by the measure
+    that holds it."""
+    return squared_exponential_covariance(
+        mesh.cell_centers, lengthscale, nugget=_field_nugget(mesh.n_cells)
+    )

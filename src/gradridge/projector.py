@@ -11,10 +11,9 @@ rejected by the operations that require one.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NotSigmaOrthogonal, RankOutOfRange
-from .linalg import SpdMatrix, cholesky
+from .linalg import SpdMatrix
 
 __all__ = [
     "ORTH_SIGMA_INVERSE",
@@ -105,15 +104,14 @@ def sigma_inverse_projector(basis, sigma):
         raise DimensionMismatch(f"basis shape {b.shape} incompatible with dim {sigma.dim}")
     if b.shape[1] == 0:
         return RankRProjector.zero(sigma.dim)
-    low = cholesky(sigma)
-    return _from_whitened(np.linalg.qr(solve_triangular(low, b, lower=True))[0], low)
+    root = sigma.root()
+    return _from_whitened(np.linalg.qr(root.whiten(b))[0], root)
 
 
-def _from_whitened(q, low):
-    """The Sigma^{-1}-orthogonal projector onto span(L q), for Sigma = L L^T and
-    a whitened basis q with orthonormal columns: P = (L q)(L^{-T} q)^T."""
-    dual = solve_triangular(low, q, trans="T", lower=True)
-    return RankRProjector(low @ q, dual, flags=(ORTH_SIGMA_INVERSE,))
+def _from_whitened(q, root):
+    """The Sigma^{-1}-orthogonal projector onto span(S q), for the root S of
+    Sigma and a whitened basis q with orthonormal columns: P = (S q)(S^{-T} q)^T."""
+    return RankRProjector(root.factor @ q, root.whiten(q), flags=(ORTH_SIGMA_INVERSE,))
 
 
 def euclidean_projector(basis, extra_flags=()):
@@ -146,9 +144,9 @@ def sigma_orthogonalize(p, sigma):
         return RankRProjector.zero(d)
     if p.rank == d:
         return RankRProjector.identity(d)
-    # span(Sigma W) whitens to L^{-1} Sigma W = L^T W
-    low = cholesky(sigma)
-    return _from_whitened(np.linalg.qr(low.T @ p.dual)[0], low)
+    # span(Sigma W) whitens to S^{-1} Sigma W = S^T W
+    root = sigma.root()
+    return _from_whitened(np.linalg.qr(root.factor.T @ p.dual)[0], root)
 
 
 def random_sigma_orthogonal_projector(dim, rank, sigma, rng):
@@ -164,7 +162,7 @@ def random_sigma_orthogonal_projector(dim, rank, sigma, rng):
     if sigma.dim != dim:
         raise DimensionMismatch(f"sigma dim {sigma.dim} vs dim {dim}")
     g = np.asarray(rng.standard_normal(dim * rank), dtype=float).reshape(dim, rank)
-    return _from_whitened(np.linalg.qr(g)[0], cholesky(sigma))
+    return _from_whitened(np.linalg.qr(g)[0], sigma.root())
 
 
 def require_sigma_orthogonal(p):

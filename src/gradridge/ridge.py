@@ -3,9 +3,10 @@
 The pipeline: estimate the gradient second-moment matrix H by Monte Carlo,
 solve the generalized eigenproblem against the input covariance, project onto
 the leading eigenvectors, and replace the model by the sampled conditional
-expectation along that projector. The eigenvalue tail sums certify the squared
-approximation error from above, so rank selection reads straight off the
-spectrum.
+expectation along that projector. For the true H the eigenvalue tail sums are
+the least bounds on the squared error that a projector of each rank reaches,
+so rank selection reads straight off the spectrum. For a Monte Carlo estimate
+of H they only estimate those bounds, and are biased low (Ky Fan).
 
 Sample-driven routines split their work into fixed-size chunks, one derived
 substream per chunk, and merge partial results in chunk order. Worker threads
@@ -148,10 +149,11 @@ def _h_matrix(h):
 
 
 def optimal_projector(h, mu, rank, pairs=None):
-    """Rank-``rank`` projector minimizing the certified error bound.
+    """Rank-``rank`` projector minimizing the error bound for the given H.
 
     Spans the leading generalized eigenvectors of (H, Sigma^{-1}); the bound it
-    achieves equals the eigenvalue tail sum. Pass precomputed ``pairs`` to
+    achieves for that H equals the eigenvalue tail sum. For an estimated H,
+    its bound under the true H is larger on average. Pass precomputed ``pairs`` to
     amortize the eigendecomposition across ranks. Ranks beyond what the sample
     count can identify still return a projector (the basis continues into the
     numerically zero part of the spectrum) but raise a NonUniqueProjectorWarning.
@@ -181,8 +183,9 @@ def _warn_if_unidentifiable(h, rank, stacklevel=2):
 
 
 def error_bound(p, h, mu):
-    """Certified squared-error bound trace(Sigma (I-P)^T H (I-P)) for any
-    projector; for the optimal one it equals the eigenvalue tail sum."""
+    """Squared-error bound trace(Sigma (I-P)^T H (I-P)) for any projector,
+    exact for the H it is given; for the optimal one it equals the eigenvalue
+    tail sum. With an estimated H it is an estimate of the true bound."""
     return trace_quadratic(mu.cov, _h_matrix(h), p)
 
 
@@ -190,9 +193,10 @@ def error_bound(p, h, mu):
 class SpectrumReport:
     """Generalized spectrum of (H, Sigma^{-1}) next to the covariance spectrum.
 
-    ``tail_sums[r]`` is the bound certified at rank r, for r = 0..d;
-    ``kl_tail_sums`` are the plain covariance tails the Karhunen-Loeve
-    truncation leaves behind at the same ranks.
+    ``tail_sums[r]`` is the optimal rank-r bound for the H given, for
+    r = 0..d; for an estimated H it estimates the true optimal bound and is
+    biased low. ``kl_tail_sums`` are the plain covariance tails the
+    Karhunen-Loeve truncation leaves behind at the same ranks.
     """
 
     eigenvalues: np.ndarray
@@ -208,8 +212,9 @@ class SpectrumReport:
 def tail_sums(values):
     """out[r] = sum(values[r:]) for r = 0..len(values), summed smallest first.
 
-    Applied to the generalized eigenvalues this is the certified squared-error
-    bound of the optimal rank-r projector, for every r at once.
+    Applied to the generalized eigenvalues this is the squared-error bound of
+    the optimal rank-r projector for the H given, for every r at once; for an
+    estimated H it is an estimate of the true optimal bound, biased low.
     """
     rev = np.cumsum(values[::-1])[::-1]
     return np.concatenate([rev, [0.0]])
@@ -219,7 +224,7 @@ def spectrum_report(h, mu, pairs=None):
     hm = _h_matrix(h)
     if pairs is None:
         pairs = generalized_eig(hm, mu.cov)
-    kl_values, _ = mu._kl_eig()
+    kl_values = mu.cov.root().values
     return SpectrumReport(
         eigenvalues=pairs.values.copy(),
         tail_sums=tail_sums(pairs.values),
@@ -243,8 +248,9 @@ def basis_error_bounds(h, vectors):
 
 
 def select_rank(report, eps):
-    """Smallest rank whose tail sum certifies squared error <= eps^2; d if even
-    the full spectrum does not reach the target."""
+    """Smallest rank whose tail sum is at most eps^2; d if even the full
+    spectrum does not reach the target. With an estimated H the tail sum is
+    biased low, so the true bound at that rank can exceed eps^2."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     target = eps * eps

@@ -25,7 +25,7 @@ from gradridge import (
     optimal_projector,
     sample,
 )
-from gradridge import sensitivity
+from gradridge import linalg, sensitivity
 from gradridge.cli import main
 from gradridge.experiments import (
     _TAG_AUDIT,
@@ -394,7 +394,7 @@ def _expected_modes(cfg):
     sampling = cfg["sampling"]
     est = estimate_h(model, mu, SampleStream(sampling["seed"]).substream(_TAG_H), sampling["k"])
     return model, {"gen_modes.csv": generalized_eig(est.h, mu.cov).vectors,
-                   "kl_modes.csv": mu._kl_eig()[1]}
+                   "kl_modes.csv": mu.cov.root().vectors}
 
 
 def test_spectrum_artifacts_analytical(tmp_path):
@@ -456,6 +456,30 @@ def test_spectrum_artifacts_pde(tmp_path):
         np.testing.assert_array_equal(table[:, 0], np.arange(1, 10))
         np.testing.assert_array_equal(table[:, 1:3], model.mesh.cell_centers)
         np.testing.assert_array_equal(table[:, 3:], vectors[:, :6])
+
+
+@pytest.mark.parametrize("command", ["curve", "spectrum"])
+def test_pde_runs_factor_the_covariance_once(tmp_path, monkeypatch, command):
+    # sampling, the generalized eigensolve, the projectors and the K-L
+    # comparison all read the one cached root of Sigma
+    cfg = resolve_config(
+        {
+            "model": {"kind": "pde", "grid": 3, "scenario": "point_pair"},
+            "sampling": {"k": 40, "m": [1], "n_val": 20, "seed": 13},
+            "comparisons": {"kl": True},
+        }
+    )
+    sigma = build_measure(cfg, build_model(cfg)).cov.entries
+    real = linalg.eigh
+    factored = []
+
+    def counting(a, *args, **kwargs):
+        factored.append(np.array_equal(a, sigma))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigh", counting)
+    {"curve": run_error_curve, "spectrum": run_spectrum}[command](cfg, tmp_path)
+    assert sum(factored) == 1
 
 
 def test_sobol_artifacts(tmp_path):

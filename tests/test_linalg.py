@@ -8,7 +8,6 @@ from gradridge import (
     NonFiniteInput,
     NotPositiveDefinite,
     SpdMatrix,
-    cholesky,
     generalized_eig,
     sym_eig,
     trace_quadratic,
@@ -22,52 +21,53 @@ def random_spd(rng, d, spread=1.0):
     return SpdMatrix(a @ a.T + spread * d * np.eye(d))
 
 
+# The test_cholesky_* cases pin what the covariance factor accepts and
+# rejects; that factor is the eigen root, SpdMatrix.root().
+
+
 def test_cholesky_identity():
-    l = cholesky(SpdMatrix.identity(3))
-    np.testing.assert_array_equal(l, np.eye(3))
+    root = SpdMatrix.identity(3).root()
+    np.testing.assert_array_equal(root.factor, np.eye(3))
+    np.testing.assert_array_equal(root.values, np.ones(3))
 
 
 def test_cholesky_hand_value():
-    # [[4,2],[2,3]] factors as [[2,0],[1,sqrt(2)]]; checked by hand: L L^T
-    # gives [[4,2],[2,1+2]].
-    l = cholesky(SpdMatrix([[4.0, 2.0], [2.0, 3.0]]))
-    np.testing.assert_allclose(l, [[2.0, 0.0], [1.0, 1.4142135623730951]], rtol=0, atol=1e-15)
+    # [[5,4],[4,5]] has eigenvalues 9 and 1 on (1,1)/sqrt(2) and (1,-1)/sqrt(2),
+    # so its symmetric root is [[2,1],[1,2]]; checked by hand: S^2 = [[5,4],[4,5]]
+    root = SpdMatrix([[5.0, 4.0], [4.0, 5.0]]).root()
+    np.testing.assert_allclose(root.values, [9.0, 1.0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(root.factor, [[2.0, 1.0], [1.0, 2.0]], rtol=0, atol=1e-14)
 
 
 def test_cholesky_rank_deficient():
-    with pytest.raises(NotPositiveDefinite) as err:
-        cholesky(SpdMatrix([[1.0, 1.0], [1.0, 1.0]]))
-    assert err.value.pivot_index == 1
+    with pytest.raises(NotPositiveDefinite):
+        SpdMatrix([[1.0, 1.0], [1.0, 1.0]]).root()
 
 
 def test_cholesky_negative_leading_pivot():
-    with pytest.raises(NotPositiveDefinite) as err:
-        cholesky(SpdMatrix([[-1.0, 0.0], [0.0, 2.0]]))
-    assert err.value.pivot_index == 0
+    with pytest.raises(NotPositiveDefinite):
+        SpdMatrix([[-1.0, 0.0], [0.0, 2.0]]).root()
 
 
 def test_cholesky_pivot_index_on_exactly_singular_matrix():
-    # hand elimination: l00 = 2, l10 = l20 = 1, pivot 1 = 5 - 1 = 4, l21 = 0,
-    # pivot 2 = 1 - 1 - 0 = 0 exactly, so the leading 2x2 block factors and
-    # the failure sits at index 2
-    with pytest.raises(NotPositiveDefinite) as err:
-        cholesky(SpdMatrix([[4.0, 2.0, 2.0], [2.0, 5.0, 1.0], [2.0, 1.0, 1.0]]))
-    assert err.value.pivot_index == 2
+    # hand elimination: pivots 4, 4 and 1 - 1 - 0 = 0, so the determinant is 0
+    # exactly and the least eigenvalue is zero up to round-off
+    with pytest.raises(NotPositiveDefinite):
+        SpdMatrix([[4.0, 2.0, 2.0], [2.0, 5.0, 1.0], [2.0, 1.0, 1.0]]).root()
 
 
 @pytest.mark.parametrize("d", [3, 10])
 def test_cholesky_pivot_floor(d):
-    # the floor is d * 1e-14 * max(diag): a positive pivot just under it is
-    # rejected at its own index, one just over it factors
+    # the floor is d * PD_FLOOR * max(diag): a least eigenvalue just under it
+    # is rejected, one just over it is taken; a diagonal matrix's eigenvalues
+    # are its entries exactly
     floor = d * 1e-14
-    low = np.eye(d)
-    low[-1, -1] = np.sqrt(0.99 * floor)
-    low[-1, 0] = 0.5
-    with pytest.raises(NotPositiveDefinite) as err:
-        cholesky(SpdMatrix(low @ low.T))
-    assert err.value.pivot_index == d - 1
-    low[-1, -1] = np.sqrt(1.01 * floor)
-    assert cholesky(SpdMatrix(low @ low.T)).shape == (d, d)
+    values = np.ones(d)
+    values[1] = 0.99 * floor
+    with pytest.raises(NotPositiveDefinite):
+        SpdMatrix.diagonal(values).root()
+    values[1] = 1.01 * floor
+    assert SpdMatrix.diagonal(values).root().values[-1] == 1.01 * floor
 
 
 def test_cholesky_roundtrip_random():
@@ -75,17 +75,21 @@ def test_cholesky_roundtrip_random():
     for d in (1, 2, 5, 8, 12):
         for _ in range(5):
             a = random_spd(rng, d)
-            l = cholesky(a)
-            rel = np.linalg.norm(l @ l.T - a.entries, "fro") / np.linalg.norm(a.entries, "fro")
-            assert rel < 1e-10
-            assert np.allclose(np.triu(l, 1), 0.0)
+            root = a.root()
+            s, q = root.factor, root.vectors
+            norm = np.linalg.norm(a.entries, "fro")
+            assert np.linalg.norm(s @ s.T - a.entries, "fro") < 1e-10 * norm
+            assert np.linalg.norm(q.T @ q - np.eye(d)) < 1e-12
+            assert np.all(np.diff(root.values) <= 0.0)
+            np.testing.assert_allclose(root.whiten(s), np.eye(d), rtol=0, atol=1e-12)
 
 
 def test_cholesky_cache_write_once():
     a = random_spd(np.random.default_rng(3), 4)
-    l1 = cholesky(a)
-    l2 = cholesky(a)
-    assert l1 is l2
+    root = a.root()
+    assert a.root() is root
+    for part in (root.values, root.vectors, root.factor):
+        assert not part.flags.writeable
 
 
 def test_spd_symmetrizes_input():
@@ -161,6 +165,22 @@ def test_generalized_eig_sigma_identity_reduces_to_sym_eig():
     np.testing.assert_allclose(pairs.values, values, atol=1e-10)
 
 
+def test_generalized_eig_under_the_identity_is_sym_eig_bitwise():
+    # the root of I is I exactly, so the reduction, v = S w and the duals
+    # S^{-T} w add no rounding: identity-covariance runs keep their digits
+    rng = np.random.default_rng(12)
+    for d in (1, 6, 144):
+        h = random_spd(rng, d)
+        pairs = generalized_eig(h, SpdMatrix.identity(d))
+        values, vectors = sym_eig(h.entries)
+        np.testing.assert_array_equal(pairs.values, values)
+        np.testing.assert_array_equal(pairs.vectors, vectors)
+        np.testing.assert_array_equal(pairs.duals, vectors)
+        # the layout of a projector's dual picks the BLAS kernel of apply, so
+        # it is part of the digits too
+        assert pairs.duals.flags.f_contiguous
+
+
 def test_generalized_eig_invariants_random():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -229,7 +249,7 @@ def test_kernels_reject_non_finite_input(bad):
     m = np.eye(3)
     m[0, 1] = m[1, 0] = bad
     with pytest.raises(NonFiniteInput):
-        cholesky(SpdMatrix(m))
+        SpdMatrix(m).root()
     with pytest.raises(NonFiniteInput):
         sym_eig(m)
 

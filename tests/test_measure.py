@@ -10,7 +10,6 @@ from gradridge import (
     RankRProjector,
     SampleStream,
     SpdMatrix,
-    cholesky,
     conditioned_resample,
     sample,
     squared_exponential_covariance,
@@ -110,10 +109,25 @@ def test_whitening():
     a = rng.standard_normal((4, 4))
     mu = GaussianMeasure(rng.standard_normal(4), SpdMatrix(a @ a.T + 4 * np.eye(4)))
     xs = sample(mu, SampleStream(21), 10000)
-    l = mu.sampler_factor
-    z = np.linalg.solve(l, (xs - mu.mean).T).T
+    root = mu.cov.root()
+    z = root.whiten((xs - mu.mean).T).T
     emp = z.T @ z / len(z)
     assert np.abs(emp - np.eye(4)).max() < 0.1
+    # whitening undoes the sampling root: the draws were m + S z
+    np.testing.assert_allclose(z, SampleStream(21).normal_matrix(10000, 4), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("diag", [np.ones(16), np.ones(144), np.array([3.0, 1.0, 2.0, 0.5, 7.0])])
+def test_sample_under_a_diagonal_covariance_is_mean_plus_scaled_normals_bitwise(diag):
+    # the root of a diagonal covariance is diag(sqrt(values)) exactly, so
+    # identity and diagonal measures draw m + z * sqrt(values) digit for digit
+    d = diag.size
+    mean = np.linspace(-1.0, 1.0, d)
+    mu = GaussianMeasure(mean, SpdMatrix.diagonal(diag))
+    np.testing.assert_array_equal(mu.cov.root().factor, np.diag(np.sqrt(diag)))
+    xs = sample(mu, SampleStream(5), 1000)
+    z = SampleStream(5).normal_matrix(1000, d)
+    np.testing.assert_array_equal(xs, mean + z * np.sqrt(diag))
 
 
 def test_measure_rejects_indefinite_cov():
@@ -221,7 +235,7 @@ def test_squared_exponential_covariance():
     np.testing.assert_allclose(np.diag(m), 1.0 + 1e-8)
     np.testing.assert_allclose(m, m.T)
     np.testing.assert_allclose(m[0, 1], np.exp(-1.0) + 0.0, atol=1e-12)
-    cholesky(cov)
+    cov.root()
 
 
 def test_sample_batches_are_stream_addressed():

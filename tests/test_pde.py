@@ -1,7 +1,9 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 from scipy.linalg.lapack import dpbtrs
 
 import gradridge.pde as pde_mod
@@ -11,14 +13,14 @@ from gradridge import (
     GaussianMeasure,
     InputClampedWarning,
     Mesh2D,
-    NotPositiveDefinite,
-    NuggetEscalationWarning,
     SampleStream,
     SolverFailure,
     build_field_covariance,
-    cholesky,
     estimate_h,
+    generalized_eig,
+    squared_exponential_covariance,
 )
+from gradridge.linalg import PD_FLOOR
 from gradridge.pde import (
     _K1,
     _M1,
@@ -26,6 +28,7 @@ from gradridge.pde import (
     POINT_A,
     POINT_B,
     SUBDOMAIN_BOUNDS,
+    _field_nugget,
 )
 
 
@@ -291,7 +294,7 @@ def test_metric_mass_of_constant_vector():
 def test_metrics_are_positive_definite():
     for scenario in ("full_field", "subdomain", "point_pair"):
         model = DiffusionModel(4, scenario)
-        cholesky(model.output_metric)
+        model.output_metric.root()
 
 
 def test_jacobian_matches_finite_differences():
@@ -382,31 +385,48 @@ def test_field_covariance_properties():
     np.testing.assert_allclose(np.diag(cov.entries), np.full(d, 1.0 + 1e-10))
     expect = np.exp(-(mesh.h / 0.15) ** 2)
     assert cov.entries[0, 1] == pytest.approx(expect, rel=1e-12)
-    cholesky(cov)
+    cov.root()
 
 
-def test_nugget_escalation_warning(monkeypatch):
-    real = pde_mod.cholesky
+@pytest.mark.parametrize("g", [3, 12, 32])
+def test_field_covariance_roots_without_a_retry(g):
+    # the nugget is worked out from d, so the root is taken once, silently
+    mesh = Mesh2D(g)
+    d = mesh.n_cells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cov = build_field_covariance(mesh)
+        root = cov.root()
+    nugget = 1e-10 if g <= 31 else 10.0 * d * PD_FLOOR
+    kernel = squared_exponential_covariance(mesh.cell_centers, 0.15).entries
+    np.testing.assert_array_equal(np.diag(cov.entries), np.diag(kernel) + nugget)
+    assert root.values[-1] > d * PD_FLOOR * (1.0 + nugget)
 
-    def flaky(spd):
-        if spd.entries[0, 0] - 1.0 < 5e-9:
-            raise NotPositiveDefinite(0)
-        return real(spd)
 
-    monkeypatch.setattr(pde_mod, "cholesky", flaky)
-    with pytest.warns(NuggetEscalationWarning):
-        cov = build_field_covariance(Mesh2D(3))
-    assert cov.entries[0, 0] - 1.0 == pytest.approx(1e-8, rel=1e-6)
+def test_field_nugget_clears_the_floor_where_1e10_does_not():
+    # checked without building the 10^4 x 10^4 covariance: the kernel is PSD,
+    # so its least eigenvalue is the nugget less round-off, against a floor of
+    # d * PD_FLOOR * (1 + nugget)
+    d = 10**4
+    assert 1e-10 <= d * PD_FLOOR * (1.0 + 1e-10)
+    nugget = _field_nugget(d)
+    assert nugget >= 9.0 * d * PD_FLOOR * (1.0 + nugget)
+    assert _field_nugget(31 * 31) == 1e-10 < _field_nugget(32 * 32)
 
 
-def test_nugget_escalation_gives_up(monkeypatch):
-    def hopeless(spd):
-        raise NotPositiveDefinite(0)
-
-    monkeypatch.setattr(pde_mod, "cholesky", hopeless)
-    with pytest.warns(NuggetEscalationWarning):
-        with pytest.raises(NotPositiveDefinite):
-            build_field_covariance(Mesh2D(3))
+def test_field_generalized_eig_matches_a_cholesky_reduction():
+    # any S with S S^T = Sigma gives the spectrum of (H, Sigma^{-1}): on the
+    # g=12 field the eigen root and a Cholesky reduction agree to round-off
+    mesh = Mesh2D(12)
+    cov = build_field_covariance(mesh)
+    mu = GaussianMeasure(np.zeros(mesh.n_cells), cov)
+    est = estimate_h(DiffusionModel(mesh, "point_pair"), mu, SampleStream(3), 64)
+    pairs = generalized_eig(est.h, cov)
+    low = cholesky(cov.entries, lower=True)
+    ref = np.maximum(np.linalg.eigvalsh(low.T @ est.h.entries @ low)[::-1], 0.0)
+    assert np.abs(pairs.values - ref).max() <= 1e-13 * ref[0]
+    gram = pairs.duals.T @ pairs.vectors
+    assert np.abs(gram - np.eye(mesh.n_cells)).max() <= 1e-12
 
 
 def test_gradient_second_moment_rank_ceiling():

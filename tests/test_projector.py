@@ -7,7 +7,6 @@ from gradridge import (
     RankRProjector,
     SampleStream,
     SpdMatrix,
-    cholesky,
     random_sigma_orthogonal_projector,
     require_sigma_orthogonal,
     sigma_inverse_projector,
