@@ -202,6 +202,8 @@ def squared_exponential_covariance(points, lengthscale, nugget=0.0):
     sq = np.sum(pts * pts, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     np.maximum(d2, 0.0, out=d2)
+    # the expanded form leaves round-off where s = t
+    np.fill_diagonal(d2, 0.0)
     k = np.exp(-d2 / scale)
     if nugget:
         k[np.diag_indices_from(k)] += nugget

@@ -8,10 +8,10 @@ the least bounds on the squared error that a projector of each rank reaches,
 so rank selection reads straight off the spectrum. For a Monte Carlo estimate
 of H they only estimate those bounds, and are biased low (Ky Fan).
 
-Sample-driven routines split their work into fixed-size chunks, one derived
-substream per chunk, and merge partial results in chunk order. Worker threads
-only decide who computes which chunk; results are bit-identical for any
-worker count.
+Sample-driven routines walk their draws in blocks of CHUNK rows. Block k
+holds rows [k CHUNK, (k+1) CHUNK) of one long draw, read straight from its
+place in the stream, and blocks merge in order. Worker threads only decide
+who computes which block, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -49,14 +49,11 @@ __all__ = [
     "m_inflation_check",
 ]
 
-CHUNK = 512  # fixed chunk size; part of the determinism contract, not tunable
+# Rows per block of every sampled loop. A multiple of 4, so each block starts
+# on a whole Philox block of its stream.
+CHUNK = 512
 EVAL_BLOCK = 4096  # model points per call in RidgeApproximation.eval_batch
-JACOBIAN_BYTES = 4 << 20  # Jacobian bytes per estimate_h block; bounds memory, not tunable
-
-
-def _chunk_sizes(total):
-    """Sizes of the chunks of ``total`` samples; chunk i starts at i * CHUNK."""
-    return [min(CHUNK, total - start) for start in range(0, total, CHUNK)]
+JACOBIAN_BYTES = 4 << 20  # Jacobian bytes per jacobian_batch call; bounds memory, not tunable
 
 
 def _require_finite(values, offset, what):
@@ -76,6 +73,22 @@ def _map_chunks(fn, n_chunks, threads):
         return list(pool.map(fn, range(n_chunks)))
 
 
+def _map_draws(mu, streams, count, fn, threads):
+    """fn(lo, *draws) for each block of rows [lo, lo + CHUNK) of ``count``
+    draws of mu, results in block order. ``draws`` holds one array per
+    stream: rows lo.. of ``sample(mu, stream, count)``, read from the stream
+    lo * d normals on. The normals never depend on CHUNK; under a correlated
+    covariance the BLAS can round m + S z on a short block differently."""
+    starts = range(0, count, CHUNK)
+
+    def one_block(k):
+        lo = starts[k]
+        size = min(CHUNK, count - lo)
+        return fn(lo, *(sample(mu, s.ahead(lo * mu.dim), size) for s in streams))
+
+    return _map_chunks(one_block, len(starts), threads)
+
+
 @dataclass(frozen=True)
 class HMatrixEstimate:
     """Monte Carlo estimate of the gradient second-moment matrix.
@@ -93,13 +106,13 @@ class HMatrixEstimate:
 def estimate_h(model, mu, stream, count, threads=1):
     """Average J(X)^T R J(X) over ``count`` draws X ~ mu.
 
-    Each chunk walks its samples in blocks and adds J^T (R J) over the stacked
-    Jacobians of a block, one expression for every model: a model with its own
-    ``jacobian_batch`` is called on blocks of at most JACOBIAN_BYTES of
-    Jacobians (one Jacobian, if a single one is larger), any other model one
-    point at a time. Chunks return sums, which add in index order and are
-    divided by ``count`` once. A NaN or inf Jacobian entry raises
-    ModelEvaluationFailure with the index of the first such sample.
+    Each block of draws adds J^T (R J) over stacked Jacobians, one
+    expression for every model: a model with its own ``jacobian_batch`` is
+    called on runs of at most JACOBIAN_BYTES of Jacobians (one Jacobian, if a
+    single one is larger), any other model one point at a time. Blocks return
+    sums, which add in block order and are divided by ``count`` once. A NaN
+    or inf Jacobian entry raises ModelEvaluationFailure with the index of the
+    first such sample.
     """
     count = int(count)
     if count < 1:
@@ -107,7 +120,6 @@ def estimate_h(model, mu, stream, count, threads=1):
     d = model.input_dim
     n = model.output_dim
     metric = model.output_metric.entries
-    sizes = _chunk_sizes(count)
     has_batch = type(model).jacobian_batch is not VectorValuedModel.jacobian_batch
     step = max(1, JACOBIAN_BYTES // (8 * n * d)) if has_batch else 1
 
@@ -122,17 +134,15 @@ def estimate_h(model, mu, stream, count, threads=1):
         except Exception as exc:  # noqa: BLE001 - annotate with the sample index
             raise ModelEvaluationFailure(at) from exc
 
-    def one_chunk(i):
-        xs = sample(mu, stream.substream(i), sizes[i])
+    def one_block(lo, xs):
         total = np.zeros((d, d))
-        for start in range(0, sizes[i], step):
-            at = i * CHUNK + start
-            jac = jacobians(xs[start:start + step], at)
-            _require_finite(jac, at, "Jacobian")
+        for start in range(0, xs.shape[0], step):
+            jac = jacobians(xs[start:start + step], lo + start)
+            _require_finite(jac, lo + start, "Jacobian")
             total += jac.reshape(-1, d).T @ (metric @ jac).reshape(-1, d)
         return total
 
-    h = sum(_map_chunks(one_chunk, len(sizes), threads)) / count
+    h = sum(_map_draws(mu, (stream,), count, one_block, threads)) / count
     return HMatrixEstimate(
         h=SpdMatrix(h),
         samples_used=count,
@@ -330,32 +340,29 @@ def build_ridge(model, mu, p, stream, profile_samples):
 def validate_error(approx, model, mu, stream, count, threads=1):
     """Monte Carlo squared-error estimate E|f(X) - approx(X)|_R^2.
 
-    Returns (mse, se) with se the standard error of the mean. Chunked and
-    merged exactly like estimate_h, so the result does not depend on the
-    worker count. A NaN or inf in either output raises ModelEvaluationFailure
-    with the sample index.
+    Returns (mse, se) with se the standard error of the mean. Drawn in blocks
+    exactly like estimate_h, so the result does not depend on the worker
+    count. A NaN or inf in either output raises ModelEvaluationFailure with
+    the sample index.
     """
     count = int(count)
     if count < 2:
         raise ValueError("need at least 2 validation samples for a standard error")
     metric = model.output_metric.entries
-    sizes = _chunk_sizes(count)
 
-    def one_chunk(i):
-        xs = sample(mu, stream.substream(i), sizes[i])
+    def one_block(lo, xs):
         f_xs = model.eval_batch(xs)
         try:
             ridge_xs = approx.eval_batch(xs)
         except ModelEvaluationFailure as err:
-            # the ridge counts rows within the chunk
-            index = i * CHUNK + err.sample_index
+            # the ridge counts rows within the block
+            index = lo + err.sample_index
             raise ModelEvaluationFailure(index, f"non-finite ridge output at sample {index}") from err
         diff = f_xs - ridge_xs
-        _require_finite(diff, i * CHUNK, "output")
+        _require_finite(diff, lo, "output")
         return np.einsum("kn,nm,km->k", diff, metric, diff)
 
-    parts = _map_chunks(one_chunk, len(sizes), threads)
-    errs = np.concatenate(parts)
+    errs = np.concatenate(_map_draws(mu, (stream,), count, one_block, threads))
     mse = float(np.mean(errs))
     se = float(np.std(errs, ddof=1) / np.sqrt(count))
     return mse, se

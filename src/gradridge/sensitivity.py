@@ -19,12 +19,11 @@ diagonal covariance; for correlated inputs the coordinate groups are not
 independent factors and the indices lose their meaning, so the error-curve
 machinery should be used instead.
 
-The base is never held whole. Its rows go in blocks of about 2^14 normals
-(128 KiB per float64 temporary), each read from the streams of A and B
-positioned where it sits in one long draw, and a block keeps only f(A), f(B)
-and two scalars per row and group. So neither the block size nor the thread
-count changes a digit. ``threads`` workers evaluate the blocks, which merge in
-block order.
+The base is never held whole. Its rows go through ridge's block walk, CHUNK
+rows of A and of B at a time, each read where it sits in one long draw, and a
+block keeps only f(A), f(B) and two scalars per row and group. So neither the
+block size nor the thread count changes a digit. ``threads`` workers evaluate
+the blocks, which merge in block order.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ from .errors import (
     NonFiniteInput,
     ZeroVariance,
 )
-from .measure import sample
 from .projector import ORTH_EUCLIDEAN, ORTH_SIGMA_INVERSE, RankRProjector
-from .ridge import _map_chunks, estimate_h
+from .ridge import _map_draws, estimate_h
 
 __all__ = [
     "IndexGroup",
@@ -56,9 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_OUTER = 2000
-# Normals one block of the base draws, A and B together: 128 KiB per float64
-# temporary, whatever n_outer is. Results do not depend on it.
-_BLOCK_NORMALS = 1 << 14
 
 
 @dataclass(frozen=True, order=True)
@@ -130,12 +125,6 @@ class GroupEstimate:
     total_variance_se: float
 
 
-def _block_rows(per_row):
-    """Base rows per block: a multiple of 4, so every block but the last
-    draws whole Philox blocks, with about ``_BLOCK_NORMALS`` normals each."""
-    return 4 * max(1, _BLOCK_NORMALS // (4 * per_row))
-
-
 def _metric_sq_norms(diff, metric):
     return np.einsum("kn,nm,km->k", diff, metric, diff)
 
@@ -157,22 +146,14 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
     n = int(n)
     if n < 2:
         raise ValueError("need n_outer >= 2")
-    d = mu.dim
-    masks = [g.mask(d) for g in groups]
+    masks = [g.mask(mu.dim) for g in groups]
     metric = model.output_metric.entries
-    rows = _block_rows(2 * d)
-    starts = range(0, n, rows)
-    stream_a, stream_b = stream.substream(0), stream.substream(1)
 
-    def one_block(k):
-        lo = starts[k]
-        size = min(rows, n - lo)
-        a = sample(mu, stream_a.ahead(lo * d), size)
-        b = sample(mu, stream_b.ahead(lo * d), size)
+    def one_block(lo, a, b):
         f_a, f_b = model.eval_batch(a), model.eval_batch(b)
         finite = np.isfinite(f_a).all(axis=1) & np.isfinite(f_b).all(axis=1)
         # per group: |f(B) - f(A_B)|^2 / 2, then |f(A) - f(A_B)|^2 / 2
-        halves = np.empty((len(masks), 2, size))
+        halves = np.empty((len(masks), 2, a.shape[0]))
         for g, mask in enumerate(masks):
             f_ab = model.eval_batch(np.where(mask, b, a))
             finite &= np.isfinite(f_ab).all(axis=1)
@@ -184,7 +165,7 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
             raise ModelEvaluationFailure(index, f"non-finite output at sample {index}")
         return f_a, f_b, halves
 
-    blocks = _map_chunks(one_block, len(starts), threads)
+    blocks = _map_draws(mu, (stream.substream(0), stream.substream(1)), n, one_block, threads)
     f = np.concatenate([blk[0] for blk in blocks] + [blk[1] for blk in blocks])
     halves = np.concatenate([blk[2] for blk in blocks], axis=2)
     dev = _metric_sq_norms(f - f.mean(axis=0), metric)

@@ -25,7 +25,7 @@ from gradridge import (
     optimal_projector,
     sample,
 )
-from gradridge import linalg, sensitivity
+from gradridge import linalg, ridge
 from gradridge.cli import main
 from gradridge.experiments import (
     _TAG_AUDIT,
@@ -540,15 +540,15 @@ def test_thread_count_never_changes_output(tmp_path):
 
 
 def test_cli_sobol_threads_write_identical_artifacts_across_blocks(tmp_path):
-    # 5000 base rows in 4 dimensions fill three blocks, so --threads 2 runs
-    # the Sobol' estimator on the pool
+    # 5000 base rows fill ten blocks, so --threads 2 runs the Sobol'
+    # estimator on the pool
     cfg = _write_cfg(tmp_path, {
         "model": {"kind": "sines", "amplitudes": [1.0, 0.6, 0.3, 0.2],
                   "frequencies": [0.8, 1.3, 2.0, 0.5]},
         "groups": [[1], [2, 4]],
         "sampling": {"sobol_outer": 5000, "sobol_inner": 64, "dgsm_k": 50, "seed": 7},
     })
-    assert 5000 // sensitivity._block_rows(2 * 4) >= 2
+    assert 5000 // ridge.CHUNK >= 2
     outs = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
@@ -1009,14 +1009,14 @@ class _NanJacobianAt(LinearModel):
 
 
 def test_cli_non_finite_jacobian_exits_3_with_sample_index(tmp_path, capsys, monkeypatch):
-    # one NaN Jacobian in the second chunk stops the run with its global
+    # one NaN Jacobian in the second block stops the run with its global
     # index, where it used to become a NaN spectrum and a certified rank
     from gradridge import experiments
     from gradridge.ridge import CHUNK
 
     seed, count = 3, CHUNK + 100
-    chunk_1 = SampleStream(seed).substream(_TAG_H).substream(1)
-    poison = sample(GaussianMeasure.standard(2), chunk_1, 100)[40]
+    draws = SampleStream(seed).substream(_TAG_H)
+    poison = sample(GaussianMeasure.standard(2), draws, count)[CHUNK + 40]
     model = _NanJacobianAt([[1.0, 0.5]], poison)
     monkeypatch.setattr(experiments, "build_model", lambda cfg: model)
     cfg = _write_cfg(

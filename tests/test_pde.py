@@ -403,6 +403,13 @@ def test_field_covariance_roots_without_a_retry(g):
     assert root.values[-1] > d * PD_FLOOR * (1.0 + nugget)
 
 
+@pytest.mark.parametrize("g", [3, 12, 32])
+def test_field_covariance_diagonal_is_exactly_one_plus_the_nugget(g):
+    # |s|^2 + |t|^2 - 2 s.t at s = t is round-off, about 2e-14 at g = 12
+    diag = np.diag(build_field_covariance(Mesh2D(g)).entries)
+    assert np.all(diag == 1.0 + _field_nugget(g * g))
+
+
 def test_field_nugget_clears_the_floor_where_1e10_does_not():
     # checked without building the 10^4 x 10^4 covariance: the kernel is PSD,
     # so its least eigenvalue is the nugget less round-off, against a floor of

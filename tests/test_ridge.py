@@ -17,6 +17,7 @@ from gradridge import (
     SpectrumReport,
     SumOfSinesModel,
     build_ridge,
+    coordinate_projector,
     error_bound,
     estimate_h,
     exact_conditional_expectation,
@@ -33,8 +34,9 @@ from gradridge import (
 )
 from gradridge import ridge
 from gradridge.models import VectorValuedModel
+from gradridge.pde import Mesh2D, build_field_covariance
 from gradridge.projector import euclidean_projector, sigma_inverse_projector
-from gradridge.ridge import CHUNK, JACOBIAN_BYTES, _chunk_sizes
+from gradridge.ridge import CHUNK, JACOBIAN_BYTES
 
 
 def random_spd(rng, d):
@@ -68,7 +70,7 @@ def test_estimate_h_quadratic_converges_to_a_squared():
     est = estimate_h(model, mu, SampleStream(2), k)
     target = model.matrix @ model.matrix
     # per-entry MC standard error from the sampled terms themselves
-    xs = sample(mu, SampleStream(2).substream(0), 4096)
+    xs = sample(mu, SampleStream(2), 4096)
     grads = xs @ model.matrix
     terms = np.einsum("ki,kj->kij", grads, grads)
     se = terms.std(axis=0, ddof=1) / np.sqrt(k)
@@ -156,10 +158,10 @@ class NanAtBatched(NanAt):
 
 
 def draws_at(mu, stream, count, indices):
-    """The points the chunked samplers draw at the given global indices."""
-    sizes = _chunk_sizes(count)
-    return [sample(mu, stream.substream(i // CHUNK), sizes[i // CHUNK])[i % CHUNK]
-            for i in indices]
+    """The points the block walk draws at the given global indices: rows of
+    one long draw."""
+    xs = sample(mu, stream, count)
+    return [xs[i] for i in indices]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -167,11 +169,11 @@ def draws_at(mu, stream, count, indices):
 def test_estimate_h_reports_first_non_finite_jacobian(monkeypatch, model_cls, threads):
     mu = GaussianMeasure.standard(3)
     count = CHUNK + 200
-    # two bad samples in the second chunk: the first one is reported
+    # two bad samples in the second block: the first one is reported
     poison = draws_at(mu, SampleStream(40), count, [CHUNK + 150, CHUNK + 88])
     model = model_cls(np.ones((2, 3)), poison)
-    # at the second budget a batch chunk walks 32-row blocks, and the first
-    # bad sample sits in the third block of its chunk
+    # at the second budget a batch model sees 32-row runs of its block, and
+    # the first bad sample sits in the third run
     for block_bytes in (JACOBIAN_BYTES, 32 * 2 * 3 * 8):
         monkeypatch.setattr(ridge, "JACOBIAN_BYTES", block_bytes)
         with pytest.raises(ModelEvaluationFailure,
@@ -220,8 +222,8 @@ def test_estimate_h_block_budget_does_not_change_h(monkeypatch):
     recording = Recording(model.matrix, model.output_metric)
     count = 2 * CHUNK + 70
     whole = estimate_h(recording, mu, SampleStream(43), count).h.entries
-    assert rows == _chunk_sizes(count)
-    # 3 x 7 Jacobians of 8 bytes: a 100-row budget, so 6 blocks per full chunk
+    assert rows == [CHUNK, CHUNK, 70]
+    # 3 x 7 Jacobians of 8 bytes: a 100-row budget, so 6 runs per full block
     rows.clear()
     monkeypatch.setattr(ridge, "JACOBIAN_BYTES", 100 * 3 * 7 * 8)
     split = estimate_h(recording, mu, SampleStream(43), count, threads=2).h.entries
@@ -230,8 +232,8 @@ def test_estimate_h_block_budget_does_not_change_h(monkeypatch):
 
 
 def test_estimate_h_batch_memory_stays_within_one_block():
-    # the whole 512-row chunk of 40 x 400 Jacobians, and R J beside it, held
-    # 128 MiB; one block holds JACOBIAN_BYTES of each
+    # the whole 512-row block of 40 x 400 Jacobians, and R J beside it, held
+    # 128 MiB; one run holds JACOBIAN_BYTES of each
     model = LinearModel(np.random.default_rng(44).standard_normal((40, 400)))
     mu = GaussianMeasure.standard(400)
     tracemalloc.start()
@@ -260,7 +262,7 @@ def test_validate_error_reports_first_non_finite_output(threads):
 
 def test_validate_error_reports_global_index_of_non_finite_ridge_output():
     # with the identity projector the ridge is the model, so it is NaN at the
-    # poisoned sample too and raises first, counting rows within its chunk
+    # poisoned sample too and raises first, counting rows within its block
     mu = GaussianMeasure.standard(3)
     count = CHUNK + 200
     model = NanAtBatched(np.ones((2, 3)), draws_at(mu, SampleStream(41), count, [CHUNK + 7]))
@@ -269,6 +271,56 @@ def test_validate_error_reports_global_index_of_non_finite_ridge_output():
                        match=f"non-finite ridge output at sample {CHUNK + 7}$") as err:
         validate_error(ridge, model, mu, SampleStream(41), count)
     assert err.value.sample_index == CHUNK + 7
+
+
+def _walk_results(chunk, threads, monkeypatch):
+    """estimate_h's H, validate_error's (mse, se) and the index a NaN
+    Jacobian is reported at, with blocks of ``chunk`` rows. The measure is
+    diagonal and every product per row is exact (sines, a coordinate
+    projector), so any difference across block sizes would be a draw."""
+    monkeypatch.setattr(ridge, "CHUNK", chunk)
+    mu = GaussianMeasure(np.full(5, 0.3), SpdMatrix.diagonal([1.0, 2.0, 0.5, 1.5, 0.8]))
+    model = SumOfSinesModel([1.0, 0.6, 0.4, 0.3, 0.2], [0.8, 1.3, 2.0, 0.5, 1.1])
+    count = CHUNK + 102
+    h = estimate_h(model, mu, SampleStream(45), count, threads=threads).h.entries
+    approx = build_ridge(model, mu, coordinate_projector([1, 3], 5, mu.cov), SampleStream(46), 3)
+    val = validate_error(approx, model, mu, SampleStream(47), count, threads=threads)
+    poison = draws_at(mu, SampleStream(48), count, [CHUNK + 33])
+    with pytest.raises(ModelEvaluationFailure) as err:
+        estimate_h(NanAtBatched(np.ones((2, 5)), poison), mu, SampleStream(48), count,
+                   threads=threads)
+    return h, val, err.value.sample_index
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("chunk", [4, CHUNK, 1 << 40])
+def test_block_size_and_thread_count_change_no_draw(monkeypatch, chunk, threads):
+    # every block reads its rows straight from one long draw: validate_error
+    # is bitwise the same, H moves only by its summation order, and a bad
+    # sample keeps its global index
+    want_h, want_val, _ = _walk_results(CHUNK, 1, monkeypatch)
+    h, val, index = _walk_results(chunk, threads, monkeypatch)
+    _assert_same_h(h, want_h)
+    assert val == want_val
+    assert index == CHUNK + 33
+
+
+@pytest.mark.parametrize("chunk", [4, 1 << 40])
+def test_correlated_draws_agree_across_block_sizes_to_round_off(monkeypatch, chunk):
+    # m + S z and the model's F x on a few rows can take another BLAS kernel
+    # than on many (OpenBLAS does at d = 144 for up to 8 rows), so with a
+    # correlated covariance only the thread count is bitwise free
+    mu = GaussianMeasure(np.zeros(144), build_field_covariance(Mesh2D(12)))
+    model = LinearModel(np.random.default_rng(45).standard_normal((3, 144)))
+    p = optimal_projector(estimate_h(model, mu, SampleStream(1), 50), mu, 2)
+    approx = build_ridge(model, mu, p, SampleStream(46), 3)
+    count = CHUNK + 102
+    want = validate_error(approx, model, mu, SampleStream(47), count)
+    monkeypatch.setattr(ridge, "CHUNK", chunk)
+    got = [validate_error(approx, model, mu, SampleStream(47), count, threads=t)
+           for t in (1, 2, 4)]
+    assert got[0] == got[1] == got[2]
+    np.testing.assert_allclose(got[0], want, rtol=1e-13)
 
 
 class NanPastOne(LinearModel):

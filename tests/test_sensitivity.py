@@ -28,7 +28,7 @@ from gradridge import (
     sobol_estimates,
     validate_error,
 )
-from gradridge import sensitivity
+from gradridge import ridge
 from gradridge.sensitivity import IndexGroup
 
 
@@ -435,9 +435,9 @@ def _fields(est):
             est.total_variance_se)
 
 
-# d=3 makes a base row 3 normals; 6002 rows end on a partial block both at the
-# default block size (2728 rows) and at 4 rows. The linear model has two
-# outputs and a metric that is not the identity.
+# 6002 rows end on a partial block both at the default block size (512 rows)
+# and at 4 rows. The linear model has two outputs and a metric that is not the
+# identity.
 _BLOCKED = [
     (SumOfSinesModel([1.0, 0.5, 0.8], [1.0, 2.0, 0.7]), [1, 3]),
     (LinearModel(np.array([[2.0, -1.0, 0.5], [0.3, 1.0, 1.5]]),
@@ -446,16 +446,17 @@ _BLOCKED = [
 
 
 @pytest.mark.parametrize("model, tau", _BLOCKED)
-@pytest.mark.parametrize("block_normals", [None, 1, 1 << 40])
+@pytest.mark.parametrize("fours", [None, 1, 1 << 40])
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_blocked_sobol_matches_the_one_shot_draw_bitwise(monkeypatch, model, tau,
-                                                          block_normals, threads):
-    # None keeps the default; 1 gives blocks of 4 rows, 1 << 40 one block
-    if block_normals is not None:
-        monkeypatch.setattr(sensitivity, "_BLOCK_NORMALS", block_normals)
+                                                          fours, threads):
+    # blocks of 4 * fours rows (CHUNK is a multiple of 4): None keeps the
+    # default, 1 gives blocks of 4 rows, 1 << 40 one block
+    if fours is not None:
+        monkeypatch.setattr(ridge, "CHUNK", 4 * fours)
     mu = GaussianMeasure(np.zeros(3), SpdMatrix.diagonal([1.0, 2.0, 0.5]))
     n_outer = 6002
-    assert n_outer % sensitivity._block_rows(2 * 3) != 0
+    assert n_outer % ridge.CHUNK != 0
     est = sobol_estimates(model, mu, tau, SampleStream(31), n_outer=n_outer, threads=threads)
     assert _fields(est) == _one_shot_sobol(model, mu, tau, SampleStream(31), n_outer)
 
@@ -477,7 +478,7 @@ def test_sobol_memory_peak_stays_bounded_at_default_sizes():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sobol_guards_name_the_global_outer_index_in_any_block(monkeypatch, threads):
     # blocks of 4 base rows, so each first bad row sits past the first block
-    monkeypatch.setattr(sensitivity, "_BLOCK_NORMALS", 1)
+    monkeypatch.setattr(ridge, "CHUNK", 4)
     mu = GaussianMeasure.standard(2)
     root = SampleStream(22)
     cut, first = _mixed_only_cut(mu, root, 40)
