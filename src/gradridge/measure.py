@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankOutOfRange
 from .linalg import SpdMatrix
-from .projector import ORTH_SIGMA_INVERSE, euclidean_projector, require_sigma_orthogonal
+from .projector import euclidean_projector, require_sigma_orthogonal
 
 __all__ = [
     "SampleStream",
@@ -159,15 +159,12 @@ def sample(mu, stream, count):
 
 def kl_projector(mu, rank):
     """Euclidean-orthogonal projector onto the leading rank-``rank`` eigenspace
-    of the covariance — the truncation a Karhunen-Loeve expansion keeps.
-
-    Flagged sigma-inverse as well when the covariance is diagonal, since the
-    eigenbasis is then a coordinate basis.
+    of the covariance — the truncation a Karhunen-Loeve expansion keeps. It
+    commutes with the covariance, so it is sigma-inverse-orthogonal too.
     """
     if not 1 <= rank <= mu.dim:
         raise RankOutOfRange(f"rank {rank} outside [1, {mu.dim}]")
-    extra = (ORTH_SIGMA_INVERSE,) if mu.has_diagonal_cov else ()
-    return euclidean_projector(mu.cov.root().vectors[:, :rank], extra_flags=extra)
+    return euclidean_projector(mu.cov.root().vectors[:, :rank])
 
 
 def conditioned_resample(mu, p, x, stream, count):
@@ -175,10 +172,10 @@ def conditioned_resample(mu, p, x, stream, count):
 
     This is the sampling form of conditioning on the sigma-algebra of P: the
     component of x in the range of P is frozen, the complement is redrawn.
-    Requires a sigma-inverse-orthogonal projector; for any other P the result
-    would not be the conditional law.
+    Requires a projector that is sigma-inverse-orthogonal for mu's covariance;
+    for any other P the result would not be the conditional law.
     """
-    require_sigma_orthogonal(p)
+    require_sigma_orthogonal(p, mu.cov)
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != mu.dim:
         raise DimensionMismatch(f"point has dim {x.shape[0]}, measure has {mu.dim}")

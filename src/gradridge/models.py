@@ -18,6 +18,7 @@ from .errors import (
     NotSigmaOrthogonal,
 )
 from .linalg import SpdMatrix, sym_eig
+from .projector import require_sigma_orthogonal
 
 __all__ = [
     "VectorValuedModel",
@@ -209,8 +210,7 @@ def linear_cond_exp_error(model, mu, p):
     float path, which is exactly what makes this usable as an oracle against
     the trace-based bound.
     """
-    if not getattr(p, "is_sigma_orthogonal", False):
-        raise NotSigmaOrthogonal("closed form is valid for sigma-inverse-orthogonal projectors")
+    require_sigma_orthogonal(p, mu.cov)
     resid = np.eye(model.input_dim) - p.matrix
     core = model.output_metric.root().factor @ model.matrix @ resid @ mu.cov.root().factor
     return float(np.sum(core * core))
@@ -218,11 +218,11 @@ def linear_cond_exp_error(model, mu, p):
 
 def quadratic_cond_exp_error(model, mu, p):
     """Exact squared error |A - P A P|_F^2 / 2 for the quadratic form under
-    N(0, I) and a symmetric idempotent P."""
+    N(0, I) and a symmetric projector P: under N(0, I) symmetric and
+    sigma-inverse-orthogonal are the same property."""
     _require_standard(mu)
-    pm = p.matrix if hasattr(p, "matrix") else np.asarray(p, dtype=float)
-    if np.linalg.norm(pm - pm.T, "fro") > 1e-9 * max(1.0, np.linalg.norm(pm, "fro")):
-        raise NotSigmaOrthogonal("quadratic closed form needs a symmetric projector")
+    require_sigma_orthogonal(p, mu.cov)
+    pm = p.matrix
     a = model.matrix
     diff = a - pm @ a @ pm
     return 0.5 * float(np.sum(diff * diff))
@@ -270,8 +270,7 @@ def exact_conditional_expectation(model, mu, p):
     profile-sampling error of the ridge constructor in tests and diagnostics.
     """
     if isinstance(model, LinearModel):
-        if not getattr(p, "is_sigma_orthogonal", False):
-            raise NotSigmaOrthogonal("exact profile needs a sigma-inverse-orthogonal projector")
+        require_sigma_orthogonal(p, mu.cov)
         f = model.matrix
         shift = f @ (np.eye(model.input_dim) - p.matrix) @ mu.mean
         fp = f @ p.matrix
@@ -282,9 +281,8 @@ def exact_conditional_expectation(model, mu, p):
         return _ExactProfile(profile, model.input_dim, model.output_dim)
     if isinstance(model, QuadraticFormModel):
         _require_standard(mu)
+        require_sigma_orthogonal(p, mu.cov)
         pm = p.matrix
-        if np.linalg.norm(pm - pm.T, "fro") > 1e-9 * max(1.0, np.linalg.norm(pm, "fro")):
-            raise NotSigmaOrthogonal("quadratic profile needs a symmetric projector")
         a = model.matrix
         pap = pm.T @ a @ pm
         resid = np.eye(model.input_dim) - pm

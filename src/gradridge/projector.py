@@ -1,11 +1,7 @@
 """Rank-r projectors held as their two factors.
 
 A projector here is P = U W^T with d x r factors and W^T U = I: U spans the
-range and the kernel is span(W)^perp. ``apply`` costs O(d r) per point. Flags
-record which inner products P is orthogonal in: ``"sigma-inverse"`` (P^T
-Sigma^{-1} = Sigma^{-1} P, which conditional expectations need) and/or
-``"euclidean"`` (P^T = P). Oblique projectors carry neither flag and are
-rejected by the operations that require one.
+range and the kernel is span(W)^perp. ``apply`` costs O(d r) per point.
 """
 
 from __future__ import annotations
@@ -16,8 +12,6 @@ from .errors import DimensionMismatch, NotSigmaOrthogonal, RankOutOfRange
 from .linalg import SpdMatrix
 
 __all__ = [
-    "ORTH_SIGMA_INVERSE",
-    "ORTH_EUCLIDEAN",
     "RankRProjector",
     "sigma_inverse_projector",
     "euclidean_projector",
@@ -26,21 +20,17 @@ __all__ = [
     "require_sigma_orthogonal",
 ]
 
-ORTH_SIGMA_INVERSE = "sigma-inverse"
-ORTH_EUCLIDEAN = "euclidean"
-
-
 class RankRProjector:
-    """P = basis @ dual.T from two d x r factors, with its flags.
+    """P = basis @ dual.T from two d x r factors.
 
     Construction verifies dual^T basis = I (to 1e-9 Frobenius, scaled by the
     factors' norms for ill-conditioned bases), which makes P idempotent of
     rank r. For rank 0 both factors are (d, 0) and P is exactly zero.
     """
 
-    __slots__ = ("basis", "dual", "flags")
+    __slots__ = ("basis", "dual")
 
-    def __init__(self, basis, dual, flags=()):
+    def __init__(self, basis, dual):
         u = np.array(basis, dtype=float)
         w = np.array(dual, dtype=float)
         if u.ndim != 2 or u.shape != w.shape or u.shape[1] > u.shape[0]:
@@ -52,7 +42,6 @@ class RankRProjector:
         w.setflags(write=False)
         self.basis = u
         self.dual = w
-        self.flags = frozenset(flags)
 
     @property
     def dim(self):
@@ -71,27 +60,18 @@ class RankRProjector:
         """P applied to every row of ``xs`` (xs P^T), or to a single vector."""
         return (xs @ self.dual) @ self.basis.T
 
-    @property
-    def is_sigma_orthogonal(self):
-        return ORTH_SIGMA_INVERSE in self.flags
-
-    @property
-    def is_euclidean(self):
-        return ORTH_EUCLIDEAN in self.flags
-
     def __repr__(self):
-        return f"RankRProjector(dim={self.dim}, rank={self.rank}, flags={sorted(self.flags)})"
+        return f"RankRProjector(dim={self.dim}, rank={self.rank})"
 
     @classmethod
     def zero(cls, dim):
-        # The zero map is orthogonal in every inner product.
         empty = np.zeros((dim, 0))
-        return cls(empty, empty, flags=(ORTH_SIGMA_INVERSE, ORTH_EUCLIDEAN))
+        return cls(empty, empty)
 
     @classmethod
     def identity(cls, dim):
         eye = np.eye(dim)
-        return cls(eye, eye, flags=(ORTH_SIGMA_INVERSE, ORTH_EUCLIDEAN))
+        return cls(eye, eye)
 
 
 def sigma_inverse_projector(basis, sigma):
@@ -111,10 +91,10 @@ def sigma_inverse_projector(basis, sigma):
 def _from_whitened(q, root):
     """The Sigma^{-1}-orthogonal projector onto span(S q), for the root S of
     Sigma and a whitened basis q with orthonormal columns: P = (S q)(S^{-T} q)^T."""
-    return RankRProjector(root.factor @ q, root.whiten(q), flags=(ORTH_SIGMA_INVERSE,))
+    return RankRProjector(root.factor @ q, root.whiten(q))
 
 
-def euclidean_projector(basis, extra_flags=()):
+def euclidean_projector(basis):
     """Symmetric projector Q Q^T, with Q the orthonormalized columns of
     ``basis``."""
     u = np.asarray(basis, dtype=float)
@@ -123,7 +103,7 @@ def euclidean_projector(basis, extra_flags=()):
     if u.shape[1] == 0:
         return RankRProjector.zero(u.shape[0])
     u = np.linalg.qr(u)[0]
-    return RankRProjector(u, u, flags=(ORTH_EUCLIDEAN,) + tuple(extra_flags))
+    return RankRProjector(u, u)
 
 
 def sigma_orthogonalize(p, sigma):
@@ -165,9 +145,21 @@ def random_sigma_orthogonal_projector(dim, rank, sigma, rng):
     return _from_whitened(np.linalg.qr(g)[0], sigma.root())
 
 
-def require_sigma_orthogonal(p):
-    if not isinstance(p, RankRProjector) or not p.is_sigma_orthogonal:
+def require_sigma_orthogonal(p, sigma):
+    """NotSigmaOrthogonal unless P^T Sigma^{-1} = Sigma^{-1} P, which for
+    P = U W^T with W^T U = I means Sigma W = U (W^T Sigma W). Tested to 1e-9
+    of |Sigma| |W| + |U| |W^T Sigma W| (Frobenius), as the constructor tests
+    W^T U = I."""
+    if not isinstance(p, RankRProjector):
+        raise NotSigmaOrthogonal(f"expected a RankRProjector, not {type(p).__name__}")
+    s = sigma.entries if isinstance(sigma, SpdMatrix) else np.asarray(sigma, dtype=float)
+    if s.shape != (p.dim, p.dim):
+        raise DimensionMismatch(f"projector dim {p.dim} vs covariance {s.shape}")
+    sw = s @ p.dual
+    gram = p.dual.T @ sw
+    norm = np.linalg.norm
+    if norm(sw - p.basis @ gram) > 1e-9 * (norm(s) * norm(p.dual) + norm(p.basis) * norm(gram)):
         raise NotSigmaOrthogonal(
-            "operation needs a sigma-inverse-orthogonal projector; "
+            "projector is not sigma-inverse-orthogonal for this covariance; "
             "use sigma_orthogonalize to convert one with the right kernel"
         )

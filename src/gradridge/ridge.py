@@ -31,7 +31,7 @@ from .errors import (
 from .linalg import SpdMatrix, generalized_eig, trace_quadratic
 from .measure import sample
 from .models import LinearModel, VectorValuedModel
-from .projector import ORTH_SIGMA_INVERSE, RankRProjector, require_sigma_orthogonal
+from .projector import RankRProjector, require_sigma_orthogonal
 
 __all__ = [
     "HMatrixEstimate",
@@ -63,6 +63,11 @@ def _require_finite(values, offset, what):
     if bad.any():
         index = offset + int(np.argmax(bad))
         raise ModelEvaluationFailure(index, f"non-finite {what} at sample {index}")
+
+
+def _metric_sq_norms(diff, metric):
+    """|row|_R^2 for every row of ``diff``, with R the output metric."""
+    return np.einsum("kn,nm,km->k", diff, metric, diff)
 
 
 def _map_chunks(fn, n_chunks, threads):
@@ -130,9 +135,13 @@ def estimate_h(model, mu, stream, count, threads=1):
                 raise DimensionMismatch(f"jacobian_batch returned shape {jac.shape}")
             return jac
         try:
-            return np.asarray(model.jacobian(xs[0]), dtype=float).reshape(1, n, d)
+            jac = np.asarray(model.jacobian(xs[0]), dtype=float)
         except Exception as exc:  # noqa: BLE001 - annotate with the sample index
-            raise ModelEvaluationFailure(at) from exc
+            message = f"model evaluation failed at sample {at}: {type(exc).__name__}: {exc}"
+            raise ModelEvaluationFailure(at, message) from exc
+        if jac.shape != (n, d):
+            raise DimensionMismatch(f"jacobian returned shape {jac.shape}")
+        return jac.reshape(1, n, d)
 
     def one_block(lo, xs):
         total = np.zeros((d, d))
@@ -176,8 +185,7 @@ def optimal_projector(h, mu, rank, pairs=None):
     if pairs is None:
         pairs = generalized_eig(hm, mu.cov)
     _warn_if_unidentifiable(h, rank, stacklevel=3)
-    return RankRProjector(pairs.vectors[:, :rank], pairs.duals[:, :rank],
-                          flags=(ORTH_SIGMA_INVERSE,))
+    return RankRProjector(pairs.vectors[:, :rank], pairs.duals[:, :rank])
 
 
 def _warn_if_unidentifiable(h, rank, stacklevel=2):
@@ -279,12 +287,13 @@ class RidgeApproximation:
     The offsets (I - P) Y_j are computed once; when every one is exactly zero
     (P = I) a single zero row stands for them all, so each evaluation costs
     one model point per row and returns the model at P x exactly.
+
+    The covariance is not known here, so ``build_ridge`` checks P against it.
     """
 
     __slots__ = ("projector", "cond_samples", "model", "_offsets")
 
     def __init__(self, projector, cond_samples, model):
-        require_sigma_orthogonal(projector)
         ys = np.asarray(cond_samples, dtype=float)
         if ys.ndim != 2 or ys.shape[1] != projector.dim:
             raise DimensionMismatch(f"conditioning samples have shape {ys.shape}")
@@ -330,7 +339,10 @@ class RidgeApproximation:
 
 def build_ridge(model, mu, p, stream, profile_samples):
     """Freeze ``profile_samples`` draws of mu and return the sampled
-    conditional expectation of the model along ``p``."""
+    conditional expectation of the model along ``p``. Raises
+    NotSigmaOrthogonal unless ``p`` is sigma-inverse-orthogonal for mu's
+    covariance, the only P for which that is the conditional law."""
+    require_sigma_orthogonal(p, mu.cov)
     if int(profile_samples) < 1:
         raise ValueError("profile_samples must be at least 1")
     ys = sample(mu, stream, int(profile_samples))
@@ -360,7 +372,7 @@ def validate_error(approx, model, mu, stream, count, threads=1):
             raise ModelEvaluationFailure(index, f"non-finite ridge output at sample {index}") from err
         diff = f_xs - ridge_xs
         _require_finite(diff, lo, "output")
-        return np.einsum("kn,nm,km->k", diff, metric, diff)
+        return _metric_sq_norms(diff, metric)
 
     errs = np.concatenate(_map_draws(mu, (stream,), count, one_block, threads))
     mse = float(np.mean(errs))
@@ -381,7 +393,7 @@ def m_inflation_check(model, mu, p, profile_samples, replicates, stream):
     if not isinstance(model, LinearModel):
         raise TypeError("m_inflation_check needs a model with an exact profile error; "
                         "only LinearModel qualifies")
-    require_sigma_orthogonal(p)
+    require_sigma_orthogonal(p, mu.cov)
     if int(replicates) < 1:
         raise ValueError("need at least one replicate")
     base, quad = _linear_profile_error_terms(model, mu, p)

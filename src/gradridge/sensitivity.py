@@ -39,8 +39,8 @@ from .errors import (
     NonFiniteInput,
     ZeroVariance,
 )
-from .projector import ORTH_EUCLIDEAN, ORTH_SIGMA_INVERSE, RankRProjector
-from .ridge import _map_draws, estimate_h
+from .projector import RankRProjector
+from .ridge import _map_draws, _metric_sq_norms, estimate_h
 
 __all__ = [
     "IndexGroup",
@@ -96,22 +96,15 @@ class IndexGroup:
         return "{" + ",".join(str(i) for i in self.indices) + "}"
 
 
-def coordinate_projector(tau, dim, sigma=None):
+def coordinate_projector(tau, dim):
     """Diagonal 0/1 projector keeping the coordinates in ``tau`` (1-based).
 
-    Always euclidean-orthogonal; additionally sigma-inverse-orthogonal when a
-    diagonal covariance is supplied, since the projector then commutes with
-    Sigma^{-1}. The empty group gives the zero map.
+    Symmetric, and sigma-inverse-orthogonal for any diagonal covariance,
+    which it commutes with. The empty group gives the zero map.
     """
-    group = IndexGroup.coerce(tau).validate(dim)
-    keep = group.mask(dim)
-    flags = [ORTH_EUCLIDEAN]
-    if sigma is not None:
-        entries = sigma.entries if hasattr(sigma, "entries") else np.asarray(sigma, dtype=float)
-        if np.count_nonzero(entries - np.diag(np.diag(entries))) == 0:
-            flags.append(ORTH_SIGMA_INVERSE)
+    keep = IndexGroup.coerce(tau).validate(dim).mask(dim)
     basis = np.eye(dim)[:, keep]
-    return RankRProjector(basis, basis, flags=flags)
+    return RankRProjector(basis, basis)
 
 
 @dataclass(frozen=True)
@@ -123,10 +116,6 @@ class GroupEstimate:
     t_se: float
     total_variance: float
     total_variance_se: float
-
-
-def _metric_sq_norms(diff, metric):
-    return np.einsum("kn,nm,km->k", diff, metric, diff)
 
 
 def _pick_freeze(model, mu, groups, stream, n, threads):

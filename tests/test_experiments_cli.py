@@ -899,6 +899,27 @@ def test_cli_singular_diffusion_factor_exits_3_without_traceback(tmp_path, capsy
     ]
 
 
+def test_cli_per_point_jacobian_failure_names_the_sample_and_its_cause(tmp_path, capsys):
+    # the singular-factor config under curve: estimate_h walks the diffusion
+    # model one Jacobian at a time, and its failure keeps the solver's reason
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "pde", "grid": 4, "scenario": "point_pair"},
+        "measure": {"covariance": {"kind": "diagonal", "values": [1e6] * 16}},
+        "sampling": {"k": 1000, "m": []},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["curve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--seed", "8"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "numerical failure: ModelEvaluationFailure: model evaluation failed at sample 481: "
+        "SolverFailure: banded Cholesky failed: leading minor 9 is not positive"
+    ]
+
+
 def test_cli_prints_each_warning_as_one_line(tmp_path):
     # the singular-factor run clamps its inputs first; each clamp warning is
     # one stderr line, with no source path or code line under it

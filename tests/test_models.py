@@ -138,7 +138,7 @@ def test_linear_error_hand_value():
     # F = I, R = I, Sigma = I, P = e1 e1^T in d = 2: error is the variance
     # of the dropped coordinate, exactly 1
     mu = GaussianMeasure.standard(2)
-    p = coordinate_projector([1], 2, sigma=mu.cov)
+    p = coordinate_projector([1], 2)
     got = linear_cond_exp_error(LinearModel(np.eye(2)), mu, p)
     np.testing.assert_allclose(got, 1.0, rtol=1e-12)
 
@@ -174,7 +174,7 @@ def test_quadratic_error_identity_zero():
 
 def test_quadratic_error_hand_value():
     model = QuadraticFormModel(np.diag([2.0, 1.0]))
-    p = coordinate_projector([1], 2, sigma=SpdMatrix.identity(2))
+    p = coordinate_projector([1], 2)
     got = quadratic_cond_exp_error(model, GaussianMeasure.standard(2), p)
     np.testing.assert_allclose(got, 0.5, rtol=1e-14)
 

@@ -1,18 +1,35 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gradridge import (
+    DiffusionModel,
     DimensionMismatch,
+    GaussianMeasure,
+    LinearModel,
     NotSigmaOrthogonal,
+    QuadraticFormModel,
     RankRProjector,
     SampleStream,
     SpdMatrix,
+    build_ridge,
+    conditioned_resample,
+    estimate_h,
+    exact_conditional_expectation,
+    generalized_eig,
+    kl_projector,
+    linear_cond_exp_error,
+    m_inflation_check,
+    optimal_projector,
+    quadratic_cond_exp_error,
     random_sigma_orthogonal_projector,
     require_sigma_orthogonal,
     sigma_inverse_projector,
     sigma_orthogonalize,
 )
-from gradridge.projector import ORTH_EUCLIDEAN, ORTH_SIGMA_INVERSE, euclidean_projector
+from gradridge.pde import Mesh2D, build_field_covariance
+from gradridge.projector import euclidean_projector
 from gradridge.sensitivity import coordinate_projector
 
 
@@ -28,30 +45,32 @@ def test_zero_and_identity():
     i = RankRProjector.identity(3)
     assert i.rank == 3
     np.testing.assert_array_equal(i.matrix, np.eye(3))
+    sigma = random_spd(np.random.default_rng(0), 3)
     for p in (z, i):
-        assert p.is_sigma_orthogonal and p.is_euclidean
+        require_sigma_orthogonal(p, sigma)
+        np.testing.assert_array_equal(p.matrix, p.matrix.T)
 
 
 def test_rejects_non_idempotent():
     # W^T U != I: U W^T is not idempotent
     e = np.eye(3)[:, :2]
     with pytest.raises(ValueError):
-        RankRProjector(e, 0.5 * e, flags=(ORTH_EUCLIDEAN,))
+        RankRProjector(e, 0.5 * e)
     with pytest.raises(ValueError):
-        RankRProjector(e, np.eye(3)[:, 1:], flags=(ORTH_EUCLIDEAN,))
+        RankRProjector(e, np.eye(3)[:, 1:])
 
 
 def test_rejects_wrong_trace():
     # the rank is the factors' column count, so a mismatched pair of
     # factors or more columns than rows is all that can be wrong with it
     with pytest.raises(DimensionMismatch):
-        RankRProjector(np.eye(3)[:, :2], np.eye(3)[:, :1], flags=(ORTH_EUCLIDEAN,))
+        RankRProjector(np.eye(3)[:, :2], np.eye(3)[:, :1])
     with pytest.raises(DimensionMismatch):
-        RankRProjector(np.eye(3)[:, :2], np.eye(2), flags=(ORTH_EUCLIDEAN,))
+        RankRProjector(np.eye(3)[:, :2], np.eye(2))
     with pytest.raises(DimensionMismatch):
-        RankRProjector(np.ones((2, 3)), np.ones((2, 3)) / 6.0, flags=(ORTH_EUCLIDEAN,))
+        RankRProjector(np.ones((2, 3)), np.ones((2, 3)) / 6.0)
     with pytest.raises(DimensionMismatch):
-        RankRProjector(np.ones(3), np.ones(3) / 3.0, flags=(ORTH_EUCLIDEAN,))
+        RankRProjector(np.ones(3), np.ones(3) / 3.0)
 
 
 def test_euclidean_projector_symmetric_idempotent():
@@ -66,14 +85,14 @@ def test_euclidean_projector_symmetric_idempotent():
 
 
 def test_sigma_inverse_projector_commutation():
-    # defining identity of the flag: P^T Sigma^{-1} = Sigma^{-1} P
+    # defining identity of the check: P^T Sigma^{-1} = Sigma^{-1} P
     rng = np.random.default_rng(2)
     for d, r in ((4, 1), (6, 3), (9, 5)):
         sigma = random_spd(rng, d)
         basis = rng.standard_normal((d, r))
         p = sigma_inverse_projector(basis, sigma)
         assert p.rank == r
-        assert p.is_sigma_orthogonal
+        require_sigma_orthogonal(p, sigma)
         sig_inv = np.linalg.inv(sigma.entries)
         comm = p.matrix.T @ sig_inv - sig_inv @ p.matrix
         scale = np.linalg.norm(sig_inv, "fro")
@@ -96,7 +115,7 @@ def test_random_projector_valid():
     seen = []
     for k in range(5):
         p = random_sigma_orthogonal_projector(7, 3, sigma, rng.substream(k))
-        require_sigma_orthogonal(p)
+        require_sigma_orthogonal(p, sigma)
         assert p.rank == 3
         seen.append(p.matrix.copy())
     # distinct draws give distinct projectors
@@ -124,7 +143,7 @@ def test_sigma_orthogonalize_preserves_kernel():
     assert np.linalg.norm(oblique.basis - oblique.dual) > 0.1
     for p in (euclidean_projector(rng.standard_normal((d, r))), oblique):
         q = sigma_orthogonalize(p, sigma)
-        assert q.is_sigma_orthogonal
+        require_sigma_orthogonal(q, sigma)
         assert q.rank == r
         # same kernel: anything killed by P is killed by Q and vice versa
         resid = np.eye(d) - p.matrix
@@ -181,7 +200,7 @@ def test_require_sigma_orthogonal_raises():
     rng = np.random.default_rng(7)
     p = euclidean_projector(rng.standard_normal((4, 2)))
     with pytest.raises(NotSigmaOrthogonal):
-        require_sigma_orthogonal(p)
+        require_sigma_orthogonal(p, random_spd(rng, 4))
 
 
 def test_basis_qr_fallback_for_dependent_columns():
@@ -193,3 +212,81 @@ def test_basis_qr_fallback_for_dependent_columns():
     p = sigma_inverse_projector(basis, sigma)
     assert p.rank == 2
     np.testing.assert_allclose(p.matrix @ p.matrix, p.matrix, atol=1e-8)
+
+
+def _linear(mu):
+    return LinearModel(np.arange(1.0, 2 * mu.dim + 1).reshape(2, mu.dim))
+
+
+def _quadratic(mu):
+    return QuadraticFormModel(np.diag(np.arange(1.0, mu.dim + 1)))
+
+
+# every operation that needs P to be sigma-inverse-orthogonal for mu's
+# covariance, and whether it holds under N(0, I) only
+_NEEDS_SIGMA_ORTHOGONAL = {
+    "build_ridge": (False, lambda mu, p: build_ridge(_linear(mu), mu, p, SampleStream(1), 2)),
+    "conditioned_resample": (
+        False, lambda mu, p: conditioned_resample(mu, p, np.ones(mu.dim), SampleStream(1), 2)),
+    "m_inflation_check": (
+        False, lambda mu, p: m_inflation_check(_linear(mu), mu, p, 2, 1, SampleStream(1))),
+    "linear_cond_exp_error": (False, lambda mu, p: linear_cond_exp_error(_linear(mu), mu, p)),
+    "exact_conditional_expectation-linear": (
+        False, lambda mu, p: exact_conditional_expectation(_linear(mu), mu, p)),
+    "quadratic_cond_exp_error": (
+        True, lambda mu, p: quadratic_cond_exp_error(_quadratic(mu), mu, p)),
+    "exact_conditional_expectation-quadratic": (
+        True, lambda mu, p: exact_conditional_expectation(_quadratic(mu), mu, p)),
+}
+
+
+def _mismatched(case, standard):
+    """A projector that is sigma-inverse-orthogonal for one covariance, and a
+    measure with another covariance (the identity if ``standard``)."""
+    if case == "coordinate":
+        # under corr, E[x_2 | x_1 = 1] is 0.8; P = e1 e1^T would freeze it at 0
+        corr = SpdMatrix([[1.0, 0.8], [0.8, 1.0]])
+        if standard:
+            return GaussianMeasure.standard(2), sigma_inverse_projector(np.eye(2)[:, :1], corr)
+        return GaussianMeasure(np.zeros(2), corr), coordinate_projector([1], 2)
+    d = 6
+    p = random_sigma_orthogonal_projector(
+        d, 2, SpdMatrix.diagonal(np.arange(1.0, d + 1)), SampleStream(40))
+    if standard:
+        return GaussianMeasure.standard(d), p
+    return GaussianMeasure(np.zeros(d), random_spd(np.random.default_rng(41), d)), p
+
+
+@pytest.mark.parametrize("case", ["coordinate", "random"])
+@pytest.mark.parametrize("operation", sorted(_NEEDS_SIGMA_ORTHOGONAL))
+def test_every_operation_rejects_a_projector_built_for_another_covariance(operation, case):
+    standard, run = _NEEDS_SIGMA_ORTHOGONAL[operation]
+    mu, p = _mismatched(case, standard)
+    with pytest.raises(NotSigmaOrthogonal):
+        require_sigma_orthogonal(p, mu.cov)
+    with pytest.raises(NotSigmaOrthogonal):
+        run(mu, p)
+    # the same operation takes the projector under a covariance it was built for
+    run(mu, sigma_orthogonalize(p, mu.cov))
+
+
+def test_sigma_check_accepts_every_constructor_under_its_own_covariance():
+    g = 12
+    mu = GaussianMeasure(np.zeros(g * g), build_field_covariance(Mesh2D(g)))
+    h = estimate_h(DiffusionModel(g, "full_field"), mu, SampleStream(3), 8).h
+    pairs = generalized_eig(h, mu.cov)
+    for r in range(1, g * g + 1):
+        require_sigma_orthogonal(optimal_projector(h, mu, r, pairs=pairs), mu.cov)
+        require_sigma_orthogonal(kl_projector(mu, r), mu.cov)
+    for p in (RankRProjector.zero(g * g), RankRProjector.identity(g * g)):
+        require_sigma_orthogonal(p, mu.cov)
+    d = 5
+    diagonal = SpdMatrix.diagonal([0.5, 2.0, 1.0, 7.0, 3.0])
+    for r in range(d + 1):
+        for tau in itertools.combinations(range(1, d + 1), r):
+            require_sigma_orthogonal(coordinate_projector(tau, d), diagonal)
+
+
+def test_sigma_check_refuses_a_projector_of_another_dimension():
+    with pytest.raises(DimensionMismatch):
+        require_sigma_orthogonal(RankRProjector.identity(3), SpdMatrix.identity(4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradridge import (
+    DimensionMismatch,
     GaussianMeasure,
     LinearModel,
     ModelEvaluationFailure,
@@ -35,7 +36,11 @@ from gradridge import (
 from gradridge import ridge
 from gradridge.models import VectorValuedModel
 from gradridge.pde import Mesh2D, build_field_covariance
-from gradridge.projector import euclidean_projector, sigma_inverse_projector
+from gradridge.projector import (
+    euclidean_projector,
+    require_sigma_orthogonal,
+    sigma_inverse_projector,
+)
 from gradridge.ridge import CHUNK, JACOBIAN_BYTES
 
 
@@ -124,6 +129,7 @@ def test_estimate_h_wraps_model_failure():
     with pytest.raises(ModelEvaluationFailure) as err:
         estimate_h(Broken(), GaussianMeasure.standard(2), SampleStream(7), 3)
     assert err.value.sample_index == 0
+    assert str(err.value) == "model evaluation failed at sample 0: RuntimeError: boom"
 
 
 class NanAt(VectorValuedModel):
@@ -210,6 +216,33 @@ def test_estimate_h_per_point_model_matches_the_batch_path(which):
     _assert_same_h(per_point, batch)
 
 
+class Transposed(VectorValuedModel):
+    """f(x) = F x whose per-point Jacobian comes back as F^T, shape (d, n)."""
+
+    def __init__(self, f):
+        self.f = np.asarray(f, dtype=float)
+        self.output_dim, self.input_dim = self.f.shape
+        self.output_metric = SpdMatrix.identity(self.output_dim)
+
+    def jacobian(self, x):
+        return self.f.T.copy()
+
+
+class TransposedBatched(Transposed):
+    def jacobian_batch(self, xs):
+        return np.stack([self.jacobian(x) for x in xs])
+
+
+@pytest.mark.parametrize("model_cls", [Transposed, TransposedBatched],
+                         ids=["per-point", "batch"])
+def test_estimate_h_rejects_a_jacobian_of_the_wrong_shape(model_cls):
+    # F^T has as many entries as F, so reshaping it to (n, d) would run and
+    # give diag(H) = [16, 13, 26] where F^T F has [9, 17, 29]
+    model = model_cls(np.arange(6.0).reshape(2, 3))
+    with pytest.raises(DimensionMismatch, match=r"shape \((4, )?3, 2\)"):
+        estimate_h(model, GaussianMeasure.standard(3), SampleStream(49), 4)
+
+
 def test_estimate_h_block_budget_does_not_change_h(monkeypatch):
     model, mu = make_linear(seed=43)
     rows = []
@@ -283,7 +316,7 @@ def _walk_results(chunk, threads, monkeypatch):
     model = SumOfSinesModel([1.0, 0.6, 0.4, 0.3, 0.2], [0.8, 1.3, 2.0, 0.5, 1.1])
     count = CHUNK + 102
     h = estimate_h(model, mu, SampleStream(45), count, threads=threads).h.entries
-    approx = build_ridge(model, mu, coordinate_projector([1, 3], 5, mu.cov), SampleStream(46), 3)
+    approx = build_ridge(model, mu, coordinate_projector([1, 3], 5), SampleStream(46), 3)
     val = validate_error(approx, model, mu, SampleStream(47), count, threads=threads)
     poison = draws_at(mu, SampleStream(48), count, [CHUNK + 33])
     with pytest.raises(ModelEvaluationFailure) as err:
@@ -352,7 +385,7 @@ def test_optimal_projector_diagonal_case():
                      GaussianMeasure.standard(3), SampleStream(8), 1)
     p = optimal_projector(est, GaussianMeasure.standard(3), 2)
     np.testing.assert_allclose(p.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-9)
-    assert p.is_sigma_orthogonal
+    require_sigma_orthogonal(p, SpdMatrix.identity(3))
 
 
 def test_optimal_projector_bound_equals_tail():
@@ -383,7 +416,7 @@ def test_optimal_projector_is_read_off_the_eigenpairs():
         p = optimal_projector(h, mu, r, pairs=pairs)
         np.testing.assert_array_equal(p.basis, pairs.vectors[:, :r])
         np.testing.assert_array_equal(p.dual, pairs.duals[:, :r])
-        assert p.is_sigma_orthogonal
+        require_sigma_orthogonal(p, sigma)
         reference = sigma_inverse_projector(pairs.vectors[:, :r], sigma)
         np.testing.assert_allclose(p.matrix, reference.matrix, rtol=0, atol=1e-9)
 
@@ -520,7 +553,7 @@ def test_validate_error_exact_profile_quadratic():
     mu = GaussianMeasure.standard(5)
     vals, vecs = np.linalg.eigh(model.matrix @ model.matrix)
     order = np.argsort(vals)[::-1]
-    p = euclidean_projector(vecs[:, order[:2]], extra_flags=("sigma-inverse",))
+    p = euclidean_projector(vecs[:, order[:2]])
     closed = quadratic_cond_exp_error(model, mu, p)
     profile = exact_conditional_expectation(model, mu, p)
     mse, se = validate_error(profile, model, mu, SampleStream(24), 20000)

@@ -13,6 +13,7 @@ from gradridge import (
     ModelEvaluationFailure,
     NonDiagonalCovariance,
     NonFiniteInput,
+    NotSigmaOrthogonal,
     QuadraticFormModel,
     SampleStream,
     SpdMatrix,
@@ -22,6 +23,7 @@ from gradridge import (
     coordinate_projector,
     dgsm,
     exact_conditional_expectation,
+    require_sigma_orthogonal,
     sample,
     sines_cond_exp_error,
     sobol_bounds,
@@ -57,9 +59,10 @@ def test_coordinate_projector_cases():
     np.testing.assert_array_equal(empty.matrix, np.zeros((3, 3)))
     mid = coordinate_projector([2], 3)
     np.testing.assert_array_equal(mid.matrix, np.diag([0.0, 1.0, 0.0]))
-    assert mid.is_euclidean and not mid.is_sigma_orthogonal
-    flagged = coordinate_projector([2], 3, sigma=SpdMatrix(np.diag([2.0, 3.0, 4.0])))
-    assert flagged.is_sigma_orthogonal
+    np.testing.assert_array_equal(mid.matrix, mid.matrix.T)
+    require_sigma_orthogonal(mid, SpdMatrix(np.diag([2.0, 3.0, 4.0])))
+    with pytest.raises(NotSigmaOrthogonal):
+        require_sigma_orthogonal(mid, SpdMatrix([[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0, 0, 4.0]]))
 
 
 def test_sobol_additive_symmetric():
@@ -221,7 +224,7 @@ def test_consistency_with_ridge_error():
     tau = [1, 3]
     est = sobol_estimates(model, mu, tau, SampleStream(21), n_outer=4000, m_inner=64)
     closed = sines_cond_exp_error(model, mu, tau)
-    profile = exact_conditional_expectation(model, mu, coordinate_projector(tau, 3, sigma=mu.cov))
+    profile = exact_conditional_expectation(model, mu, coordinate_projector(tau, 3))
     mse, mse_se = validate_error(profile, model, mu, SampleStream(22), 20000)
     lhs = (1.0 - est.s_hat) * est.total_variance
     combined = np.hypot(est.s_se * est.total_variance, mse_se)
