@@ -52,7 +52,6 @@ from .models import (
     sines_bound,
     sines_cond_exp_error,
 )
-from .pde import DiffusionModel, Mesh2D, build_field_covariance
 from .projector import (
     RankRProjector,
     euclidean_projector,
@@ -85,3 +84,19 @@ from .sensitivity import (
     sobol_bounds,
     sobol_estimates,
 )
+
+# The diffusion testbed needs scipy; it is imported on first use (PEP 562), so
+# a run of the closed-form models never loads scipy.linalg or scipy.sparse.
+_PDE_NAMES = ("DiffusionModel", "Mesh2D", "build_field_covariance")
+
+
+def __getattr__(name):
+    if name not in _PDE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import pde
+
+    return getattr(pde, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_PDE_NAMES))

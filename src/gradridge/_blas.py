@@ -3,27 +3,37 @@
 numpy and scipy wheels each bundle their own OpenBLAS: numpy's
 ``libscipy_openblas64_`` exports ``scipy_openblas_{get,set}_num_threads64_``
 and scipy's ``libscipy_openblas`` the same names without the suffix. Both are
-found by their mapped paths in ``/proc/self/maps``, so the pin must run after
-numpy and scipy are imported. Where no copy or symbol is found (another BLAS
-vendor, or no ``/proc``) the block runs with BLAS left as it is.
+found by their mapped paths in ``/proc/self/maps``. gradridge imports scipy
+only where a run needs it, so scipy's copy may load while the pin is active:
+every module that imports scipy's compiled parts calls ``pin_new_copies``
+before it hands them out, which pins a copy that was not mapped when the pin
+started and restores it with the others on exit. Where no copy or symbol is
+found (another BLAS vendor, or no ``/proc``) the block runs with BLAS left as
+it is.
 """
 
 import ctypes
 import os
+import threading
 from contextlib import contextmanager
 
 MAPS = "/proc/self/maps"
 
+_lock = threading.Lock()
+# While one_blas_thread is active: the set function and saved thread count of
+# each copy it pinned, by mapped path. None when no pin is active.
+_pinned = None
 
-def _thread_controls():
-    """(get, set) thread-count functions of each OpenBLAS copy found."""
+
+def _copies():
+    """{mapped path: (get, set)} for each OpenBLAS copy with thread controls."""
     try:
         with open(MAPS, "r", encoding="utf-8") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
-        return []
+        return {}
     paths = {f[5].strip() for f in fields if len(f) == 6}
-    controls = []
+    copies = {}
     for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
         try:
             lib = ctypes.CDLL(path)
@@ -34,19 +44,35 @@ def _thread_controls():
             put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
             if get is not None and put is not None:
                 get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
-                controls.append((get, put))
+                copies[path] = (get, put)
                 break
-    return controls
+    return copies
+
+
+def pin_new_copies():
+    """Inside ``one_blas_thread``, set each OpenBLAS copy it has not pinned yet
+    to one thread, to be restored on exit; outside it, do nothing."""
+    with _lock:
+        if _pinned is None:
+            return
+        for path, (get, put) in _copies().items():
+            if path not in _pinned:
+                _pinned[path] = (put, get())
+                put(1)
 
 
 @contextmanager
 def one_blas_thread():
-    """Set each OpenBLAS copy to one thread, and restore its count on exit."""
-    saved = [(put, get()) for get, put in _thread_controls()]
-    for put, _ in saved:
-        put(1)
+    """Set each OpenBLAS copy, including one loaded inside the block, to one
+    thread, and restore its count on exit. Not reentrant."""
+    global _pinned
+    with _lock:
+        _pinned = {}
+    pin_new_copies()
     try:
         yield
     finally:
-        for put, count in saved:
-            put(count)
+        with _lock:
+            for put, count in _pinned.values():
+                put(count)
+            _pinned = None

@@ -18,7 +18,10 @@ one chunk of work costs half a millisecond or more, as with ``point_pair``
 at grid 32, and not at grid 12.
 
 Every command runs with the OpenBLAS copies that numpy and scipy bundle set
-to one thread, and restores their thread counts when it returns. So the
+to one thread, and restores their thread counts when it returns. scipy is
+imported only when a run needs it (an eigendecomposition of a matrix that is
+not diagonal, or the pde model), so its copy usually loads inside the run; it
+is pinned as it loads and set back to the count it loaded with. So the
 artifacts do not depend on ``OPENBLAS_NUM_THREADS``, and on these small dense
 kernels one thread is also the fastest. The library API leaves BLAS as the
 caller set it: a library caller who wants the CLI's digits sets

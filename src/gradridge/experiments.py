@@ -26,8 +26,7 @@ from . import __version__
 from .errors import ConfigError, DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from .linalg import SpdMatrix, generalized_eig
 from .measure import GaussianMeasure, SampleStream
-from .models import LinearModel, QuadraticFormModel, SumOfSinesModel
-from .pde import SCENARIOS, DiffusionModel, Mesh2D, build_field_covariance
+from .models import SCENARIOS, LinearModel, QuadraticFormModel, SumOfSinesModel
 from .ridge import (
     _warn_if_unidentifiable,
     basis_error_bounds,
@@ -270,6 +269,8 @@ def build_model(cfg):
             return QuadraticFormModel(_model_matrix(spec))
         if kind == "sines":
             return SumOfSinesModel(spec["amplitudes"], spec["frequencies"])
+        from .pde import DiffusionModel, Mesh2D
+
         return DiffusionModel(
             Mesh2D(spec["grid"]), scenario=spec["scenario"],
             alpha=float(spec["alpha"]), beta=float(spec["beta"]),
@@ -290,10 +291,12 @@ def build_measure(cfg, model):
             cov = _factored(SpdMatrix(cov), "measure.covariance")
         elif cov["kind"] == "diagonal":
             cov = _factored(SpdMatrix.diagonal(cov["values"]), "measure.covariance")
-        elif isinstance(model, DiffusionModel):
-            cov = build_field_covariance(model.mesh, float(cov["lengthscale"]))
         else:
-            raise ConfigError("squared_exponential covariance needs the pde model's mesh")
+            from .pde import DiffusionModel, build_field_covariance
+
+            if not isinstance(model, DiffusionModel):
+                raise ConfigError("squared_exponential covariance needs the pde model's mesh")
+            cov = build_field_covariance(model.mesh, float(cov["lengthscale"]))
         return GaussianMeasure(mean, cov)
     except (ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad measure config: {exc}") from exc
@@ -455,6 +458,8 @@ def run_spectrum(cfg, out_dir, threads=1):
         ["index", "lambda", "tail_sum", "kl_sigma2", "kl_tail_sum"],
         rows,
     )
+    from .pde import DiffusionModel
+
     n_modes = min(6, mu.dim)
     kl_vecs = mu.cov.root().vectors
     header, coords = ["index"], np.empty((mu.dim, 0))

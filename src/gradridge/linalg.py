@@ -5,6 +5,10 @@ root of an SPD matrix that one such decomposition gives, and the generalized
 symmetric-definite eigenproblem reduced through that root. Every kernel
 rejects NaN or infinite input with NonFiniteInput rather than returning a
 silently wrong answer.
+
+Loading this module does not import scipy. The root of an exactly diagonal
+matrix is written down without an eigensolver, and scipy.linalg is imported,
+and the module's ``eigh`` bound, on the first call that needs ``eigh``.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
 
+from . import _blas
 from .errors import (
     DimensionMismatch,
     NegativeTrace,
@@ -32,6 +36,17 @@ __all__ = [
     "generalized_eig",
     "trace_quadratic",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: ``eigh`` is scipy.linalg.eigh, bound on first use
+    if name != "eigh":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import eigh
+
+    _blas.pin_new_copies()
+    globals()["eigh"] = eigh
+    return eigh
 
 
 def _as_square(a):
@@ -79,14 +94,25 @@ class SpdMatrix:
         return cls(np.diag(np.asarray(values, dtype=float)))
 
     def root(self):
-        """The EigenRoot of this matrix, from one eigendecomposition, cached.
+        """The EigenRoot of this matrix, computed on the first call and cached.
 
+        An exactly diagonal matrix needs no eigensolver: its values are the
+        diagonal sorted descending, tied values in index order, and its
+        vectors the identity columns in that order (``sym_eig`` gives the same
+        bits, except that it orders the vectors of tied values its own way).
         NaN or infinite entries raise NonFiniteInput; a least eigenvalue at or
         below dim * PD_FLOOR * max(diag) raises NotPositiveDefinite.
         """
         if self._root is None:
-            values, vectors = sym_eig(self.entries)
-            floor = self.dim * PD_FLOOR * max(float(np.max(np.diag(self.entries))), 0.0)
+            diag = np.diag(self.entries)
+            off_diagonal = np.count_nonzero(self.entries) - np.count_nonzero(diag)
+            # a NaN counts as nonzero, so only sym_eig sees a non-finite entry
+            if off_diagonal == 0 and np.all(np.isfinite(diag)):
+                order = np.argsort(-diag, kind="stable")
+                values, vectors = diag[order], np.eye(self.dim)[:, order]
+            else:
+                values, vectors = sym_eig(self.entries)
+            floor = self.dim * PD_FLOOR * max(float(np.max(diag)), 0.0)
             if float(values[-1]) <= floor:
                 raise NotPositiveDefinite(
                     f"not positive definite: least eigenvalue {values[-1]:.3e} <= {floor:.3e}")
@@ -146,9 +172,10 @@ def sym_eig(a):
     convergence failure raises NoConvergence.
     """
     m = _require_finite(_entries(a), "sym_eig")
+    solve = globals().get("eigh") or __getattr__("eigh")
     try:
-        values, vectors = eigh(m)
-    except LinAlgError as exc:
+        values, vectors = solve(m)
+    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's
         raise NoConvergence(str(exc)) from exc
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]

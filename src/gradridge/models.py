@@ -33,6 +33,10 @@ __all__ = [
     "exact_conditional_expectation",
 ]
 
+# The observation scenarios of pde.DiffusionModel, named here so that a config
+# check can read them without importing pde and scipy.
+SCENARIOS = ("full_field", "subdomain", "point_pair")
+
 
 class VectorValuedModel:
     """Base interface: dimensions, output metric, values and Jacobians.

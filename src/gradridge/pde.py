@@ -27,10 +27,14 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from . import _blas
 from .errors import DimensionMismatch, InputClampedWarning, SolverFailure
 from .linalg import PD_FLOOR, SpdMatrix
 from .measure import squared_exponential_covariance
-from .models import VectorValuedModel
+from .models import SCENARIOS, VectorValuedModel
+
+# importing scipy.linalg above may have loaded scipy's OpenBLAS copy
+_blas.pin_new_copies()
 
 __all__ = [
     "Mesh2D",
@@ -42,7 +46,6 @@ __all__ = [
     "POINT_B",
 ]
 
-SCENARIOS = ("full_field", "subdomain", "point_pair")
 SUBDOMAIN_BOUNDS = (0.35, 0.65)
 POINT_A = (0.2, 0.8)
 POINT_B = (0.8, 0.2)

@@ -65,6 +65,27 @@ def _require_finite(values, offset, what):
         raise ModelEvaluationFailure(index, f"non-finite {what} at sample {index}")
 
 
+def _evaluation_failure(at, exc):
+    """ModelEvaluationFailure at global sample ``at``, naming its cause."""
+    message = f"model evaluation failed at sample {at}: {type(exc).__name__}: {exc}"
+    return ModelEvaluationFailure(at, message)
+
+
+def _eval_rows(model, xs, offset):
+    """model.eval_batch(xs). If that raises, the rows are evaluated again one
+    at a time, and the first that raises on its own does so as a
+    ModelEvaluationFailure at its global index (``offset`` plus the row)."""
+    try:
+        return model.eval_batch(xs)
+    except Exception:  # noqa: BLE001 - find the sample to annotate
+        for i in range(xs.shape[0]):
+            try:
+                model.eval_batch(xs[i:i + 1])
+            except Exception as exc:  # noqa: BLE001
+                raise _evaluation_failure(offset + i, exc) from exc
+        raise
+
+
 def _metric_sq_norms(diff, metric):
     """|row|_R^2 for every row of ``diff``, with R the output metric."""
     return np.einsum("kn,nm,km->k", diff, metric, diff)
@@ -137,8 +158,7 @@ def estimate_h(model, mu, stream, count, threads=1):
         try:
             jac = np.asarray(model.jacobian(xs[0]), dtype=float)
         except Exception as exc:  # noqa: BLE001 - annotate with the sample index
-            message = f"model evaluation failed at sample {at}: {type(exc).__name__}: {exc}"
-            raise ModelEvaluationFailure(at, message) from exc
+            raise _evaluation_failure(at, exc) from exc
         if jac.shape != (n, d):
             raise DimensionMismatch(f"jacobian returned shape {jac.shape}")
         return jac.reshape(1, n, d)
@@ -354,8 +374,8 @@ def validate_error(approx, model, mu, stream, count, threads=1):
 
     Returns (mse, se) with se the standard error of the mean. Drawn in blocks
     exactly like estimate_h, so the result does not depend on the worker
-    count. A NaN or inf in either output raises ModelEvaluationFailure with
-    the sample index.
+    count. A NaN or inf in either output, or a model call that raises,
+    raises ModelEvaluationFailure with the sample index.
     """
     count = int(count)
     if count < 2:
@@ -363,7 +383,7 @@ def validate_error(approx, model, mu, stream, count, threads=1):
     metric = model.output_metric.entries
 
     def one_block(lo, xs):
-        f_xs = model.eval_batch(xs)
+        f_xs = _eval_rows(model, xs, lo)
         try:
             ridge_xs = approx.eval_batch(xs)
         except ModelEvaluationFailure as err:

@@ -40,7 +40,7 @@ from .errors import (
     ZeroVariance,
 )
 from .projector import RankRProjector
-from .ridge import _map_draws, _metric_sq_norms, estimate_h
+from .ridge import _eval_rows, _map_draws, _metric_sq_norms, estimate_h
 
 __all__ = [
     "IndexGroup",
@@ -122,8 +122,9 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
     """A GroupEstimate per group in ``groups``, all from one base of ``n``
     rows: A from ``stream.substream(0)``, B from ``stream.substream(1)``.
 
-    A non-finite output raises ModelEvaluationFailure at its base row, and a
-    squared term too large to average raises NonFiniteInput naming it.
+    A non-finite output, or a model call that raises, raises
+    ModelEvaluationFailure at its base row, and a squared term too large to
+    average raises NonFiniteInput naming it.
     Standard errors come from the delta method on the per-row terms, with
     each numerator's covariance with the shared variance.
     """
@@ -139,12 +140,12 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
     metric = model.output_metric.entries
 
     def one_block(lo, a, b):
-        f_a, f_b = model.eval_batch(a), model.eval_batch(b)
+        f_a, f_b = _eval_rows(model, a, lo), _eval_rows(model, b, lo)
         finite = np.isfinite(f_a).all(axis=1) & np.isfinite(f_b).all(axis=1)
         # per group: |f(B) - f(A_B)|^2 / 2, then |f(A) - f(A_B)|^2 / 2
         halves = np.empty((len(masks), 2, a.shape[0]))
         for g, mask in enumerate(masks):
-            f_ab = model.eval_batch(np.where(mask, b, a))
+            f_ab = _eval_rows(model, np.where(mask, b, a), lo)
             finite &= np.isfinite(f_ab).all(axis=1)
             if finite.all():
                 halves[g, 0] = 0.5 * _metric_sq_norms(f_b - f_ab, metric)
@@ -193,8 +194,9 @@ def sobol_estimates(model, mu, tau, stream, n_outer=DEFAULT_OUTER, m_inner=None,
     """Closed and total Sobol' indices of the group ``tau`` with standard errors.
 
     Pick-freeze on one base of ``n_outer`` rows; see the module docstring.
-    Requires a diagonal covariance. A NaN or inf model output raises
-    ModelEvaluationFailure with the index of the base row it belongs to.
+    Requires a diagonal covariance. A NaN or inf model output, or a model
+    call that raises, raises ModelEvaluationFailure with the index of the base
+    row it belongs to.
     ``threads`` workers evaluate the blocks; the result is the same for any
     count. ``m_inner``, the inner sample count of the nested estimator this
     one replaced, is accepted and ignored.

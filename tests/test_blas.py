@@ -50,10 +50,73 @@ def test_curve_artifacts_ignore_the_openblas_thread_setting(tmp_path):
     assert artifacts[2] == artifacts[0]
 
 
+# Reads every OpenBLAS copy's thread count inside the curve runner and after
+# main returns; the pde model, imported inside the runner, loads scipy's copy.
+_LATE_COPY = """
+import json, sys
+from gradridge import _blas, cli
+
+def counts():
+    return {path: get() for path, (get, _) in _blas._copies().items()}
+
+before, inside, curve = counts(), [], cli._RUNNERS["curve"]
+
+def runner(cfg, out, threads):
+    path = curve(cfg, out, threads=threads)
+    inside.append(counts())
+    return path
+
+cli._RUNNERS["curve"] = runner
+code = cli.main(["curve", "--config", sys.argv[1], "--out", sys.argv[2],
+                 "--seed", "7", "--threads", "2"])
+print(json.dumps({"code": code, "before": before, "inside": inside, "after": counts()}))
+"""
+
+# Each copy's thread count in a process that loads scipy.linalg unpinned.
+_UNPINNED = """
+import json
+import scipy.linalg
+from gradridge import _blas
+print(json.dumps({path: get() for path, (get, _) in _blas._copies().items()}))
+"""
+
+
+def _run_script(script, *args):
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], env=_cli_env(None),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_pins_a_copy_that_loads_inside_the_run(tmp_path):
+    # curve-pair-g12 of the benchmark: with OPENBLAS_NUM_THREADS unset,
+    # scipy's copy loads on the default thread count inside the runner and
+    # changed the seed-7 curve.csv when it was left there
+    unpinned = _run_script(_UNPINNED)
+    if len(unpinned) < 2:
+        pytest.skip("scipy brings no OpenBLAS copy of its own here")
+    if all(count == 1 for count in unpinned.values()):
+        pytest.skip("every OpenBLAS copy starts on one thread here; a missed pin cannot show")
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "pde", "grid": 12, "scenario": "point_pair"},
+        "ranks": [2, 8, 32], "comparisons": {"kl": False},
+        "sampling": {"k": 1024, "m": [1, 4], "n_val": 256},
+    })
+    seen = _run_script(_LATE_COPY, cfg, tmp_path / "out")
+    assert seen["code"] == 0
+    late = set(seen["inside"][0]) - set(seen["before"])
+    assert late, "no OpenBLAS copy loaded inside the run"
+    assert seen["inside"] == [{path: 1 for path in seen["inside"][0]}]
+    # back at what the caller's process gives each copy, the late one too
+    assert seen["after"] == unpinned
+
+
 @pytest.fixture
 def controls():
     """Every OpenBLAS copy set to two threads, as a caller might leave it."""
-    found = _blas._thread_controls()
+    found = list(_blas._copies().values())
     if not found:
         pytest.skip("no OpenBLAS copy with scipy_openblas thread controls is loaded")
     before = [get() for get, _ in found]

@@ -893,9 +893,11 @@ def test_cli_singular_diffusion_factor_exits_3_without_traceback(tmp_path, capsy
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
+    # the base row whose solve fails is named, with the solver's reason
+    sample = {5: 680, 8: 894}[seed]
     assert captured.err.splitlines() == [
-        "numerical failure: SolverFailure: banded Cholesky failed: "
-        "leading minor 8 is not positive"
+        f"numerical failure: ModelEvaluationFailure: model evaluation failed at sample {sample}: "
+        "SolverFailure: banded Cholesky failed: leading minor 8 is not positive"
     ]
 
 
@@ -940,11 +942,60 @@ def test_cli_prints_each_warning_as_one_line(tmp_path):
     assert "Traceback" not in proc.stderr
     assert ".py" not in proc.stderr
     lines = proc.stderr.splitlines()
-    assert lines[-1].startswith("numerical failure: SolverFailure")
+    assert lines[-1].startswith(
+        "numerical failure: ModelEvaluationFailure: model evaluation failed at sample 680: "
+        "SolverFailure")
     assert lines[0] == (
         "warning: InputClampedWarning: log-conductivity clamped to [-40, 40]"
     )
     assert all(line.startswith(("warning:", "numerical failure:")) for line in lines)
+
+
+# Which of scipy's heavy subpackages are loaded after each step of a sobol
+# run on the closed-form sines model, and what the pde names resolve to.
+_SCIPY_LOADS = """
+import json, sys
+
+def heavy():
+    return [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+
+loaded = {}
+import gradridge
+loaded["import gradridge"] = heavy()
+import gradridge.cli
+loaded["import gradridge.cli"] = heavy()
+code = gradridge.cli.main(["sobol", "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded["sobol"] = heavy()
+listed = [n for n in ("DiffusionModel", "Mesh2D", "build_field_covariance") if n in dir(gradridge)]
+from gradridge import DiffusionModel, Mesh2D, build_field_covariance
+from gradridge import pde
+same = [DiffusionModel is pde.DiffusionModel, Mesh2D is pde.Mesh2D,
+        build_field_covariance is pde.build_field_covariance]
+print(json.dumps({"code": code, "loaded": loaded, "listed": listed, "same": same}))
+"""
+
+
+def test_closed_form_sobol_runs_without_scipy_linalg_or_sparse(tmp_path):
+    # the 16-sine config of the benchmark: a diagonal covariance has a root in
+    # closed form, and nothing else in the run needs scipy
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "sines", "amplitudes": np.linspace(1.0, 0.1, 16).tolist(),
+                  "frequencies": np.linspace(0.5, 2.0, 16).tolist()},
+        "groups": "singletons",
+        "sampling": {"sobol_outer": 2000, "sobol_inner": 64, "dgsm_k": 2000},
+    })
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LOADS, str(cfg), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["code"] == 0
+    assert seen["loaded"] == {"import gradridge": [], "import gradridge.cli": [], "sobol": []}
+    assert seen["listed"] == ["DiffusionModel", "Mesh2D", "build_field_covariance"]
+    assert seen["same"] == [True, True, True]
 
 
 def test_cli_sobol_rejects_correlated_measure(tmp_path, capsys):

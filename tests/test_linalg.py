@@ -3,6 +3,7 @@ import pytest
 
 from gradridge import (
     DimensionMismatch,
+    EigenRoot,
     GeneralizedEigenPairs,
     NegativeTrace,
     NonFiniteInput,
@@ -12,7 +13,7 @@ from gradridge import (
     sym_eig,
     trace_quadratic,
 )
-from gradridge import RankRProjector
+from gradridge import RankRProjector, linalg
 from gradridge.projector import euclidean_projector, sigma_inverse_projector
 
 
@@ -90,6 +91,48 @@ def test_cholesky_cache_write_once():
     assert a.root() is root
     for part in (root.values, root.vectors, root.factor):
         assert not part.flags.writeable
+
+
+@pytest.mark.parametrize("values", [np.ones(5), [3.0, 0.5, 7.0, 1e-3, 2.0, 1e3]],
+                         ids=["identity", "distinct"])
+def test_diagonal_root_is_the_eigensolver_root_bitwise(values):
+    # the closed form of an exactly diagonal matrix gives the bits that one
+    # eigendecomposition through sym_eig gives
+    a = SpdMatrix.diagonal(values)
+    root, solved = a.root(), EigenRoot(*sym_eig(a.entries))
+    for got, want in ((root.values, solved.values), (root.vectors, solved.vectors),
+                      (root.factor, solved.factor)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_diagonal_root_needs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on a diagonal matrix")
+
+    monkeypatch.setattr(linalg, "eigh", refuse)
+    root = SpdMatrix.diagonal([1.0, 4.0]).root()
+    np.testing.assert_array_equal(root.factor, np.diag([1.0, 2.0]))
+    with pytest.raises(AssertionError, match="eigh called"):
+        SpdMatrix([[2.0, 1.0], [1.0, 2.0]]).root()
+
+
+def test_diagonal_root_orders_tied_values_by_index():
+    root = SpdMatrix.diagonal([1.0, 3.0, 2.0, 3.0, 1.0]).root()
+    np.testing.assert_array_equal(root.values, [3.0, 3.0, 2.0, 1.0, 1.0])
+    np.testing.assert_array_equal(root.vectors, np.eye(5)[:, [1, 3, 2, 0, 4]])
+
+
+def test_diagonal_root_rejects_as_the_eigensolver_does():
+    # least value -1 against the floor 2 * PD_FLOOR * 2
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"^not positive definite: least eigenvalue -1.000e\+00 <= 4.000e-14$"):
+        SpdMatrix.diagonal([-1.0, 2.0]).root()
+    with pytest.raises(NotPositiveDefinite, match="least eigenvalue 0.000e"):
+        SpdMatrix.diagonal([0.0, 0.0]).root()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput, match="^sym_eig input has NaN or infinite entries$"):
+            SpdMatrix.diagonal([1.0, bad, 2.0]).root()
 
 
 def test_spd_symmetrizes_input():

@@ -306,6 +306,46 @@ def test_validate_error_reports_global_index_of_non_finite_ridge_output():
     assert err.value.sample_index == CHUNK + 7
 
 
+class RaisesAt(NanAt):
+    """f(x) = F x, but a batch holding one of the given points raises."""
+
+    def eval_batch(self, xs):
+        if any(self._hit(x) for x in xs):
+            raise RuntimeError("boom")
+        return xs @ self.f.T
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_validate_error_names_the_sample_where_the_model_raises(threads):
+    # the second block's f(X) call raises; its rows are evaluated again one at
+    # a time, and the error names the global row and keeps the model's cause
+    mu = GaussianMeasure.standard(3)
+    count = CHUNK + 200
+    model = RaisesAt(np.ones((2, 3)), draws_at(mu, SampleStream(41), count, [CHUNK + 7]))
+    p = sigma_inverse_projector(np.ones((3, 1)), mu.cov)
+    approx = build_ridge(model, mu, p, SampleStream(42), 2)
+    with pytest.raises(ModelEvaluationFailure) as err:
+        validate_error(approx, model, mu, SampleStream(41), count, threads=threads)
+    assert err.value.sample_index == CHUNK + 7
+    assert str(err.value) == f"model evaluation failed at sample {CHUNK + 7}: RuntimeError: boom"
+    assert isinstance(err.value.__cause__, RuntimeError)
+
+
+def test_validate_error_keeps_a_batch_failure_that_no_single_row_repeats():
+    class TooBig(LinearModel):
+        def eval_batch(self, xs):
+            if xs.shape[0] > 1:
+                raise MemoryError("batch too large")
+            return super().eval_batch(xs)
+
+    mu = GaussianMeasure.standard(3)
+    model = TooBig(np.ones((2, 3)))
+    p = sigma_inverse_projector(np.ones((3, 1)), mu.cov)
+    approx = build_ridge(model, mu, p, SampleStream(42), 2)
+    with pytest.raises(MemoryError, match="batch too large"):
+        validate_error(approx, model, mu, SampleStream(41), 20)
+
+
 def _walk_results(chunk, threads, monkeypatch):
     """estimate_h's H, validate_error's (mse, se) and the index a NaN
     Jacobian is reported at, with blocks of ``chunk`` rows. The measure is

@@ -499,6 +499,31 @@ def test_sobol_guards_name_the_global_outer_index_in_any_block(monkeypatch, thre
             _sobol(_HugePast(), mu, root, False, n_outer=2000, threads=threads)
 
 
+class _RaisesPast(_NanPast):
+    """As _NanPast, but a batch holding such a point raises instead."""
+
+    def eval_batch(self, xs):
+        if np.any(xs @ self.weights > self.cut):
+            raise RuntimeError("boom")
+        return SumOfSinesModel.eval_batch(self, xs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sobol_names_the_base_row_where_the_model_raises(monkeypatch, threads):
+    # only a mixed point past the first block of 4 rows meets the failure; the
+    # block's rows are evaluated again one at a time to find it
+    monkeypatch.setattr(ridge, "CHUNK", 4)
+    mu = GaussianMeasure.standard(2)
+    root = SampleStream(22)
+    cut, first = _mixed_only_cut(mu, root, 40)
+    assert first >= 4
+    with pytest.raises(ModelEvaluationFailure) as err:
+        _sobol(_RaisesPast(cut, (1.0, -1.0)), mu, root, False, n_outer=40, threads=threads)
+    assert err.value.sample_index == first
+    assert str(err.value) == f"model evaluation failed at sample {first}: RuntimeError: boom"
+    assert isinstance(err.value.__cause__, RuntimeError)
+
+
 def _sines_index(amplitudes, frequencies):
     """Closed-form Sobol' index of each coordinate of sum a_i sin(w_i x_i)
     under N(0, I); closed and total coincide for an additive model."""
