@@ -9,6 +9,8 @@ Carlo estimator in the package can be checked against them exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import (
@@ -17,7 +19,7 @@ from .errors import (
     NonStandardMeasure,
     NotSigmaOrthogonal,
 )
-from .linalg import SpdMatrix, sym_eig
+from .linalg import SpdMatrix, _require_finite, sym_eig
 from .projector import require_sigma_orthogonal
 
 __all__ = [
@@ -91,7 +93,7 @@ class LinearModel(VectorValuedModel):
     """f(x) = F x with constant Jacobian F and metric R on the output.
 
     The Lipschitz constant in the metric norm is the largest singular value of
-    R^{1/2} F, computed once at construction.
+    R^{1/2} F, computed on first read; a non-finite F^T R F fails at once.
     """
 
     def __init__(self, matrix, output_metric=None):
@@ -105,16 +107,18 @@ class LinearModel(VectorValuedModel):
         if output_metric.dim != self.output_dim:
             raise DimensionMismatch("output metric dimension does not match rows of F")
         self.output_metric = output_metric
-        # an F^T R F that overflows is refused by sym_eig as NonFiniteInput;
-        # the overflow itself is not a second report of the same fault
+        # an F^T R F that overflows is refused as NonFiniteInput, in the words
+        # of sym_eig; the overflow itself is not a second report of the fault
         with np.errstate(over="ignore", invalid="ignore"):
-            h = f.T @ output_metric.entries @ f
-        top = sym_eig(h)[0][0]
-        self.lipschitz_constant = float(np.sqrt(max(top, 0.0)))
+            self._gram = _require_finite(f.T @ output_metric.entries @ f, "sym_eig")
+
+    @cached_property
+    def lipschitz_constant(self):
+        return float(np.sqrt(max(sym_eig(self._gram)[0][0], 0.0)))
 
     def gradient_gram(self):
         """F^T R F — the exact gradient second moment, sample-free."""
-        return SpdMatrix(self.matrix.T @ self.output_metric.entries @ self.matrix)
+        return SpdMatrix(self._gram)
 
     def eval_batch(self, xs):
         return np.asarray(xs, dtype=float) @ self.matrix.T

@@ -10,7 +10,8 @@ definite. In the row-major interior numbering its half-bandwidth is g, so each
 call fills LAPACK's band storage with one sparse product of a map fixed at
 construction and factors it with the banded Cholesky ``dpbtrf``, about g^4
 flops. Jacobians come from one adjoint band solve per output component that
-touches an interior node, against the same factor.
+touches an interior node, against the same factor. Every sum over cells runs
+through a sparse pattern fixed at construction.
 
 Three observation scenarios map the solution field to the model output, each
 read off the nodal solution by index: the full nodal field in the discrete H^1
@@ -155,15 +156,6 @@ def _cell_entries(cell_nodes, block, row_nodes, col_nodes):
             cells, values)
 
 
-def _cell_sum(cell_nodes, block, row_nodes, col_nodes):
-    """Dense sum over cells of ``block`` on the corners of each, restricted to
-    ``row_nodes`` x ``col_nodes``; every entry sums in cell order."""
-    rows, cols, _, values = _cell_entries(cell_nodes, block, row_nodes, col_nodes)
-    out = np.zeros((row_nodes.size, col_nodes.size))
-    np.add.at(out, (rows, cols), values)
-    return out
-
-
 class DiffusionModel(VectorValuedModel):
     """x -> observation of the diffusion solve with conductivity exp(x).
 
@@ -176,8 +168,9 @@ class DiffusionModel(VectorValuedModel):
       diag(alpha, beta).
 
     Each call fills the interior system's band (half-bandwidth g) from a map
-    fixed at construction and factors it anew with LAPACK's banded Cholesky;
-    instances hold only immutable precomputed structure, safe across threads.
+    fixed at construction and factors it anew with LAPACK's banded Cholesky,
+    and a Jacobian builds its CSR matrix around a fixed pattern; instances
+    hold only immutable precomputed structure, safe across threads.
     """
 
     def __init__(self, mesh, scenario="full_field", alpha=1.0, beta=1.0):
@@ -188,9 +181,7 @@ class DiffusionModel(VectorValuedModel):
         self.mesh = mesh
         self.scenario = scenario
         self.input_dim = mesh.n_cells
-        self.lipschitz_constant = None
 
-        nn = mesh.n_nodes
         g = mesh.cells_per_side
         n_int = mesh.interior.size
         cells = mesh.cell_nodes
@@ -212,6 +203,16 @@ class DiffusionModel(VectorValuedModel):
             (-k1 * self._boundary_values[mesh.boundary][j], (i, c)),
             shape=(n_int, mesh.n_cells),
         )
+        # the Jacobian's cells x interior-nodes pattern, int32 as scipy keeps it:
+        # the mask of interior corners in cells.ravel(), their rows as CSR
+        # indices and indptr, each cell's in SW, SE, NE, NW order
+        interior_row = np.full(mesh.n_nodes, -1, dtype=np.int32)
+        interior_row[mesh.interior] = np.arange(n_int)
+        inner = interior_row[cells] >= 0
+        self._corners = (inner.ravel(), interior_row[cells][inner],
+                         np.append(0, np.cumsum(inner.sum(axis=1))).astype(np.int32))
+        for part in self._corners:
+            part.setflags(write=False)
 
         if scenario == "point_pair":
             if alpha <= 0 or beta <= 0:
@@ -234,9 +235,11 @@ class DiffusionModel(VectorValuedModel):
                     raise DimensionMismatch("subdomain contains no cell centers at this resolution")
             # every node of the full grid touches a cell, so full_field observes all of them
             out_nodes = np.unique(cells[inside].ravel())
-            self.output_metric = SpdMatrix(
-                _cell_sum(cells[inside], _M1 * (mesh.h * mesh.h) + _K1, out_nodes, out_nodes)
-            )
+            block = _M1 * (mesh.h * mesh.h) + _K1
+            i, j, _, values = _cell_entries(cells[inside], block, out_nodes, out_nodes)
+            # toarray adds the entries in the order given, which is cell order
+            r = sp.coo_matrix((values, (i, j)), shape=(out_nodes.size,) * 2).toarray()
+            self.output_metric = SpdMatrix(r)
             obs_nodes = out_nodes[:, None]
             obs_weights = np.ones(obs_nodes.shape)
             self.point_weights = None
@@ -246,9 +249,7 @@ class DiffusionModel(VectorValuedModel):
         self.output_dim = obs_nodes.shape[0]
         # the adjoint right-hand sides as (interior row, column, weight)
         # entries; only the outputs that touch an interior node get a column
-        row = np.full(nn, -1)
-        row[mesh.interior] = np.arange(n_int)
-        row = row[obs_nodes]
+        row = interior_row[obs_nodes]
         self._adjoint_outputs = np.flatnonzero((row >= 0).any(axis=1))
         col, k = np.nonzero(row[self._adjoint_outputs] >= 0)
         out = self._adjoint_outputs[col]
@@ -302,9 +303,9 @@ class DiffusionModel(VectorValuedModel):
 
         Row j of the Jacobian is -kappa_c * lambda_j^T S_c u per cell c, with
         S_c the unit stiffness scatter of the cell and lambda_j the adjoint
-        solution for output j extended by zero to the boundary; an output that
-        observes only boundary nodes has lambda_j = 0. The Dirichlet lift
-        enters through the boundary entries of u.
+        solution for output j, zero on the boundary, so only a cell's interior
+        corners enter; an output that observes only boundary nodes has a zero
+        row. The Dirichlet lift enters through the boundary entries of u.
         """
         kappa, factor, u = self._forward(x)
 
@@ -312,21 +313,17 @@ class DiffusionModel(VectorValuedModel):
         rhs = np.zeros((self.mesh.interior.size, self._adjoint_outputs.size), order="F")
         rhs[rows, cols] = weights
         lam_i, _ = dpbtrs(factor, rhs, overwrite_b=1)
-        lam = np.zeros((self.mesh.n_nodes, self.output_dim))
-        lam[np.ix_(self.mesh.interior, self._adjoint_outputs)] = lam_i
 
-        cells = self.mesh.cell_nodes
-        w = u[cells] @ _K1.T                    # S_c u restricted to the cell
-        # lambda_j^T S_c u summed one corner at a time and in place, so no
-        # (n_cells, 4, n_out) gather of lambda is ever held
-        acc = lam[cells[:, 0]]
-        acc *= w[:, 0, None]
-        for a in range(1, cells.shape[1]):
-            term = lam[cells[:, a]]
-            term *= w[:, a, None]
-            acc += term
+        # S_c u at each interior corner, summed against lambda cell by cell
+        mask, indices, indptr = self._corners
+        w = (u[self.mesh.cell_nodes] @ _K1.T).ravel()[mask]
+        acc = sp.csr_matrix((w, indices, indptr), (self.mesh.n_cells, lam_i.shape[0])) @ lam_i
         acc *= -kappa[:, None]
-        return acc.T
+        # built cells by outputs and returned transposed, as the corner loop
+        # did: estimate_h's J^T (R J) rounds another memory layout differently
+        jac = np.zeros((self.mesh.n_cells, self.output_dim))
+        jac[:, self._adjoint_outputs] = acc
+        return jac.T
 
 
 def _field_nugget(dim):

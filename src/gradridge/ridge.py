@@ -71,16 +71,19 @@ def _evaluation_failure(at, exc):
     return ModelEvaluationFailure(at, message)
 
 
-def _eval_rows(model, xs, offset):
-    """model.eval_batch(xs). If that raises, the rows are evaluated again one
-    at a time, and the first that raises on its own does so as a
-    ModelEvaluationFailure at its global index (``offset`` plus the row)."""
+def _eval_rows(fn, xs, offset):
+    """fn(xs), with fn a model's batch method such as ``eval_batch``. If that
+    raises, the rows are evaluated again one at a time, and the first that
+    raises on its own does so as a ModelEvaluationFailure at its global index
+    (``offset`` plus the row); a single row is not evaluated again."""
     try:
-        return model.eval_batch(xs)
-    except Exception:  # noqa: BLE001 - find the sample to annotate
+        return fn(xs)
+    except Exception as err:  # noqa: BLE001 - find the sample to annotate
+        if xs.shape[0] == 1:
+            raise _evaluation_failure(offset, err) from err
         for i in range(xs.shape[0]):
             try:
-                model.eval_batch(xs[i:i + 1])
+                fn(xs[i:i + 1])
             except Exception as exc:  # noqa: BLE001
                 raise _evaluation_failure(offset + i, exc) from exc
         raise
@@ -137,8 +140,8 @@ def estimate_h(model, mu, stream, count, threads=1):
     called on runs of at most JACOBIAN_BYTES of Jacobians (one Jacobian, if a
     single one is larger), any other model one point at a time. Blocks return
     sums, which add in block order and are divided by ``count`` once. A NaN
-    or inf Jacobian entry raises ModelEvaluationFailure with the index of the
-    first such sample.
+    or inf Jacobian entry, or a Jacobian call that raises, raises
+    ModelEvaluationFailure with the index of the first such sample.
     """
     count = int(count)
     if count < 1:
@@ -149,24 +152,20 @@ def estimate_h(model, mu, stream, count, threads=1):
     has_batch = type(model).jacobian_batch is not VectorValuedModel.jacobian_batch
     step = max(1, JACOBIAN_BYTES // (8 * n * d)) if has_batch else 1
 
-    def jacobians(xs, at):
-        if has_batch:
-            jac = model.jacobian_batch(xs)
-            if jac.shape != (xs.shape[0], n, d):
-                raise DimensionMismatch(f"jacobian_batch returned shape {jac.shape}")
-            return jac
-        try:
-            jac = np.asarray(model.jacobian(xs[0]), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - annotate with the sample index
-            raise _evaluation_failure(at, exc) from exc
-        if jac.shape != (n, d):
-            raise DimensionMismatch(f"jacobian returned shape {jac.shape}")
-        return jac.reshape(1, n, d)
+    def jacobian(xs):
+        # the one point's Jacobian, as a batch of one if its shape is right
+        jac = np.asarray(model.jacobian(xs[0]), dtype=float)
+        return jac[None] if jac.shape == (n, d) else jac
+
+    jacobians = model.jacobian_batch if has_batch else jacobian
 
     def one_block(lo, xs):
         total = np.zeros((d, d))
         for start in range(0, xs.shape[0], step):
-            jac = jacobians(xs[start:start + step], lo + start)
+            part = xs[start:start + step]
+            jac = _eval_rows(jacobians, part, lo + start)
+            if jac.shape != (part.shape[0], n, d):
+                raise DimensionMismatch(f"{jacobians.__name__} returned shape {jac.shape}")
             _require_finite(jac, lo + start, "Jacobian")
             total += jac.reshape(-1, d).T @ (metric @ jac).reshape(-1, d)
         return total
@@ -383,7 +382,7 @@ def validate_error(approx, model, mu, stream, count, threads=1):
     metric = model.output_metric.entries
 
     def one_block(lo, xs):
-        f_xs = _eval_rows(model, xs, lo)
+        f_xs = _eval_rows(model.eval_batch, xs, lo)
         try:
             ridge_xs = approx.eval_batch(xs)
         except ModelEvaluationFailure as err:

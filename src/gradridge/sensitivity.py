@@ -140,12 +140,12 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
     metric = model.output_metric.entries
 
     def one_block(lo, a, b):
-        f_a, f_b = _eval_rows(model, a, lo), _eval_rows(model, b, lo)
+        f_a, f_b = _eval_rows(model.eval_batch, a, lo), _eval_rows(model.eval_batch, b, lo)
         finite = np.isfinite(f_a).all(axis=1) & np.isfinite(f_b).all(axis=1)
         # per group: |f(B) - f(A_B)|^2 / 2, then |f(A) - f(A_B)|^2 / 2
         halves = np.empty((len(masks), 2, a.shape[0]))
         for g, mask in enumerate(masks):
-            f_ab = _eval_rows(model, np.where(mask, b, a), lo)
+            f_ab = _eval_rows(model.eval_batch, np.where(mask, b, a), lo)
             finite &= np.isfinite(f_ab).all(axis=1)
             if finite.all():
                 halves[g, 0] = 0.5 * _metric_sq_norms(f_b - f_ab, metric)
@@ -190,7 +190,7 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
     return tuple(estimates)
 
 
-def sobol_estimates(model, mu, tau, stream, n_outer=DEFAULT_OUTER, m_inner=None, threads=1):
+def sobol_estimates(model, mu, tau, stream, n_outer=DEFAULT_OUTER, threads=1):
     """Closed and total Sobol' indices of the group ``tau`` with standard errors.
 
     Pick-freeze on one base of ``n_outer`` rows; see the module docstring.
@@ -198,8 +198,7 @@ def sobol_estimates(model, mu, tau, stream, n_outer=DEFAULT_OUTER, m_inner=None,
     call that raises, raises ModelEvaluationFailure with the index of the base
     row it belongs to.
     ``threads`` workers evaluate the blocks; the result is the same for any
-    count. ``m_inner``, the inner sample count of the nested estimator this
-    one replaced, is accepted and ignored.
+    count.
     """
     group = IndexGroup.coerce(tau).validate(mu.dim)
     return _pick_freeze(model, mu, (group,), stream, n_outer, threads)[0]
@@ -279,12 +278,11 @@ class SensitivityReport:
 
 
 def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
-                             m_inner=None, dgsm_samples=None, threads=1):
+                             dgsm_samples=None, threads=1):
     """Estimate indices and bounds for every group and assemble the report.
 
     Substreams: tag 0 for the derivative estimate, tag 1 for the base that
     every group shares, so adding a group never changes the others' numbers.
-    ``m_inner`` is accepted and ignored, as in ``sobol_estimates``.
     """
     groups = tuple(IndexGroup.coerce(g).validate(mu.dim) for g in groups)
     if not groups:

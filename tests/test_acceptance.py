@@ -315,7 +315,7 @@ def test_criterion_10_sensitivity_sandwich_and_pure_interaction():
         for i in range(1, d + 1):
             est = sobol_estimates(
                 model, mu, [i], SampleStream(1100 + tag).substream(i),
-                n_outer=2000, m_inner=64,
+                n_outer=2000,
             )
             s_lower, t_upper, _ = sobol_bounds(g, mu, [i], est.total_variance)
             assert s_lower <= est.s_hat + 3.0 * est.s_se
@@ -323,7 +323,7 @@ def test_criterion_10_sensitivity_sandwich_and_pure_interaction():
 
     pure = QuadraticFormModel(np.array([[0.0, 1.0], [1.0, 0.0]]))
     mu2 = GaussianMeasure.standard(2)
-    est = sobol_estimates(pure, mu2, [1], SampleStream(1200), n_outer=4000, m_inner=64)
+    est = sobol_estimates(pure, mu2, [1], SampleStream(1200), n_outer=4000)
     assert abs(est.s_hat) <= 3.0 * est.s_se + 0.02
     assert abs(est.t_hat - 1.0) <= 3.0 * est.t_se + 0.05
 

@@ -998,6 +998,23 @@ def test_closed_form_sobol_runs_without_scipy_linalg_or_sparse(tmp_path):
     assert seen["same"] == [True, True, True]
 
 
+def test_linear_sobol_runs_without_scipy_linalg(tmp_path):
+    # sobol never reads the linear model's Lipschitz constant, so its
+    # eigensolve, and scipy.linalg with it, is left for a run that does
+    cfg = _write_cfg(tmp_path, {"model": {"kind": "linear", "matrix": [[1.0, 0.5, 0.2]]},
+                                "sampling": {"sobol_outer": 100, "dgsm_k": 50}})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LOADS, str(cfg), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["code"] == 0
+    assert "scipy.linalg" not in seen["loaded"]["sobol"]
+
+
 def test_cli_sobol_rejects_correlated_measure(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path,

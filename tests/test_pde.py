@@ -449,20 +449,88 @@ def test_gradient_second_moment_rank_ceiling():
     assert ev[0] > 0.0
 
 
-@pytest.mark.parametrize("g", [4, 7])
-@pytest.mark.parametrize("scenario", pde_mod.SCENARIOS)
-def test_jacobian_bitwise_equals_gather_and_einsum(scenario, g):
-    # the corner-by-corner contraction reproduces, bit for bit, the formula
-    # that gathers lambda into an (n_cells, 4, n_out) array and runs one einsum
-    model = DiffusionModel(g, scenario)
-    x = 0.3 * np.random.default_rng(g).standard_normal(g * g)
+def _full_node_lambda(model, x):
+    """kappa, S_c u per cell, and the adjoint solutions extended by zero to
+    every node, as the Jacobian formed them before its sparse contraction."""
     kappa, factor, u = model._forward(x)
     rows, cols, weights = model._adjoint_rhs
     rhs = np.zeros((model.mesh.interior.size, model._adjoint_outputs.size), order="F")
     rhs[rows, cols] = weights
     lam = np.zeros((model.mesh.n_nodes, model.output_dim))
     lam[np.ix_(model.mesh.interior, model._adjoint_outputs)] = dpbtrs(factor, rhs)[0]
-    cells = model.mesh.cell_nodes
-    w = u[cells] @ _K1.T
-    gathered = -kappa[:, None] * np.einsum("cap,ca->cp", lam[cells], w)
+    return kappa, u[model.mesh.cell_nodes] @ _K1.T, lam
+
+
+@pytest.mark.parametrize("g", [4, 7])
+@pytest.mark.parametrize("scenario", pde_mod.SCENARIOS)
+def test_jacobian_bitwise_equals_gather_and_einsum(scenario, g):
+    # the sparse contraction reproduces, bit for bit, the formula that
+    # gathers lambda into an (n_cells, 4, n_out) array and runs one einsum
+    model = DiffusionModel(g, scenario)
+    x = 0.3 * np.random.default_rng(g).standard_normal(g * g)
+    kappa, w, lam = _full_node_lambda(model, x)
+    gathered = -kappa[:, None] * np.einsum("cap,ca->cp", lam[model.mesh.cell_nodes], w)
     np.testing.assert_array_equal(model.jacobian(x), gathered.T)
+
+
+def _corner_loop_jacobian(model, x):
+    # the contraction as it was written before the sparse pattern, summed
+    # one corner at a time
+    kappa, w, lam = _full_node_lambda(model, x)
+    cells = model.mesh.cell_nodes
+    acc = lam[cells[:, 0]] * w[:, 0, None]
+    for a in range(1, 4):
+        acc += lam[cells[:, a]] * w[:, a, None]
+    acc *= -kappa[:, None]
+    return acc.T
+
+
+@pytest.mark.parametrize("scenario, g", [
+    ("full_field", 12), ("full_field", 32), ("full_field", 48),
+    ("point_pair", 12), ("subdomain", 12),
+])
+def test_jacobian_bitwise_equals_the_corner_loop(scenario, g):
+    # the CSR contraction adds each cell's interior corners in SW, SE, NE, NW
+    # order, as the loop did; equal bits also need scipy's compiled loop not
+    # to fuse the multiply and the add
+    model = DiffusionModel(g, scenario)
+    x = 0.5 * np.random.default_rng(g).standard_normal(g * g)
+    np.testing.assert_array_equal(model.jacobian(x), _corner_loop_jacobian(model, x))
+
+
+class _CornerLoopModel(DiffusionModel):
+    def jacobian(self, x):
+        return _corner_loop_jacobian(self, x)
+
+
+@pytest.mark.parametrize("g", [3, 5, 6])
+def test_gradient_moment_bitwise_equals_the_corner_loop(g):
+    # estimate_h's J^T (R J) takes another BLAS path for another memory
+    # layout of J; at these grids a C-ordered Jacobian moved H in its last
+    # bits, so the Jacobian keeps the layout that the loop returned
+    mesh = Mesh2D(g)
+    mu = GaussianMeasure(np.zeros(mesh.n_cells), build_field_covariance(mesh))
+    got = estimate_h(DiffusionModel(mesh), mu, SampleStream(3), 50).h.entries
+    want = estimate_h(_CornerLoopModel(mesh), mu, SampleStream(3), 50).h.entries
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("g", [4, 12, 32])
+@pytest.mark.parametrize("scenario", ["full_field", "subdomain"])
+def test_h1_metric_bitwise_equals_add_at(g, scenario):
+    # np.add.at sums every entry in cell order, as coo_matrix.toarray does
+    model = DiffusionModel(g, scenario)
+    mesh = model.mesh
+    lo, hi = SUBDOMAIN_BOUNDS
+    c = mesh.cell_centers
+    inside = np.arange(mesh.n_cells)
+    if scenario == "subdomain":
+        inside = np.where((c >= lo).all(axis=1) & (c <= hi).all(axis=1))[0]
+    cells = mesh.cell_nodes[inside]
+    nodes = np.unique(cells)
+    rows = np.searchsorted(nodes, np.repeat(cells, 4, axis=1).ravel())
+    cols = np.searchsorted(nodes, np.tile(cells, (1, 4)).ravel())
+    block = _M1 * (mesh.h * mesh.h) + _K1
+    ref = np.zeros((nodes.size, nodes.size))
+    np.add.at(ref, (rows, cols), np.tile(block.ravel(), cells.shape[0]))
+    np.testing.assert_array_equal(model.output_metric.entries, ref)

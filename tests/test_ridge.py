@@ -331,6 +331,48 @@ def test_validate_error_names_the_sample_where_the_model_raises(threads):
     assert isinstance(err.value.__cause__, RuntimeError)
 
 
+class JacobianRaisesAt(LinearModel):
+    """f(x) = F x, but a jacobian_batch call holding the given point raises."""
+
+    def __init__(self, matrix, poison):
+        super().__init__(matrix)
+        self.poison = poison
+
+    def jacobian_batch(self, xs):
+        if np.all(xs == self.poison, axis=1).any():
+            raise RuntimeError("boom")
+        return super().jacobian_batch(xs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimate_h_names_the_sample_where_a_batch_jacobian_raises(threads):
+    # the second block's jacobian_batch call raises; its rows are evaluated
+    # again one at a time, and the error names the global row and keeps the
+    # model's cause
+    mu = GaussianMeasure.standard(3)
+    count = CHUNK + 200
+    (poison,) = draws_at(mu, SampleStream(43), count, [CHUNK + 7])
+    model = JacobianRaisesAt(np.ones((2, 3)), poison)
+    with pytest.raises(ModelEvaluationFailure) as err:
+        estimate_h(model, mu, SampleStream(43), count, threads=threads)
+    assert err.value.sample_index == CHUNK + 7
+    assert str(err.value) == f"model evaluation failed at sample {CHUNK + 7}: RuntimeError: boom"
+    assert isinstance(err.value.__cause__, RuntimeError)
+
+
+def test_estimate_h_calls_a_per_point_jacobian_once_per_sample():
+    calls = []
+
+    class Counting(PerPoint):
+        def jacobian(self, x):
+            calls.append(1)
+            return super().jacobian(x)
+
+    model, mu = make_linear(seed=44)
+    estimate_h(Counting(model), mu, SampleStream(44), CHUNK + 9, threads=2)
+    assert len(calls) == CHUNK + 9
+
+
 def test_validate_error_keeps_a_batch_failure_that_no_single_row_repeats():
     class TooBig(LinearModel):
         def eval_batch(self, xs):

@@ -68,7 +68,7 @@ def test_coordinate_projector_cases():
 def test_sobol_additive_symmetric():
     model = LinearModel(np.array([[1.0, 1.0]]))
     mu = GaussianMeasure.standard(2)
-    est = sobol_estimates(model, mu, [1], SampleStream(1), n_outer=2000, m_inner=32)
+    est = sobol_estimates(model, mu, [1], SampleStream(1), n_outer=2000)
     assert abs(est.s_hat - 0.5) < 3.0 * est.s_se + 0.02
     assert abs(est.t_hat - 0.5) < 3.0 * est.t_se + 0.02
 
@@ -77,7 +77,7 @@ def test_sobol_pure_interaction():
     # f = x1 x2 has no closed first-order effect and full total effect
     model = QuadraticFormModel(np.array([[0.0, 1.0], [1.0, 0.0]]))
     mu = GaussianMeasure.standard(2)
-    est = sobol_estimates(model, mu, [1], SampleStream(2), n_outer=4000, m_inner=64)
+    est = sobol_estimates(model, mu, [1], SampleStream(2), n_outer=4000)
     assert abs(est.s_hat) < 3.0 * est.s_se + 0.02
     assert abs(est.t_hat - 1.0) < 3.0 * est.t_se + 0.05
     assert abs(est.total_variance - 1.0) < 4.0 * est.total_variance_se
@@ -86,10 +86,10 @@ def test_sobol_pure_interaction():
 def test_sobol_full_and_empty_groups():
     model = SumOfSinesModel([1.0, 0.5, 0.8], [1.0, 2.0, 0.7])
     mu = GaussianMeasure.standard(3)
-    full = sobol_estimates(model, mu, [1, 2, 3], SampleStream(3), n_outer=1500, m_inner=16)
+    full = sobol_estimates(model, mu, [1, 2, 3], SampleStream(3), n_outer=1500)
     assert abs(full.s_hat - 1.0) < 3.0 * full.s_se + 1e-9
     assert abs(full.t_hat - 1.0) < 3.0 * full.t_se + 0.05
-    empty = sobol_estimates(model, mu, [], SampleStream(4), n_outer=1500, m_inner=16)
+    empty = sobol_estimates(model, mu, [], SampleStream(4), n_outer=1500)
     assert abs(empty.s_hat) < 3.0 * empty.s_se + 0.05
     assert abs(empty.t_hat) < 3.0 * empty.t_se + 1e-9
 
@@ -106,7 +106,7 @@ def test_sobol_zero_variance():
     model = LinearModel(np.zeros((1, 2)))
     mu = GaussianMeasure.standard(2)
     with pytest.raises(ZeroVariance):
-        sobol_estimates(model, mu, [1], SampleStream(6), n_outer=100, m_inner=4)
+        sobol_estimates(model, mu, [1], SampleStream(6), n_outer=100)
 
 
 @pytest.mark.parametrize("scale, error", [(1e-140, ZeroVariance), (1e100, NonFiniteInput)])
@@ -115,15 +115,14 @@ def test_sobol_variance_whose_square_leaves_double_range(scale, error):
     # which the standard errors divide by, underflows to 0 or overflows
     model = LinearModel(scale * np.ones((1, 2)))
     with pytest.raises(error, match="output variance .* to square"):
-        sobol_estimates(model, GaussianMeasure.standard(2), [1], SampleStream(6), n_outer=10,
-                        m_inner=2)
+        sobol_estimates(model, GaussianMeasure.standard(2), [1], SampleStream(6), n_outer=10)
 
 
 def test_sobol_determinism():
     model = LinearModel(np.array([[2.0, 1.0]]))
     mu = GaussianMeasure.standard(2)
-    a = sobol_estimates(model, mu, [1], SampleStream(7), n_outer=500, m_inner=8)
-    b = sobol_estimates(model, mu, [1], SampleStream(7), n_outer=500, m_inner=8)
+    a = sobol_estimates(model, mu, [1], SampleStream(7), n_outer=500)
+    b = sobol_estimates(model, mu, [1], SampleStream(7), n_outer=500)
     assert a == b
 
 
@@ -161,7 +160,7 @@ def test_sobol_bounds_tight_linear_single_coordinate():
 def test_sobol_bounds_full_group_at_least_one():
     model = SumOfSinesModel([1.0, 0.5], [1.2, 0.4])
     mu = GaussianMeasure.standard(2)
-    est = sobol_estimates(model, mu, [1, 2], SampleStream(12), n_outer=2000, m_inner=32)
+    est = sobol_estimates(model, mu, [1, 2], SampleStream(12), n_outer=2000)
     g = dgsm(model, mu, SampleStream(13), 20000)
     _, t_upper, _ = sobol_bounds(g, mu, [1, 2], est.total_variance)
     assert t_upper >= 1.0 - 0.05
@@ -171,7 +170,7 @@ def test_sobol_bounds_loose_at_high_frequency():
     # small variance but large gradients: the derivative bound blows up
     model = SumOfSinesModel([1.0, 1.0], [8.0, 1.0])
     mu = GaussianMeasure.standard(2)
-    est = sobol_estimates(model, mu, [1], SampleStream(14), n_outer=2000, m_inner=32)
+    est = sobol_estimates(model, mu, [1], SampleStream(14), n_outer=2000)
     g = dgsm(model, mu, SampleStream(15), 20000)
     _, t_upper, _ = sobol_bounds(g, mu, [1], est.total_variance)
     assert t_upper > 10.0 * max(est.t_hat, 1e-9)
@@ -181,7 +180,7 @@ def test_sobol_bounds_vacuous_flag():
     # high-frequency energy on the complement pushes the lower bound negative
     model = SumOfSinesModel([1.0, 1.0], [1.0, 8.0])
     mu = GaussianMeasure.standard(2)
-    est = sobol_estimates(model, mu, [1], SampleStream(16), n_outer=1000, m_inner=16)
+    est = sobol_estimates(model, mu, [1], SampleStream(16), n_outer=1000)
     g = dgsm(model, mu, SampleStream(17), 20000)
     s_lower, _, vacuous = sobol_bounds(g, mu, [1], est.total_variance)
     assert s_lower < 0.0
@@ -208,7 +207,7 @@ def test_sandwich_property_all_models_d4():
             for j, tau in enumerate(itertools.combinations(range(1, 5), size)):
                 est = sobol_estimates(
                     model, mu, tau, SampleStream(20).substream(mi).substream(k).substream(j),
-                    n_outer=400, m_inner=24,
+                    n_outer=400,
                 )
                 s_lower, t_upper, _ = sobol_bounds(g, mu, tau, est.total_variance)
                 assert s_lower <= est.s_hat + 3.0 * est.s_se + 0.05
@@ -222,7 +221,7 @@ def test_consistency_with_ridge_error():
     model = SumOfSinesModel([1.0, 0.7, 0.4], [0.8, 1.4, 2.0])
     mu = GaussianMeasure.standard(3)
     tau = [1, 3]
-    est = sobol_estimates(model, mu, tau, SampleStream(21), n_outer=4000, m_inner=64)
+    est = sobol_estimates(model, mu, tau, SampleStream(21), n_outer=4000)
     closed = sines_cond_exp_error(model, mu, tau)
     profile = exact_conditional_expectation(model, mu, coordinate_projector(tau, 3))
     mse, mse_se = validate_error(profile, model, mu, SampleStream(22), 20000)
@@ -236,7 +235,7 @@ def test_report_assembly_and_json():
     model = LinearModel(np.array([[2.0, 1.0, 0.5]]))
     mu = GaussianMeasure.standard(3)
     report = build_sensitivity_report(
-        model, mu, [[1], [2], [3]], SampleStream(23), n_outer=600, m_inner=16, dgsm_samples=100
+        model, mu, [[1], [2], [3]], SampleStream(23), n_outer=600, dgsm_samples=100
     )
     rows = list(report.rows())
     assert [r["group"] for r in rows] == ["{1}", "{2}", "{3}"]
@@ -261,7 +260,7 @@ def test_report_groups_share_one_variance():
     mu = GaussianMeasure.standard(3)
     groups = [[1], [2], [2, 3]]
     report = build_sensitivity_report(
-        model, mu, groups, SampleStream(24), n_outer=200, m_inner=8, dgsm_samples=50
+        model, mu, groups, SampleStream(24), n_outer=200, dgsm_samples=50
     )
     for k, group in enumerate(groups):
         assert report.estimates[k].total_variance == report.total_variance
@@ -294,7 +293,7 @@ def test_report_without_groups_fails_before_any_jacobian():
 
     with pytest.raises(ValueError, match="at least one index group"):
         build_sensitivity_report(Counting(np.ones((1, 2))), GaussianMeasure.standard(2), [],
-                                 SampleStream(24), n_outer=10, m_inner=2, dgsm_samples=10)
+                                 SampleStream(24), n_outer=10, dgsm_samples=10)
     assert Counting.calls == 0
 
 
@@ -471,7 +470,7 @@ def test_sobol_memory_peak_stays_bounded_at_default_sizes():
     model = SumOfSinesModel(np.ones(16), np.linspace(0.5, 2.0, 16))
     tracemalloc.start()
     try:
-        sobol_estimates(model, mu, [1, 2], SampleStream(35), n_outer=20000, m_inner=64)
+        sobol_estimates(model, mu, [1, 2], SampleStream(35), n_outer=20000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
