@@ -17,16 +17,20 @@ worker count. The pool runs the gradient samples of ``estimate_h`` (which the
 one chunk of work costs half a millisecond or more, as with ``point_pair``
 at grid 32, and not at grid 12.
 
-Every command runs with the OpenBLAS copies that numpy and scipy bundle set
-to one thread, and restores their thread counts when it returns. scipy is
-imported only when a run needs it (an eigendecomposition of a matrix that is
-not diagonal, or the pde model), so its copy usually loads inside the run; it
-is pinned as it loads and set back to the count it loaded with. So the
-artifacts do not depend on ``OPENBLAS_NUM_THREADS``, and on these small dense
-kernels one thread is also the fastest. The library API leaves BLAS as the
-caller set it: a library caller who wants the CLI's digits sets
-``OPENBLAS_NUM_THREADS=1``. Other BLAS vendors (MKL, Accelerate) are not
-pinned.
+The process entry (``python -m gradridge`` and the ``gradridge`` script, both
+``gradridge.__main__:main``) sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+loads, so the OpenBLAS copies that numpy and scipy bundle load on one thread
+and start no idle worker. ``main`` here keeps a runtime pin for in-process
+callers, which load numpy first: every command runs with each copy set to one
+thread, and restores their thread counts when it returns. scipy is imported
+only when a run needs it (an eigendecomposition of a matrix that is not
+diagonal, or the pde model), so its copy usually loads inside the run; it is
+pinned as it loads and set back to the count it loaded with. So the artifacts
+do not depend on ``OPENBLAS_NUM_THREADS``, and on these small dense kernels
+one thread is also the fastest. Importing this module changes neither BLAS
+nor the environment, and the library API leaves BLAS as the caller set it: a
+library caller who wants the CLI's digits sets ``OPENBLAS_NUM_THREADS=1``.
+Other BLAS vendors (MKL, Accelerate) are not pinned.
 """
 
 from __future__ import annotations

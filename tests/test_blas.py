@@ -176,3 +176,38 @@ def test_pin_is_a_no_op_when_no_openblas_is_found(tmp_path, monkeypatch, control
     assert cli.main(["curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert seen == [caller]
     assert _counts(controls) == caller
+
+
+# Runs the process entry as `python -m gradridge` does, then reads the
+# process's OS thread count and the OpenBLAS setting the entry left.
+_ENTRY = """
+import json, os, runpy, sys
+sys.argv = ["gradridge", *sys.argv[1:]]
+try:
+    runpy.run_module("gradridge", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+with open("/proc/self/status", "r", encoding="utf-8") as fh:
+    threads = int(next(line.split()[1] for line in fh if line.startswith("Threads:")))
+print(json.dumps({"code": code, "threads": threads,
+                  "setting": os.environ["OPENBLAS_NUM_THREADS"]}))
+"""
+
+
+def test_process_entry_loads_openblas_on_one_thread(tmp_path):
+    # the entry sets OPENBLAS_NUM_THREADS=1 before numpy and scipy load, over
+    # the caller's 4, so neither copy starts a worker thread
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to count threads")
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "pde", "grid": 4, "scenario": "point_pair"},
+        "ranks": [2], "sampling": {"k": 20, "m": [2], "n_val": 50},
+    })
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY, "curve", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--threads", "1"],
+        env=_cli_env("4"), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "threads": 1, "setting": "1"}

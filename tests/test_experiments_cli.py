@@ -951,13 +951,13 @@ def test_cli_prints_each_warning_as_one_line(tmp_path):
     assert all(line.startswith(("warning:", "numerical failure:")) for line in lines)
 
 
-# Which of scipy's heavy subpackages are loaded after each step of a sobol
-# run on the closed-form sines model, and what the pde names resolve to.
+# Which of numpy and scipy's heavy subpackages are loaded after each step of a
+# sobol run on the closed-form sines model, and what the pde names resolve to.
 _SCIPY_LOADS = """
 import json, sys
 
 def heavy():
-    return [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+    return [m for m in ("numpy", "scipy.linalg", "scipy.sparse") if m in sys.modules]
 
 loaded = {}
 import gradridge
@@ -993,7 +993,8 @@ def test_closed_form_sobol_runs_without_scipy_linalg_or_sparse(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["code"] == 0
-    assert seen["loaded"] == {"import gradridge": [], "import gradridge.cli": [], "sobol": []}
+    assert seen["loaded"] == {
+        "import gradridge": [], "import gradridge.cli": ["numpy"], "sobol": ["numpy"]}
     assert seen["listed"] == ["DiffusionModel", "Mesh2D", "build_field_covariance"]
     assert seen["same"] == [True, True, True]
 
