@@ -5,9 +5,9 @@ numpy and scipy wheels each bundle their own OpenBLAS: numpy's
 and scipy's ``libscipy_openblas`` the same names without the suffix. Both are
 found by their mapped paths in ``/proc/self/maps``. gradridge imports scipy
 only where a run needs it, so scipy's copy may load while the pin is active:
-every module that imports scipy's compiled parts calls ``pin_new_copies``
-before it hands them out, which pins a copy that was not mapped when the pin
-started and restores it with the others on exit. Where no copy or symbol is
+``linalg``, the one module that imports scipy's compiled kernels, calls
+``pin_new_copies`` before it hands each out, which pins a copy that was not
+mapped when the pin started and restores it with the others on exit. Where no copy or symbol is
 found (another BLAS vendor, or no ``/proc``) the block runs with BLAS left as
 it is.
 """
@@ -51,7 +51,8 @@ def _copies():
 
 def pin_new_copies():
     """Inside ``one_blas_thread``, set each OpenBLAS copy it has not pinned yet
-    to one thread, to be restored on exit; outside it, do nothing."""
+    to one thread, to be restored on exit; outside it, do nothing. ``linalg``
+    calls it after each import of a scipy kernel."""
     with _lock:
         if _pinned is None:
             return

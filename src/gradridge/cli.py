@@ -22,10 +22,11 @@ The process entry (``python -m gradridge`` and the ``gradridge`` script, both
 loads, so the OpenBLAS copies that numpy and scipy bundle load on one thread
 and start no idle worker. ``main`` here keeps a runtime pin for in-process
 callers, which load numpy first: every command runs with each copy set to one
-thread, and restores their thread counts when it returns. scipy is imported
-only when a run needs it (an eigendecomposition of a matrix that is not
-diagonal, or the pde model), so its copy usually loads inside the run; it is
-pinned as it loads and set back to the count it loaded with. So the artifacts
+thread, and restores their thread counts when it returns. scipy's compiled
+kernels are imported only when a run needs them (an eigendecomposition of a
+matrix that is not diagonal, or the pde model), all by ``linalg``, so its copy
+usually loads inside the run; ``linalg`` pins it as it loads, and it is set
+back to the count it loaded with. So the artifacts
 do not depend on ``OPENBLAS_NUM_THREADS``, and on these small dense kernels
 one thread is also the fastest. Importing this module changes neither BLAS
 nor the environment, and the library API leaves BLAS as the caller set it: a

@@ -458,12 +458,10 @@ def run_spectrum(cfg, out_dir, threads=1):
         ["index", "lambda", "tail_sum", "kl_sigma2", "kl_tail_sum"],
         rows,
     )
-    from .pde import DiffusionModel
-
     n_modes = min(6, mu.dim)
     kl_vecs = mu.cov.root().vectors
     header, coords = ["index"], np.empty((mu.dim, 0))
-    if isinstance(model, DiffusionModel):
+    if cfg["model"]["kind"] == "pde":
         header, coords = header + ["cell_center_x", "cell_center_y"], model.mesh.cell_centers
     header += [f"mode_{i + 1}" for i in range(n_modes)]
     for name, vectors in (("gen_modes.csv", pairs.vectors), ("kl_modes.csv", kl_vecs)):

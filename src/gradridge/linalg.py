@@ -6,13 +6,15 @@ symmetric-definite eigenproblem reduced through that root. Every kernel
 rejects NaN or infinite input with NonFiniteInput rather than returning a
 silently wrong answer.
 
-Loading this module does not import scipy. The root of an exactly diagonal
-matrix is written down without an eigensolver, and scipy.linalg is imported,
-and the module's ``eigh`` bound, on the first call that needs ``eigh``.
+Loading this module does not import scipy, yet it is the one module that
+imports scipy's compiled kernels: ``eigh``, and the banded ``dpbtrf``,
+``dpbtrs`` and ``dsbmv`` that the pde model reads from it, each imported and
+bound on first use. The root of an exactly diagonal matrix needs no ``eigh``.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +40,20 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # PEP 562: ``eigh`` is scipy.linalg.eigh, bound on first use
-    if name != "eigh":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import eigh
+# scipy's compiled kernels, each with the module that defines it
+_SCIPY_KERNELS = {"eigh": "scipy.linalg", "dsbmv": "scipy.linalg.blas",
+                  "dpbtrf": "scipy.linalg.lapack", "dpbtrs": "scipy.linalg.lapack"}
 
+
+def __getattr__(name):
+    # PEP 562: a kernel is bound on first use, after the OpenBLAS copy that
+    # importing it may load is pinned
+    if name not in _SCIPY_KERNELS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    kernel = getattr(importlib.import_module(_SCIPY_KERNELS[name]), name)
     _blas.pin_new_copies()
-    globals()["eigh"] = eigh
-    return eigh
+    globals()[name] = kernel
+    return kernel
 
 
 def _as_square(a):

@@ -7,11 +7,12 @@ one-point quadrature of the weighted stiffness exact, so each cell adds its
 conductivity times the reference stiffness block. Dirichlet data u = s1 + s2
 is imposed by lifting, which keeps the interior system symmetric positive
 definite. In the row-major interior numbering its half-bandwidth is g, so each
-call fills LAPACK's band storage with one sparse product of a map fixed at
-construction and factors it with the banded Cholesky ``dpbtrf``, about g^4
-flops. Jacobians come from one adjoint band solve per output component that
-touches an interior node, against the same factor. Every sum over cells runs
-through a sparse pattern fixed at construction.
+call fills the lift and the matrix, in LAPACK's band storage, with one sparse
+product of a map fixed at construction and factors the band with the banded
+Cholesky ``dpbtrf`` (read from ``linalg``), about g^4 flops. Jacobians come
+from one adjoint band solve per output component that touches an interior
+node, against the same factor. Every sum over cells runs through a sparse
+pattern fixed at construction.
 
 Three observation scenarios map the solution field to the model output, each
 read off the nodal solution by index: the full nodal field in the discrete H^1
@@ -25,17 +26,11 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from . import _blas
 from .errors import DimensionMismatch, InputClampedWarning, SolverFailure
-from .linalg import PD_FLOOR, SpdMatrix
+from .linalg import PD_FLOOR, SpdMatrix, dpbtrf, dpbtrs, dsbmv
 from .measure import squared_exponential_covariance
 from .models import SCENARIOS, VectorValuedModel
-
-# importing scipy.linalg above may have loaded scipy's OpenBLAS copy
-_blas.pin_new_copies()
 
 __all__ = [
     "Mesh2D",
@@ -167,8 +162,9 @@ class DiffusionModel(VectorValuedModel):
     - ``point_pair``: interpolated values at two fixed points, diagonal metric
       diag(alpha, beta).
 
-    Each call fills the interior system's band (half-bandwidth g) from a map
-    fixed at construction and factors it anew with LAPACK's banded Cholesky,
+    Each call fills the Dirichlet lift and the interior system's band
+    (half-bandwidth g) with one product of a map fixed at construction and
+    factors the band anew with LAPACK's banded Cholesky,
     and a Jacobian builds its CSR matrix around a fixed pattern; instances
     hold only immutable precomputed structure, safe across threads.
     """
@@ -186,28 +182,27 @@ class DiffusionModel(VectorValuedModel):
         n_int = mesh.interior.size
         cells = mesh.cell_nodes
         self._boundary_values = mesh.nodes[:, 0] + mesh.nodes[:, 1]
-        # kappa -> A_ii in LAPACK's upper band storage, flattened in Fortran
-        # order: entry (i, j), i <= j, sits at g + i - j + (g + 1) j. The
-        # row-major interior numbering keeps every stencil neighbour within g
-        # of the diagonal. No (slot, cell) pair repeats, so each slot sums in
-        # cell order.
-        i, j, c, k1 = _cell_entries(cells, _K1, mesh.interior, mesh.interior)
-        upper = i <= j
-        self._band_map = sp.csr_matrix(
-            (k1[upper], ((g + i - j + (g + 1) * j)[upper], c[upper])),
-            shape=((g + 1) * n_int, mesh.n_cells),
-        )
-        # kappa -> the Dirichlet lift -A_ib(kappa) u_b
-        i, j, c, k1 = _cell_entries(cells, _K1, mesh.interior, mesh.boundary)
-        self._lift = sp.csr_matrix(
-            (-k1 * self._boundary_values[mesh.boundary][j], (i, c)),
-            shape=(n_int, mesh.n_cells),
-        )
-        # the Jacobian's cells x interior-nodes pattern, int32 as scipy keeps it:
-        # the mask of interior corners in cells.ravel(), their rows as CSR
-        # indices and indptr, each cell's in SW, SE, NE, NW order
+        # each node's interior row, -1 on the boundary, int32 as scipy keeps it
         interior_row = np.full(mesh.n_nodes, -1, dtype=np.int32)
         interior_row[mesh.interior] = np.arange(n_int)
+        # kappa -> the system: its first n_int rows are the Dirichlet lift
+        # -A_ib(kappa) u_b, the rest A_ii in LAPACK's upper band storage,
+        # flattened in Fortran order, so entry (i, j), i <= j, sits at
+        # n_int + g + i - j + (g + 1) j. The row-major interior numbering keeps
+        # every stencil neighbour within g of the diagonal. Each row sums its
+        # terms in cell order.
+        i, node, c, k1 = _cell_entries(cells, _K1, mesh.interior, np.arange(mesh.n_nodes))
+        j = interior_row[node]
+        lift = j < 0
+        keep = lift | (i <= j)
+        self._system = sp.csr_matrix(
+            (np.where(lift, -k1 * self._boundary_values[node], k1)[keep],
+             (np.where(lift, i, n_int + g + i - j + (g + 1) * j)[keep], c[keep])),
+            shape=((g + 2) * n_int, mesh.n_cells),
+        )
+        # the Jacobian's cells x interior-nodes pattern: the mask of interior
+        # corners in cells.ravel(), their rows as CSR indices and indptr, each
+        # cell's in SW, SE, NE, NW order
         inner = interior_row[cells] >= 0
         self._corners = (inner.ravel(), interior_row[cells][inner],
                          np.append(0, np.cumsum(inner.sum(axis=1))).astype(np.int32))
@@ -266,13 +261,14 @@ class DiffusionModel(VectorValuedModel):
         """
         kappa = np.exp(_clamped_log_conductivity(self._check_point(x)))
         g = self.mesh.cells_per_side
-        band = (self._band_map @ kappa).reshape(g + 1, -1, order="F")
+        n_int = self.mesh.interior.size
+        system = self._system @ kappa
+        rhs, band = system[:n_int], system[n_int:].reshape(g + 1, -1, order="F")
         factor, info = dpbtrf(band)
         if info > 0:
             raise SolverFailure(
                 float("inf"), f"banded Cholesky failed: leading minor {info} is not positive"
             )
-        rhs = self._lift @ kappa
         u_i, _ = dpbtrs(factor, rhs)
         resid = float(np.linalg.norm(dsbmv(g, 1.0, band, u_i, beta=-1.0, y=rhs)))
         rhs_norm = float(np.linalg.norm(rhs))

@@ -82,8 +82,6 @@ def sigma_inverse_projector(basis, sigma):
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2 or b.shape[0] != sigma.dim:
         raise DimensionMismatch(f"basis shape {b.shape} incompatible with dim {sigma.dim}")
-    if b.shape[1] == 0:
-        return RankRProjector.zero(sigma.dim)
     root = sigma.root()
     return _from_whitened(np.linalg.qr(root.whiten(b))[0], root)
 
@@ -100,8 +98,6 @@ def euclidean_projector(basis):
     u = np.asarray(basis, dtype=float)
     if u.ndim != 2:
         raise DimensionMismatch("basis must be 2-d")
-    if u.shape[1] == 0:
-        return RankRProjector.zero(u.shape[0])
     u = np.linalg.qr(u)[0]
     return RankRProjector(u, u)
 
@@ -120,8 +116,6 @@ def sigma_orthogonalize(p, sigma):
     d = sigma.dim
     if p.dim != d:
         raise DimensionMismatch(f"projector dim {p.dim} vs dim {d}")
-    if p.rank == 0:
-        return RankRProjector.zero(d)
     if p.rank == d:
         return RankRProjector.identity(d)
     # span(Sigma W) whitens to S^{-1} Sigma W = S^T W

@@ -951,21 +951,23 @@ def test_cli_prints_each_warning_as_one_line(tmp_path):
     assert all(line.startswith(("warning:", "numerical failure:")) for line in lines)
 
 
-# Which of numpy and scipy's heavy subpackages are loaded after each step of a
-# sobol run on the closed-form sines model, and what the pde names resolve to.
+# Which of numpy, scipy's heavy subpackages and the pde model are loaded after
+# each step of a run of the command argv[3], and what the pde names resolve to.
 _SCIPY_LOADS = """
 import json, sys
 
 def heavy():
-    return [m for m in ("numpy", "scipy.linalg", "scipy.sparse") if m in sys.modules]
+    return [m for m in ("numpy", "scipy.linalg", "scipy.sparse", "gradridge.pde")
+            if m in sys.modules]
 
+command = sys.argv[3]
 loaded = {}
 import gradridge
 loaded["import gradridge"] = heavy()
 import gradridge.cli
 loaded["import gradridge.cli"] = heavy()
-code = gradridge.cli.main(["sobol", "--config", sys.argv[1], "--out", sys.argv[2]])
-loaded["sobol"] = heavy()
+code = gradridge.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded[command] = heavy()
 listed = [n for n in ("DiffusionModel", "Mesh2D", "build_field_covariance") if n in dir(gradridge)]
 from gradridge import DiffusionModel, Mesh2D, build_field_covariance
 from gradridge import pde
@@ -973,6 +975,17 @@ same = [DiffusionModel is pde.DiffusionModel, Mesh2D is pde.Mesh2D,
         build_field_covariance is pde.build_field_covariance]
 print(json.dumps({"code": code, "loaded": loaded, "listed": listed, "same": same}))
 """
+
+
+def _scipy_loads(cfg, out, command):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LOADS, str(cfg), str(out), command],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_closed_form_sobol_runs_without_scipy_linalg_or_sparse(tmp_path):
@@ -984,14 +997,7 @@ def test_closed_form_sobol_runs_without_scipy_linalg_or_sparse(tmp_path):
         "groups": "singletons",
         "sampling": {"sobol_outer": 2000, "sobol_inner": 64, "dgsm_k": 2000},
     })
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_LOADS, str(cfg), str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    seen = _scipy_loads(cfg, tmp_path / "out", "sobol")
     assert seen["code"] == 0
     assert seen["loaded"] == {
         "import gradridge": [], "import gradridge.cli": ["numpy"], "sobol": ["numpy"]}
@@ -1004,16 +1010,19 @@ def test_linear_sobol_runs_without_scipy_linalg(tmp_path):
     # eigensolve, and scipy.linalg with it, is left for a run that does
     cfg = _write_cfg(tmp_path, {"model": {"kind": "linear", "matrix": [[1.0, 0.5, 0.2]]},
                                 "sampling": {"sobol_outer": 100, "dgsm_k": 50}})
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_LOADS, str(cfg), str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    seen = _scipy_loads(cfg, tmp_path / "out", "sobol")
     assert seen["code"] == 0
     assert "scipy.linalg" not in seen["loaded"]["sobol"]
+
+
+def test_linear_spectrum_loads_neither_the_pde_model_nor_scipy_sparse(tmp_path):
+    # only a pde run adds cell centers to the mode tables, and the check reads
+    # the config, so a linear spectrum imports scipy.linalg for eigh alone
+    cfg = _write_cfg(tmp_path, {"model": {"kind": "linear", "matrix": [[1.0, 0.5, 0.2]]},
+                                "sampling": {"k": 50}})
+    seen = _scipy_loads(cfg, tmp_path / "out", "spectrum")
+    assert seen["code"] == 0
+    assert seen["loaded"]["spectrum"] == ["numpy", "scipy.linalg"]
 
 
 def test_cli_sobol_rejects_correlated_measure(tmp_path, capsys):

@@ -193,7 +193,8 @@ def test_backward_stable_solve_of_a_tiny_rhs_passes_the_residual_check():
     # 1e-10 |A| |u|: a backward-stable solve, not a failed one
     model = DiffusionModel(4, "point_pair")
     kappa, _, u = model._forward(_tiny_rhs_point(model))
-    assert float(np.linalg.norm(model._lift @ kappa)) < 1e-16
+    rhs = (model._system @ kappa)[:model.mesh.interior.size]
+    assert float(np.linalg.norm(rhs)) < 1e-16
     assert np.all(np.isfinite(u))
 
 
@@ -214,19 +215,39 @@ def test_corrupted_solution_fails_the_residual_check(monkeypatch, tiny_rhs):
 
 @pytest.mark.parametrize("g", [2, 3, 5, 12])
 def test_band_map_fills_the_cell_loop_interior_system(g):
-    # the band holds A_ii in LAPACK's upper band storage, half-bandwidth g
+    # the system map's first n rows are the lift -A_ib u_b, the rest A_ii in
+    # LAPACK's upper band storage, half-bandwidth g
     model = DiffusionModel(g, "point_pair")
     mesh = model.mesh
     kappa = np.exp(np.random.default_rng(60 + g).standard_normal(mesh.n_cells))
-    a_ii = _cell_loop(mesh, _K1, kappa, range(mesh.n_cells))[np.ix_(mesh.interior, mesh.interior)]
+    a = _cell_loop(mesh, _K1, kappa, range(mesh.n_cells))
+    a_ii = a[np.ix_(mesh.interior, mesh.interior)]
     assert not np.any(np.triu(a_ii, g + 1))
     n = mesh.interior.size
     expect = np.zeros((g + 1, n))
     for j in range(n):
         for i in range(max(0, j - g), j + 1):
             expect[g + i - j, j] = a_ii[i, j]
-    band = (model._band_map @ kappa).reshape(g + 1, n, order="F")
-    np.testing.assert_array_equal(band, expect)
+    system = model._system @ kappa
+    assert system.shape == ((g + 2) * n,)
+    np.testing.assert_array_equal(system[n:].reshape(g + 1, n, order="F"), expect)
+    u_b = mesh.nodes[mesh.boundary].sum(axis=1)
+    lift = -a[np.ix_(mesh.interior, mesh.boundary)] @ u_b
+    np.testing.assert_allclose(system[:n], lift, rtol=1e-13, atol=1e-13 * np.abs(lift).max())
+
+
+def test_pde_reads_scipys_banded_kernels_through_linalg():
+    import scipy.linalg.blas
+    import scipy.linalg.lapack
+
+    from gradridge import linalg
+
+    assert pde_mod.dpbtrf is scipy.linalg.lapack.dpbtrf
+    assert pde_mod.dpbtrs is scipy.linalg.lapack.dpbtrs
+    assert pde_mod.dsbmv is scipy.linalg.blas.dsbmv
+    assert not hasattr(pde_mod, "_blas")
+    with pytest.raises(AttributeError, match="no attribute 'dgemm'"):
+        linalg.dgemm
 
 
 @pytest.mark.parametrize("scenario", ["full_field", "subdomain", "point_pair"])

@@ -162,6 +162,18 @@ def test_sigma_orthogonalize_keeps_exact_zero_and_identity():
         sigma_orthogonalize(RankRProjector.identity(3), sigma)
 
 
+def test_constructors_give_an_exact_zero_projector_for_an_empty_basis():
+    d = 5
+    sigma = random_spd(np.random.default_rng(11), d)
+    empty = np.zeros((d, 0))
+    for p in (sigma_inverse_projector(empty, sigma), euclidean_projector(empty),
+              sigma_orthogonalize(RankRProjector.zero(d), sigma)):
+        assert p.basis.shape == p.dual.shape == (d, 0)
+        assert not p.basis.flags.writeable and not p.dual.flags.writeable
+        np.testing.assert_array_equal(p.matrix, np.zeros((d, d)))
+        np.testing.assert_array_equal(p.apply(np.ones((3, d))), np.zeros((3, d)))
+
+
 def test_apply_matches_dense_matrix_for_every_constructor():
     rng = np.random.default_rng(10)
     d = 6
