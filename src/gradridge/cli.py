@@ -10,12 +10,13 @@ Four subcommands, one JSON config each:
 Exit codes: 0 success, 2 configuration problems (including a config file or
 output path that cannot be read or written), 3 numerical failures.
 Each warning prints as one stderr line, ``warning: <Category>: <message>``.
-``--threads`` changes wall time only; outputs are byte-identical for any
-worker count. The pool runs the gradient samples of ``estimate_h`` (which the
-``sobol`` derivative bounds use too), the validation samples of
-``validate_error`` and the blocks of the Sobol' base rows. It pays where
-one chunk of work costs half a millisecond or more, as with ``point_pair``
-at grid 32, and not at grid 12.
+``--threads N`` changes wall time only; outputs are byte-identical for any
+worker count. The workers, the calling thread and N - 1 helper threads, run
+the gradient samples of ``estimate_h`` (which the ``sobol`` derivative
+bounds use too), the validation samples of ``validate_error`` and the blocks
+of the Sobol' base rows; a loop of one block starts no thread. More workers
+pay where one chunk of work costs half a millisecond or more, as with
+``point_pair`` at grid 32, and not at grid 12.
 
 The process entry (``python -m gradridge`` and the ``gradridge`` script, both
 ``gradridge.__main__:main``) sets ``OPENBLAS_NUM_THREADS=1`` before numpy

@@ -10,14 +10,17 @@ of H they only estimate those bounds, and are biased low (Ky Fan).
 
 Sample-driven routines walk their draws in blocks of CHUNK rows. Block k
 holds rows [k CHUNK, (k+1) CHUNK) of one long draw, read straight from its
-place in the stream, and blocks merge in order. Worker threads only decide
-who computes which block, so results are bit-identical for any worker count.
+place in the stream, and blocks merge in order. With ``threads`` workers,
+the calling thread is one of them, next to at most ``threads - 1`` helper
+threads and never more helpers than further blocks; a walk of one block, or
+on one worker, starts none. Workers only decide who computes which block,
+so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +98,44 @@ def _metric_sq_norms(diff, metric):
 
 
 def _map_chunks(fn, n_chunks, threads):
-    """Run fn(chunk_index) for every chunk, results in chunk order."""
+    """Run fn(chunk_index) for every chunk, results in chunk order.
+
+    One worker or one chunk runs them in turn on the calling thread and
+    starts no thread. Otherwise the calling thread and min(threads,
+    n_chunks) - 1 helper threads are the workers: each gets one chunk
+    before any helper starts, then takes the next index from one shared
+    counter until none is left, so every chunk runs once. If chunks raise,
+    the exception of the lowest such index is raised after all have run.
+    """
     if threads <= 1 or n_chunks <= 1:
         return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+    results = [None] * n_chunks
+    failures = {}
+    chunks = iter(range(n_chunks))
+    lock = threading.Lock()
+
+    def work(i):
+        while i is not None:
+            try:
+                results[i] = fn(i)
+            except Exception as exc:  # noqa: BLE001 - raised in chunk order below
+                failures[i] = exc
+            with lock:
+                i = next(chunks, None)
+
+    first = next(chunks)
+    helpers = [threading.Thread(target=work, args=(next(chunks),))
+               for _ in range(min(int(threads), n_chunks) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(first)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _map_draws(mu, streams, count, fn, threads):
@@ -107,7 +143,9 @@ def _map_draws(mu, streams, count, fn, threads):
     draws of mu, results in block order. ``draws`` holds one array per
     stream: rows lo.. of ``sample(mu, stream, count)``, read from the stream
     lo * d normals on. The normals never depend on CHUNK; under a correlated
-    covariance the BLAS can round m + S z on a short block differently."""
+    covariance the BLAS can round m + S z on a short block differently.
+    Blocks run through ``_map_chunks``, so each worker holds the draws of
+    one block at a time."""
     starts = range(0, count, CHUNK)
 
     def one_block(k):

@@ -966,21 +966,23 @@ import gradridge
 loaded["import gradridge"] = heavy()
 import gradridge.cli
 loaded["import gradridge.cli"] = heavy()
-code = gradridge.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
+code = gradridge.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2], *sys.argv[4:]])
 loaded[command] = heavy()
+futures = "concurrent.futures" in sys.modules
 listed = [n for n in ("DiffusionModel", "Mesh2D", "build_field_covariance") if n in dir(gradridge)]
 from gradridge import DiffusionModel, Mesh2D, build_field_covariance
 from gradridge import pde
 same = [DiffusionModel is pde.DiffusionModel, Mesh2D is pde.Mesh2D,
         build_field_covariance is pde.build_field_covariance]
-print(json.dumps({"code": code, "loaded": loaded, "listed": listed, "same": same}))
+print(json.dumps({"code": code, "loaded": loaded, "futures": futures,
+                  "listed": listed, "same": same}))
 """
 
 
-def _scipy_loads(cfg, out, command):
+def _scipy_loads(cfg, out, command, *flags):
     src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_LOADS, str(cfg), str(out), command],
+        [sys.executable, "-c", _SCIPY_LOADS, str(cfg), str(out), command, *flags],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, timeout=120,
     )
@@ -990,19 +992,35 @@ def _scipy_loads(cfg, out, command):
 
 def test_closed_form_sobol_runs_without_scipy_linalg_or_sparse(tmp_path):
     # the 16-sine config of the benchmark: a diagonal covariance has a root in
-    # closed form, and nothing else in the run needs scipy
+    # closed form, and nothing else in the run needs scipy. A serial run
+    # imports no thread pool either (scipy would bring concurrent.futures).
     cfg = _write_cfg(tmp_path, {
         "model": {"kind": "sines", "amplitudes": np.linspace(1.0, 0.1, 16).tolist(),
                   "frequencies": np.linspace(0.5, 2.0, 16).tolist()},
         "groups": "singletons",
         "sampling": {"sobol_outer": 2000, "sobol_inner": 64, "dgsm_k": 2000},
     })
-    seen = _scipy_loads(cfg, tmp_path / "out", "sobol")
+    seen = _scipy_loads(cfg, tmp_path / "out", "sobol", "--threads", "1")
     assert seen["code"] == 0
     assert seen["loaded"] == {
         "import gradridge": [], "import gradridge.cli": ["numpy"], "sobol": ["numpy"]}
+    assert not seen["futures"]
     assert seen["listed"] == ["DiffusionModel", "Mesh2D", "build_field_covariance"]
     assert seen["same"] == [True, True, True]
+
+
+def test_curve_on_three_blocks_writes_the_same_bytes_on_the_caller_and_a_helper(tmp_path):
+    # 1100 samples for H and for validation: three blocks each, shared by the
+    # calling thread and one helper under --threads 2
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "linear", "random": {"rows": 2, "cols": 6, "seed": 4}},
+        "sampling": {"k": 1100, "n_val": 1100, "m": [1]},
+    })
+    for threads in ("1", "2"):
+        seen = _scipy_loads(cfg, tmp_path / f"out{threads}", "curve", "--threads", threads)
+        assert seen["code"] == 0
+    assert (tmp_path / "out1" / "curve.csv").read_bytes() == (
+        tmp_path / "out2" / "curve.csv").read_bytes()
 
 
 def test_linear_sobol_runs_without_scipy_linalg(tmp_path):

@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -653,6 +655,55 @@ def test_validate_error_monotone_in_rank():
         mse, se = validate_error(profile, model, mu, SampleStream(26), 4000)
         assert mse <= prev + 3.0 * se
         prev = mse
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("n_chunks", [1, 2, 3, 7])
+def test_map_chunks_runs_each_chunk_once_in_order_on_the_caller_and_its_helpers(
+        monkeypatch, n_chunks, threads):
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    ran_on = {}
+
+    def fn(i):
+        ran_on.setdefault(i, []).append(threading.get_ident())
+        time.sleep(0.002)
+        return i * i
+
+    assert ridge._map_chunks(fn, n_chunks, threads) == [i * i for i in range(n_chunks)]
+    assert sorted(ran_on) == list(range(n_chunks))
+    assert all(len(idents) == 1 for idents in ran_on.values())
+    workers = {idents[0] for idents in ran_on.values()}
+    assert len(workers) <= threads and threading.get_ident() in workers
+    # the caller is a worker: a pool of T workers starts T - 1 threads, and a
+    # serial walk or a single chunk starts none
+    assert len(started) == (0 if threads == 1 or n_chunks == 1 else min(threads, n_chunks) - 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_map_chunks_raises_the_lowest_failing_chunk_after_every_chunk_ran(threads):
+    ran = set()
+
+    def fn(i):
+        if i == 2:
+            time.sleep(0.05)  # chunk 5 fails first on a pool
+        ran.add(i)
+        if i in (2, 5):
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError) as err:
+        ridge._map_chunks(fn, 7, threads)
+    assert err.value.args == (2,)
+    # a pool runs every chunk, as a ThreadPoolExecutor would; a serial walk
+    # stops at the first failure
+    assert ran == (set(range(3)) if threads == 1 else set(range(7)))
 
 
 def test_validate_error_thread_invariance():
