@@ -100,7 +100,7 @@ def _run(args):
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         cfg = resolve_config(raw, seed_override=args.seed)
-        if args.threads is not None and args.threads < 1:
+        if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON ({exc})", file=sys.stderr)

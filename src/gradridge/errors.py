@@ -57,11 +57,22 @@ class ZeroVariance(GradRidgeError):
 
 
 class ModelEvaluationFailure(GradRidgeError):
-    """A model eval or Jacobian call failed. Carries the sample index."""
+    """A sampled model call failed at sample ``sample_index``: its result held
+    a NaN or inf (``what`` names the result), or it raised ``cause``. The
+    message names the index and what failed; ``moved`` is the same failure at
+    another index, worded the same way."""
 
-    def __init__(self, sample_index, message=None):
-        self.sample_index = sample_index
-        super().__init__(message or f"model evaluation failed at sample {sample_index}")
+    def __init__(self, sample_index, what=None, cause=None):
+        self.sample_index, self.what, self.cause = sample_index, what, cause
+        message = f"model evaluation failed at sample {sample_index}"
+        if what is not None:
+            message = f"non-finite {what} at sample {sample_index}"
+        elif cause is not None:
+            message += f": {type(cause).__name__}: {cause}"
+        super().__init__(message)
+
+    def moved(self, offset):
+        return ModelEvaluationFailure(self.sample_index + offset, self.what, self.cause)
 
 
 class SolverFailure(GradRidgeError):

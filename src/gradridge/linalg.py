@@ -73,13 +73,14 @@ class SpdMatrix:
     """Symmetric matrix wrapper with a write-once square-root cache.
 
     Construction symmetrizes the input as (A + A^T)/2, so ``entries`` is exactly
-    symmetric and read-only afterwards. Positive definiteness is not checked
-    here; it surfaces when ``root`` is first called. The root is cached on
-    first success and never recomputed, which makes instances safe to share
-    between worker threads.
+    symmetric and read-only afterwards, and decides once whether it is exactly
+    diagonal (``is_diagonal``; a NaN counts as nonzero). Positive definiteness
+    is not checked here; it surfaces when ``root`` is first called. The root is
+    cached on first success and never recomputed, which makes instances safe to
+    share between worker threads.
     """
 
-    __slots__ = ("dim", "entries", "_root")
+    __slots__ = ("dim", "entries", "is_diagonal", "_root")
 
     def __init__(self, entries):
         m = _as_square(entries)
@@ -87,6 +88,7 @@ class SpdMatrix:
         sym.setflags(write=False)
         self.dim = sym.shape[0]
         self.entries = sym
+        self.is_diagonal = bool(np.count_nonzero(sym) == np.count_nonzero(np.diag(sym)))
         self._root = None
 
     def __repr__(self):
@@ -112,9 +114,8 @@ class SpdMatrix:
         """
         if self._root is None:
             diag = np.diag(self.entries)
-            off_diagonal = np.count_nonzero(self.entries) - np.count_nonzero(diag)
-            # a NaN counts as nonzero, so only sym_eig sees a non-finite entry
-            if off_diagonal == 0 and np.all(np.isfinite(diag)):
+            # only sym_eig sees a non-finite entry
+            if self.is_diagonal and np.all(np.isfinite(diag)):
                 order = np.argsort(-diag, kind="stable")
                 values, vectors = diag[order], np.eye(self.dim)[:, order]
             else:

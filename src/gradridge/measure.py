@@ -154,14 +154,12 @@ class GaussianMeasure:
 
     @property
     def is_standard(self):
-        return bool(
-            np.all(self.mean == 0.0) and np.array_equal(self.cov.entries, np.eye(self.dim))
-        )
+        ones = np.all(np.diag(self.cov.entries) == 1.0)
+        return bool(np.all(self.mean == 0.0) and self.cov.is_diagonal and ones)
 
     @property
     def has_diagonal_cov(self):
-        c = self.cov.entries
-        return bool(np.count_nonzero(c - np.diag(np.diag(c))) == 0)
+        return self.cov.is_diagonal
 
 
 def sample(mu, stream, count):

@@ -64,31 +64,26 @@ def _require_finite(values, offset, what):
     the first row of ``values`` holding a NaN or inf."""
     bad = ~np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
     if bad.any():
-        index = offset + int(np.argmax(bad))
-        raise ModelEvaluationFailure(index, f"non-finite {what} at sample {index}")
-
-
-def _evaluation_failure(at, exc):
-    """ModelEvaluationFailure at global sample ``at``, naming its cause."""
-    message = f"model evaluation failed at sample {at}: {type(exc).__name__}: {exc}"
-    return ModelEvaluationFailure(at, message)
+        raise ModelEvaluationFailure(offset + int(np.argmax(bad)), what)
 
 
 def _eval_rows(fn, xs, offset):
-    """fn(xs), with fn a model's batch method such as ``eval_batch``. If that
-    raises, the rows are evaluated again one at a time, and the first that
-    raises on its own does so as a ModelEvaluationFailure at its global index
-    (``offset`` plus the row); a single row is not evaluated again."""
+    """fn(xs), with fn a batch method such as a model's or a ridge's
+    ``eval_batch``, whose failures leave as a ModelEvaluationFailure at the
+    global index, ``offset`` plus the row. One that fn raises itself counts
+    the rows of ``xs`` and is moved by ``offset``. Any other error has the
+    rows evaluated again one at a time, and the first that fails on its own
+    is named, with its error as cause; a single row is not evaluated again,
+    and an error that no row repeats is raised as it was."""
     try:
         return fn(xs)
+    except ModelEvaluationFailure as err:
+        raise err.moved(offset) from err
     except Exception as err:  # noqa: BLE001 - find the sample to annotate
         if xs.shape[0] == 1:
-            raise _evaluation_failure(offset, err) from err
+            raise ModelEvaluationFailure(offset, cause=err) from err
         for i in range(xs.shape[0]):
-            try:
-                fn(xs[i:i + 1])
-            except Exception as exc:  # noqa: BLE001
-                raise _evaluation_failure(offset + i, exc) from exc
+            _eval_rows(fn, xs[i:i + 1], offset + i)
         raise
 
 
@@ -411,8 +406,10 @@ def validate_error(approx, model, mu, stream, count, threads=1):
 
     Returns (mse, se) with se the standard error of the mean. Drawn in blocks
     exactly like estimate_h, so the result does not depend on the worker
-    count. A NaN or inf in either output, or a model call that raises,
-    raises ModelEvaluationFailure with the sample index.
+    count. ``approx`` is anything with an ``eval_batch``; it and the model
+    are both called through ``_eval_rows``, so a NaN or inf in either output,
+    or a model call that raises at a sample X or at its ridge points, raises
+    ModelEvaluationFailure with the sample index.
     """
     count = int(count)
     if count < 2:
@@ -420,14 +417,7 @@ def validate_error(approx, model, mu, stream, count, threads=1):
     metric = model.output_metric.entries
 
     def one_block(lo, xs):
-        f_xs = _eval_rows(model.eval_batch, xs, lo)
-        try:
-            ridge_xs = approx.eval_batch(xs)
-        except ModelEvaluationFailure as err:
-            # the ridge counts rows within the block
-            index = lo + err.sample_index
-            raise ModelEvaluationFailure(index, f"non-finite ridge output at sample {index}") from err
-        diff = f_xs - ridge_xs
+        diff = _eval_rows(model.eval_batch, xs, lo) - _eval_rows(approx.eval_batch, xs, lo)
         _require_finite(diff, lo, "output")
         return _metric_sq_norms(diff, metric)
 

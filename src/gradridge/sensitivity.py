@@ -151,8 +151,7 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
                 halves[g, 0] = 0.5 * _metric_sq_norms(f_b - f_ab, metric)
                 halves[g, 1] = 0.5 * _metric_sq_norms(f_a - f_ab, metric)
         if not finite.all():
-            index = lo + int(np.argmin(finite))
-            raise ModelEvaluationFailure(index, f"non-finite output at sample {index}")
+            raise ModelEvaluationFailure(lo + int(np.argmin(finite)), "output")
         return f_a, f_b, halves
 
     blocks = _map_draws(mu, (stream.substream(0), stream.substream(1)), n, one_block, threads)
@@ -278,7 +277,7 @@ class SensitivityReport:
 
 
 def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
-                             dgsm_samples=None, threads=1):
+                             dgsm_samples=DEFAULT_OUTER, threads=1):
     """Estimate indices and bounds for every group and assemble the report.
 
     Substreams: tag 0 for the derivative estimate, tag 1 for the base that
@@ -287,8 +286,6 @@ def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
     groups = tuple(IndexGroup.coerce(g).validate(mu.dim) for g in groups)
     if not groups:
         raise ValueError("at least one index group is required")
-    if dgsm_samples is None:
-        dgsm_samples = DEFAULT_OUTER
     g_vec = dgsm(model, mu, stream.substream(0), dgsm_samples, threads=threads)
     estimates = _pick_freeze(model, mu, groups, stream.substream(1), n_outer, threads)
     total_var = estimates[0].total_variance

@@ -139,6 +139,24 @@ def test_measure_rejects_indefinite_cov():
         GaussianMeasure([0.0, 0.0], SpdMatrix([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("cov, diagonal", [
+    (np.eye(3), True),
+    (np.diag([2.0, 1.0, 0.5]), True),
+    (np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.0], [0.0, -0.0, 1.0]]), False),
+    (np.eye(3) + np.diag([1e-300, 1e-300], k=1) + np.diag([1e-300, 1e-300], k=-1), False),
+], ids=["identity", "diagonal", "correlated", "tiny-correlation"])
+@pytest.mark.parametrize("mean", [np.array([0.0, -0.0, 0.0]), np.array([0.0, 0.0, 0.5])],
+                         ids=["zero", "shifted"])
+def test_standard_and_diagonal_properties_match_the_dense_expressions(cov, diagonal, mean):
+    # both read SpdMatrix.is_diagonal, decided once per matrix; they must
+    # answer as the dense d x d expressions do
+    mu = GaussianMeasure(mean, cov)
+    c = mu.cov.entries
+    assert mu.has_diagonal_cov is bool(np.count_nonzero(c - np.diag(np.diag(c))) == 0) is diagonal
+    standard = bool(np.all(mu.mean == 0.0) and np.array_equal(c, np.eye(3)))
+    assert mu.is_standard is standard is (not mean.any() and np.array_equal(cov, np.eye(3)))
+
+
 def test_kl_projector_diagonal():
     mu = GaussianMeasure(np.zeros(3), SpdMatrix(np.diag([9.0, 4.0, 1.0])))
     p = kl_projector(mu, 2)

@@ -333,6 +333,39 @@ def test_validate_error_names_the_sample_where_the_model_raises(threads):
     assert isinstance(err.value.__cause__, RuntimeError)
 
 
+class RaisesAtRidgePoint(LinearModel):
+    """f(x) = F x, but a batch holding a point with the given x_1 and x_2
+    raises."""
+
+    def __init__(self, matrix, x1, x2):
+        super().__init__(matrix)
+        self.x1, self.x2 = x1, x2
+
+    def eval_batch(self, xs):
+        if ((xs[:, 0] == self.x1) & (xs[:, 1] == self.x2)).any():
+            raise RuntimeError("boom")
+        return super().eval_batch(xs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_validate_error_names_the_sample_where_a_ridge_point_raises(threads):
+    # the rank-1 ridge keeps x_1 and takes x_2 and x_3 from its profile draws,
+    # so only the ridge points of sample CHUNK + 7 reach the bad point, not
+    # f(X) there; the ridge's rows are evaluated again one at a time
+    mu = GaussianMeasure.standard(3)
+    count = CHUNK + 200
+    (x,) = draws_at(mu, SampleStream(41), count, [CHUNK + 7])
+    (y,) = draws_at(mu, SampleStream(42), 2, [0])
+    model = RaisesAtRidgePoint(np.ones((2, 3)), x[0], y[1])
+    p = sigma_inverse_projector(np.eye(3)[:, :1], mu.cov)
+    approx = build_ridge(model, mu, p, SampleStream(42), 2)
+    with pytest.raises(ModelEvaluationFailure) as err:
+        validate_error(approx, model, mu, SampleStream(41), count, threads=threads)
+    assert err.value.sample_index == CHUNK + 7
+    assert str(err.value) == f"model evaluation failed at sample {CHUNK + 7}: RuntimeError: boom"
+    assert isinstance(err.value.__cause__, RuntimeError)
+
+
 class JacobianRaisesAt(LinearModel):
     """f(x) = F x, but a jacobian_batch call holding the given point raises."""
 
