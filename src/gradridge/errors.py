@@ -74,13 +74,20 @@ class ModelEvaluationFailure(GradRidgeError):
     def moved(self, offset):
         return ModelEvaluationFailure(self.sample_index + offset, self.what, self.cause)
 
+    def __reduce__(self):
+        return type(self), (self.sample_index, self.what, self.cause)
+
 
 class SolverFailure(GradRidgeError):
     """A linear solve did not reach the required residual. Carries the residual."""
 
     def __init__(self, residual, message=None):
         self.residual = residual
+        self.message = message
         super().__init__(message or f"linear solver failed (residual {residual:.3e})")
+
+    def __reduce__(self):
+        return type(self), (self.residual, self.message)
 
 
 class ConfigError(GradRidgeError):

@@ -6,13 +6,17 @@ solve uses bilinear (Q1) elements; the per-cell constant conductivity makes
 one-point quadrature of the weighted stiffness exact, so each cell adds its
 conductivity times the reference stiffness block. Dirichlet data u = s1 + s2
 is imposed by lifting, which keeps the interior system symmetric positive
-definite. In the row-major interior numbering its half-bandwidth is g, so each
-call fills the lift and the matrix, in LAPACK's band storage, with one sparse
-product of a map fixed at construction and factors the band with the banded
-Cholesky ``dpbtrf`` (read from ``linalg``), about g^4 flops. Jacobians come
-from one adjoint band solve per output component that touches an interior
-node, against the same factor. Every sum over cells runs through a sparse
-pattern fixed at construction.
+definite. In the row-major interior numbering its half-bandwidth is g. The
+model is written in batch form: each call solves a block of points, SUB_BLOCK
+at a time, and holds at most one sub-block of systems. One sparse product of
+a map fixed at construction fills a sub-block's lifts and matrices, in
+LAPACK's band storage, and each band is factored with the banded Cholesky
+``dpbtrf`` (read from ``linalg``), about g^4 flops. Jacobians come from one
+adjoint band solve per output component that touches an interior node,
+against the same factor, and a sub-block's are contracted with one
+block-diagonal CSR matrix. Every sum over cells runs through a sparse pattern
+fixed at construction, and a point's results do not depend on the block it
+is solved in.
 
 Three observation scenarios map the solution field to the model output, each
 read off the nodal solution by index: the full nodal field in the discrete H^1
@@ -22,6 +26,7 @@ weighted pair of point values.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -65,8 +70,10 @@ _M1 = np.array(
         [2.0, 1.0, 2.0, 4.0],
     ]
 ) / 36.0
+_K1T = np.ascontiguousarray(_K1.T)  # S_c u = u[corners] @ _K1T, one cell per row
 
 LOG_CONDUCTIVITY_LIMIT = 40.0
+SUB_BLOCK = 8  # points whose systems a call forms at once; bounds memory, moves no bit
 
 
 class Mesh2D:
@@ -162,11 +169,15 @@ class DiffusionModel(VectorValuedModel):
     - ``point_pair``: interpolated values at two fixed points, diagonal metric
       diag(alpha, beta).
 
-    Each call fills the Dirichlet lift and the interior system's band
-    (half-bandwidth g) with one product of a map fixed at construction and
-    factors the band anew with LAPACK's banded Cholesky,
-    and a Jacobian builds its CSR matrix around a fixed pattern; instances
-    hold only immutable precomputed structure, safe across threads.
+    ``eval_batch`` and ``jacobian_batch`` walk their points SUB_BLOCK at a
+    time: one product of a map fixed at construction fills the sub-block's
+    Dirichlet lifts and interior bands (half-bandwidth g), each band is
+    factored anew with LAPACK's banded Cholesky, and the sub-block's
+    Jacobians are contracted through one CSR matrix on a fixed pattern. So a
+    call holds at most one sub-block of systems, and each point's result is
+    the same bits in any batch; the single-point ``eval`` and ``jacobian``
+    are batches of one. Instances hold only immutable precomputed structure,
+    safe across threads.
     """
 
     def __init__(self, mesh, scenario="full_field", alpha=1.0, beta=1.0):
@@ -200,12 +211,17 @@ class DiffusionModel(VectorValuedModel):
              (np.where(lift, i, n_int + g + i - j + (g + 1) * j)[keep], c[keep])),
             shape=((g + 2) * n_int, mesh.n_cells),
         )
-        # the Jacobian's cells x interior-nodes pattern: the mask of interior
-        # corners in cells.ravel(), their rows as CSR indices and indptr, each
-        # cell's in SW, SE, NE, NW order
+        # the Jacobian's cells x interior-nodes pattern, as SUB_BLOCK copies
+        # down a diagonal, the first s of which serve a sub-block of s points:
+        # the interior corners' positions in the points' cells.ravel(), then
+        # their rows as CSR indices and indptr, each cell's corners in SW, SE,
+        # NE, NW order
         inner = interior_row[cells] >= 0
-        self._corners = (inner.ravel(), interior_row[cells][inner],
-                         np.append(0, np.cumsum(inner.sum(axis=1))).astype(np.int32))
+        copies = np.arange(SUB_BLOCK, dtype=np.int32)[:, None]
+        indptr = np.cumsum(inner.sum(axis=1), dtype=np.int32)
+        self._corners = ((np.flatnonzero(inner).astype(np.int32) + inner.size * copies).ravel(),
+                         (interior_row[cells][inner] + n_int * copies).ravel(),
+                         np.append(np.int32(0), (indptr + indptr[-1] * copies).ravel()))
         for part in self._corners:
             part.setflags(write=False)
 
@@ -250,76 +266,113 @@ class DiffusionModel(VectorValuedModel):
         out = self._adjoint_outputs[col]
         self._adjoint_rhs = (row[out, k], col, obs_weights[out, k])
 
-    def _forward(self, x):
-        """Fill the interior system's band, factor it (LAPACK ``dpbtrf``,
-        half-bandwidth g) and solve.
+    def _check_rows(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.input_dim:
+            raise DimensionMismatch(f"points have shape {xs.shape}, model takes {self.input_dim}")
+        return xs
 
-        Returns the conductivities, the band Cholesky factor and the full
-        nodal solution, boundary values included. A factor that meets a
-        leading minor that is not positive, or a residual |A u - rhs| above
-        1e-10 (|A| |u| + |rhs|), raises SolverFailure.
+    def _solve(self, xs):
+        """Solve the points of one sub-block (at most SUB_BLOCK rows of
+        ``xs``): their conductivities, band Cholesky factors and nodal
+        solutions, boundary values included.
+
+        One product with the system map fills the sub-block's lifts and
+        bands; each is factored (LAPACK ``dpbtrf``, half-bandwidth g) and
+        solved on its own. A factor that meets a leading minor that is not
+        positive, or a residual |A u - rhs| above 1e-10 (|A| |u| + |rhs|),
+        raises SolverFailure.
         """
-        kappa = np.exp(_clamped_log_conductivity(self._check_point(x)))
         g = self.mesh.cells_per_side
         n_int = self.mesh.interior.size
-        system = self._system @ kappa
-        rhs, band = system[:n_int], system[n_int:].reshape(g + 1, -1, order="F")
-        factor, info = dpbtrf(band)
-        if info > 0:
-            raise SolverFailure(
-                float("inf"), f"banded Cholesky failed: leading minor {info} is not positive"
-            )
-        u_i, _ = dpbtrs(factor, rhs)
-        resid = float(np.linalg.norm(dsbmv(g, 1.0, band, u_i, beta=-1.0, y=rhs)))
-        rhs_norm = float(np.linalg.norm(rhs))
-        # The |A| |u| term passes a backward-stable solve of a tiny right-hand
-        # side. |A|_2 <= |A|_F <= sqrt(2) |band|_F, as the band holds the
-        # diagonal and one copy of each off-diagonal pair. Its two norms are
-        # taken only when the residual exceeds 1e-10 |rhs|, which a solve
-        # that passes seldom does.
-        if resid > 1e-10 * rhs_norm and resid > 1e-10 * (
-                np.sqrt(2.0) * float(np.linalg.norm(band)) * float(np.linalg.norm(u_i))
-                + rhs_norm):
-            raise SolverFailure(resid)
-        u = self._boundary_values.copy()
-        u[self.mesh.interior] = u_i
-        return kappa, factor, u
+        kappa = np.exp(_clamped_log_conductivity(xs))
+        # column j is point j's system; LAPACK copies each band it factors
+        systems = self._system @ kappa.T
+        u = np.empty((xs.shape[0], self.mesh.n_nodes))
+        u[:] = self._boundary_values
+        factors = []
+        for system, u_row in zip(systems.T, u):
+            rhs = np.ascontiguousarray(system[:n_int])
+            band = system[n_int:].reshape(g + 1, -1, order="F")
+            factor, info = dpbtrf(band)
+            if info > 0:
+                raise SolverFailure(
+                    float("inf"), f"banded Cholesky failed: leading minor {info} is not positive")
+            u_i, _ = dpbtrs(factor, rhs)
+            resid = _norm(dsbmv(g, 1.0, band, u_i, beta=-1.0, y=rhs))
+            rhs_norm = _norm(rhs)
+            # The |A| |u| term passes a backward-stable solve of a tiny
+            # right-hand side. |A|_2 <= |A|_F <= sqrt(2) |band|_F, as the band
+            # holds the diagonal and one copy of each off-diagonal pair. Its
+            # two norms are taken only when the residual exceeds 1e-10 |rhs|,
+            # which a solve that passes seldom does.
+            if resid > 1e-10 * rhs_norm and resid > 1e-10 * (
+                    np.sqrt(2.0) * _norm(band.ravel(order="K")) * _norm(u_i) + rhs_norm):
+                raise SolverFailure(resid)
+            u_row[self.mesh.interior] = u_i
+            factors.append(factor)
+        return kappa, factors, u
+
+    def _forward(self, x):
+        """One point's conductivities, band Cholesky factor and nodal
+        solution, as ``_solve`` forms them."""
+        kappa, factors, u = self._solve(self._check_point(x)[None])
+        return kappa[0], factors[0], u[0]
 
     def solve_field(self, x):
         """Full nodal solution vector, boundary values included."""
         return self._forward(x)[2]
 
-    def eval(self, x):
-        u = self.solve_field(x)
-        return (u[self._obs_nodes] * self._obs_weights).sum(axis=1)
+    def eval_batch(self, xs):
+        xs = self._check_rows(xs)
+        out = np.empty((xs.shape[0], self.output_dim))
+        for start in range(0, xs.shape[0], SUB_BLOCK):
+            u = self._solve(xs[start:start + SUB_BLOCK])[2]
+            out[start:start + u.shape[0]] = (u[:, self._obs_nodes] * self._obs_weights).sum(axis=2)
+        return out
 
-    def jacobian(self, x):
-        """Adjoint Jacobian: one factorization, one band solve per output row
-        that touches an interior node.
+    def jacobian_batch(self, xs):
+        """Adjoint Jacobians: per point one factorization and one band solve
+        per output row that touches an interior node.
 
-        Row j of the Jacobian is -kappa_c * lambda_j^T S_c u per cell c, with
+        Row j of a Jacobian is -kappa_c * lambda_j^T S_c u per cell c, with
         S_c the unit stiffness scatter of the cell and lambda_j the adjoint
         solution for output j, zero on the boundary, so only a cell's interior
         corners enter; an output that observes only boundary nodes has a zero
         row. The Dirichlet lift enters through the boundary entries of u.
         """
-        kappa, factor, u = self._forward(x)
-
+        xs = self._check_rows(xs)
+        n_cells, n_int = self.mesh.n_cells, self.mesh.interior.size
         rows, cols, weights = self._adjoint_rhs
-        rhs = np.zeros((self.mesh.interior.size, self._adjoint_outputs.size), order="F")
-        rhs[rows, cols] = weights
-        lam_i, _ = dpbtrs(factor, rhs, overwrite_b=1)
+        corners, indices, indptr = self._corners
+        nnz = indices.size // SUB_BLOCK
+        # built points x cells x outputs and returned transposed, so each
+        # Jacobian is laid out as the corner loop returned it: estimate_h's
+        # J^T (R J) rounds another memory layout differently
+        jac = np.zeros((xs.shape[0], n_cells, self.output_dim))
+        for start in range(0, xs.shape[0], SUB_BLOCK):
+            kappa, factors, u = self._solve(xs[start:start + SUB_BLOCK])
+            s = kappa.shape[0]
+            # each point's adjoint right-hand sides, in Fortran order, solved
+            # in place, then stacked in C order as the CSR product reads them
+            lam = np.zeros((s, self._adjoint_outputs.size, n_int))
+            lam[:, cols, rows] = weights
+            for j, factor in enumerate(factors):
+                dpbtrs(factor, lam[j].T, overwrite_b=1)
+            lam = np.ascontiguousarray(lam.transpose(0, 2, 1)).reshape(s * n_int, -1)
+            # S_c u at each interior corner, summed against lambda cell by
+            # cell through one block-diagonal CSR matrix for the sub-block
+            w = (u.take(self.mesh.cell_nodes, axis=1) @ _K1T).reshape(-1).take(corners[:s * nnz])
+            acc = sp.csr_matrix((w, indices[:s * nnz], indptr[:s * n_cells + 1]),
+                                (s * n_cells, s * n_int)) @ lam
+            acc *= -kappa.reshape(-1, 1)
+            jac[start:start + s, :, self._adjoint_outputs] = acc.reshape(s, n_cells, -1)
+        return jac.transpose(0, 2, 1)
 
-        # S_c u at each interior corner, summed against lambda cell by cell
-        mask, indices, indptr = self._corners
-        w = (u[self.mesh.cell_nodes] @ _K1.T).ravel()[mask]
-        acc = sp.csr_matrix((w, indices, indptr), (self.mesh.n_cells, lam_i.shape[0])) @ lam_i
-        acc *= -kappa[:, None]
-        # built cells by outputs and returned transposed, as the corner loop
-        # did: estimate_h's J^T (R J) rounds another memory layout differently
-        jac = np.zeros((self.mesh.n_cells, self.output_dim))
-        jac[:, self._adjoint_outputs] = acc
-        return jac.T
+
+def _norm(v):
+    """The 2-norm of a 1-d array, as np.linalg.norm takes it."""
+    return math.sqrt(v.dot(v))
 
 
 def _field_nugget(dim):

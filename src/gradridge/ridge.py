@@ -33,7 +33,7 @@ from .errors import (
 )
 from .linalg import SpdMatrix, generalized_eig, trace_quadratic
 from .measure import sample
-from .models import LinearModel, VectorValuedModel
+from .models import LinearModel
 from .projector import RankRProjector, require_sigma_orthogonal
 
 __all__ = [
@@ -56,7 +56,10 @@ __all__ = [
 # on a whole Philox block of its stream.
 CHUNK = 512
 EVAL_BLOCK = 4096  # model points per call in RidgeApproximation.eval_batch
-JACOBIAN_BYTES = 4 << 20  # Jacobian bytes per jacobian_batch call; bounds memory, not tunable
+# Jacobian bytes per jacobian_batch call; bounds memory, not tunable. Below
+# one g=12 full_field Jacobian (169 x 144 entries), so each of those is a
+# call of its own and keeps the rounding of H it had one sample at a time.
+JACOBIAN_BYTES = 128 << 10
 
 
 def _require_finite(values, offset, what):
@@ -168,12 +171,11 @@ class HMatrixEstimate:
 def estimate_h(model, mu, stream, count, threads=1):
     """Average J(X)^T R J(X) over ``count`` draws X ~ mu.
 
-    Each block of draws adds J^T (R J) over stacked Jacobians, one
-    expression for every model: a model with its own ``jacobian_batch`` is
-    called on runs of at most JACOBIAN_BYTES of Jacobians (one Jacobian, if a
-    single one is larger), any other model one point at a time. Blocks return
-    sums, which add in block order and are divided by ``count`` once. A NaN
-    or inf Jacobian entry, or a Jacobian call that raises, raises
+    Each block of draws calls the model's ``jacobian_batch`` on runs of at
+    most JACOBIAN_BYTES of Jacobians (one Jacobian, if a single one is
+    larger) and adds J^T (R J) over each run's stacked Jacobians. Blocks
+    return sums, which add in block order and are divided by ``count`` once.
+    A NaN or inf Jacobian entry, or a Jacobian call that raises, raises
     ModelEvaluationFailure with the index of the first such sample.
     """
     count = int(count)
@@ -182,23 +184,15 @@ def estimate_h(model, mu, stream, count, threads=1):
     d = model.input_dim
     n = model.output_dim
     metric = model.output_metric.entries
-    has_batch = type(model).jacobian_batch is not VectorValuedModel.jacobian_batch
-    step = max(1, JACOBIAN_BYTES // (8 * n * d)) if has_batch else 1
-
-    def jacobian(xs):
-        # the one point's Jacobian, as a batch of one if its shape is right
-        jac = np.asarray(model.jacobian(xs[0]), dtype=float)
-        return jac[None] if jac.shape == (n, d) else jac
-
-    jacobians = model.jacobian_batch if has_batch else jacobian
+    step = max(1, JACOBIAN_BYTES // (8 * n * d))
 
     def one_block(lo, xs):
         total = np.zeros((d, d))
         for start in range(0, xs.shape[0], step):
             part = xs[start:start + step]
-            jac = _eval_rows(jacobians, part, lo + start)
+            jac = _eval_rows(model.jacobian_batch, part, lo + start)
             if jac.shape != (part.shape[0], n, d):
-                raise DimensionMismatch(f"{jacobians.__name__} returned shape {jac.shape}")
+                raise DimensionMismatch(f"jacobian_batch returned shape {jac.shape}")
             _require_finite(jac, lo + start, "Jacobian")
             total += jac.reshape(-1, d).T @ (metric @ jac).reshape(-1, d)
         return total

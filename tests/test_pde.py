@@ -1,4 +1,6 @@
+import itertools
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,12 +15,16 @@ from gradridge import (
     GaussianMeasure,
     InputClampedWarning,
     Mesh2D,
+    ModelEvaluationFailure,
     SampleStream,
     SolverFailure,
     build_field_covariance,
+    build_ridge,
     estimate_h,
     generalized_eig,
+    sample,
     squared_exponential_covariance,
+    validate_error,
 )
 from gradridge.linalg import PD_FLOOR
 from gradridge.pde import (
@@ -27,9 +33,12 @@ from gradridge.pde import (
     LOG_CONDUCTIVITY_LIMIT,
     POINT_A,
     POINT_B,
+    SUB_BLOCK,
     SUBDOMAIN_BOUNDS,
     _field_nugget,
 )
+from gradridge.projector import sigma_inverse_projector
+from gradridge.ridge import CHUNK, EVAL_BLOCK
 
 
 def _q1_reference_blocks():
@@ -350,15 +359,88 @@ def test_jacobian_matches_directional_finite_difference_off_symmetry(scenario):
 
 
 def test_batch_evaluation_matches_loop():
-    model = DiffusionModel(3, "point_pair")
-    rng = np.random.default_rng(2)
-    xs = 0.2 * rng.standard_normal((3, 9))
-    batch = model.eval_batch(xs)
-    loop = np.stack([model.eval(x) for x in xs])
-    np.testing.assert_array_equal(batch, loop)
-    jb = model.jacobian_batch(xs)
-    jl = np.stack([model.jacobian(x) for x in xs])
-    np.testing.assert_array_equal(jb, jl)
+    # a point's values and Jacobian are the same bits alone, in a full
+    # sub-block, one row past it and deep in a long batch; 600 Jacobians are
+    # compared only where they are small (a g=12 field would hold 117 MB)
+    for scenario, g in itertools.product(pde_mod.SCENARIOS, (3, 12)):
+        model = DiffusionModel(g, scenario)
+        xs = 0.3 * np.random.default_rng(g).standard_normal((600, g * g))
+        loop = np.stack([model.eval(x) for x in xs])
+        sizes = (1, SUB_BLOCK, SUB_BLOCK + 1, 600)
+        for size in sizes:
+            assert np.array_equal(model.eval_batch(xs[:size]), loop[:size]), (scenario, g, size)
+        if 600 * model.output_dim * model.input_dim * 8 > 4 << 20:
+            sizes = sizes[:-1]
+        jac = np.stack([model.jacobian(x) for x in xs[:sizes[-1]]])
+        for size in sizes:
+            assert np.array_equal(model.jacobian_batch(xs[:size]), jac[:size]), (scenario, g, size)
+
+
+def _fail_one_forward_solve(monkeypatch, model, x):
+    """Patch dpbtrs so that the forward solve of the point ``x``, and only
+    that solve, comes back corrupted and fails the residual check."""
+    rhs = (model._system @ np.exp(x))[:model.mesh.interior.size]
+
+    def corrupted(factor, b, **kwargs):
+        u, info = dpbtrs(factor, b, **kwargs)
+        if b.ndim == 1 and np.array_equal(b, rhs):
+            u[0] += 1e-6 * np.abs(u).max()
+        return u, info
+
+    monkeypatch.setattr(pde_mod, "dpbtrs", corrupted)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_solve_in_a_sub_block_names_its_sample(monkeypatch, threads):
+    # the failing point is row k of the second sub-block of the second block
+    # of draws, so it sits inside one batch call in both loops
+    model = DiffusionModel(4, "point_pair")
+    mu = GaussianMeasure.standard(16)
+    count, lo, k = CHUNK + 3 * SUB_BLOCK, CHUNK + SUB_BLOCK, 3
+    _fail_one_forward_solve(monkeypatch, model, sample(mu, SampleStream(62), count)[lo + k])
+    ridge = build_ridge(model, mu, sigma_inverse_projector(np.ones((16, 1)), mu.cov),
+                        SampleStream(63), 2)
+    for run in (lambda: estimate_h(model, mu, SampleStream(62), count, threads=threads),
+                lambda: validate_error(ridge, model, mu, SampleStream(62), count, threads)):
+        with pytest.raises(ModelEvaluationFailure,
+                           match=f"^model evaluation failed at sample {lo + k}: SolverFailure: "
+                                 "linear solver failed") as err:
+            run()
+        assert err.value.sample_index == lo + k
+        assert isinstance(err.value.cause, SolverFailure)
+        assert err.value.__cause__ is err.value.cause
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_calls_hold_one_sub_block_of_systems_at_a_time():
+    # one ridge block of EVAL_BLOCK points: their 4096 x 1694 systems would
+    # take 55 MB at once, and even their conductivities take as much as the
+    # points themselves
+    model = DiffusionModel(12, "point_pair")
+    xs = 0.3 * SampleStream(64).standard_normal(EVAL_BLOCK * 144).reshape(EVAL_BLOCK, 144)
+    out, peak = _peak_bytes(lambda: model.eval_batch(xs))
+    assert out.shape == (EVAL_BLOCK, 2)
+    assert peak < xs.nbytes / 4 + out.nbytes
+    # one block of full_field gradients, one 169 x 144 Jacobian per call:
+    # the block's draws, about as much again while they are drawn, and a few
+    # Jacobians beside them
+    mesh = Mesh2D(12)
+    mu = GaussianMeasure(np.zeros(mesh.n_cells), build_field_covariance(mesh))
+    mu.cov.root()
+    est, peak = _peak_bytes(lambda: estimate_h(DiffusionModel(mesh), mu, SampleStream(65), CHUNK))
+    draws = CHUNK * mesh.n_cells * 8
+    assert est.h.dim == mesh.n_cells
+    assert peak < 2.5 * draws + 4 * est.h.entries.nbytes
 
 
 def test_extreme_log_conductivity_is_clamped():
@@ -520,8 +602,9 @@ def test_jacobian_bitwise_equals_the_corner_loop(scenario, g):
 
 
 class _CornerLoopModel(DiffusionModel):
-    def jacobian(self, x):
-        return _corner_loop_jacobian(self, x)
+    def jacobian_batch(self, xs):
+        # stacked in the layout the loop returned each Jacobian
+        return np.stack([_corner_loop_jacobian(self, x).T for x in xs]).transpose(0, 2, 1)
 
 
 @pytest.mark.parametrize("g", [3, 5, 6])
