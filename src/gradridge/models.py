@@ -44,12 +44,13 @@ class VectorValuedModel:
     """Base interface: dimensions, output metric, values and Jacobians.
 
     A subclass sets ``input_dim``, ``output_dim`` and ``output_metric`` (an
-    SpdMatrix on the output space) and implements each formula once, in either
-    form: ``eval_batch``/``jacobian_batch`` on an (N, d) array of points, or
-    ``eval``/``jacobian`` on one point. The base class derives the missing form
-    of each pair: a single point is a batch of one, and a batch is a loop over
-    points. ``lipschitz_constant`` is None unless the subclass knows a global
-    Lipschitz constant in the output-metric norm.
+    SpdMatrix on the output space) and writes each formula once, as the batch
+    pair ``eval_batch``/``jacobian_batch`` on an (N, d) array of points, each
+    starting with ``xs = self._check_rows(xs)``. The base class derives the
+    single-point ``eval`` and ``jacobian`` as a batch of one row. A model that
+    can only do one point at a time loops over the rows in its own
+    ``eval_batch``. ``lipschitz_constant`` is None unless the subclass knows a
+    global Lipschitz constant in the output-metric norm.
     """
 
     input_dim = None
@@ -58,35 +59,24 @@ class VectorValuedModel:
     lipschitz_constant = None
 
     def eval(self, x):
-        self._require_batch("eval_batch")
-        return self.eval_batch(self._check_point(x)[None])[0]
+        return self.eval_batch(self._check_rows(np.reshape(x, (1, -1))))[0]
 
     def jacobian(self, x):
-        self._require_batch("jacobian_batch")
-        return self.jacobian_batch(self._check_point(x)[None])[0]
+        return self.jacobian_batch(self._check_rows(np.reshape(x, (1, -1))))[0]
 
     def eval_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.stack([self.eval(x) for x in xs])
+        raise NotImplementedError(f"{type(self).__name__} does not implement eval_batch")
 
     def jacobian_batch(self, xs):
+        raise NotImplementedError(f"{type(self).__name__} does not implement jacobian_batch")
+
+    def _check_rows(self, xs):
+        """``xs`` as a float array of points, one per row; DimensionMismatch
+        unless it is 2-d with ``input_dim`` columns."""
         xs = np.asarray(xs, dtype=float)
-        return np.stack([self.jacobian(x) for x in xs])
-
-    def _require_batch(self, name):
-        """NotImplementedError unless the subclass implements the batch method
-        ``name``, which a derived single-point call needs: with neither form
-        implemented, the two derived forms would call each other forever."""
-        cls = type(self)
-        if getattr(cls, name) is getattr(VectorValuedModel, name):
-            single = name.removesuffix("_batch")
-            raise NotImplementedError(f"{cls.__name__} implements neither {single} nor {name}")
-
-    def _check_point(self, x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.input_dim:
-            raise DimensionMismatch(f"point has dim {x.shape[0]}, model takes {self.input_dim}")
-        return x
+        if xs.ndim != 2 or xs.shape[1] != self.input_dim:
+            raise DimensionMismatch(f"points have shape {xs.shape}, model takes {self.input_dim}")
+        return xs
 
 
 class LinearModel(VectorValuedModel):
@@ -121,10 +111,10 @@ class LinearModel(VectorValuedModel):
         return SpdMatrix(self._gram)
 
     def eval_batch(self, xs):
-        return np.asarray(xs, dtype=float) @ self.matrix.T
+        return self._check_rows(xs) @ self.matrix.T
 
     def jacobian_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = self._check_rows(xs)
         return np.broadcast_to(self.matrix, (xs.shape[0],) + self.matrix.shape).copy()
 
 
@@ -142,11 +132,11 @@ class QuadraticFormModel(VectorValuedModel):
         self.output_metric = SpdMatrix.identity(1)
 
     def eval_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = self._check_rows(xs)
         return (0.5 * np.einsum("ki,ij,kj->k", xs, self.matrix, xs))[:, None]
 
     def jacobian_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = self._check_rows(xs)
         return (xs @ self.matrix)[:, None, :]
 
 
@@ -171,11 +161,11 @@ class SumOfSinesModel(VectorValuedModel):
         self.lipschitz_constant = float(np.linalg.norm(a * w))
 
     def eval_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = self._check_rows(xs)
         return np.sum(self.amplitudes * np.sin(self.frequencies * xs), axis=1)[:, None]
 
     def jacobian_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
+        xs = self._check_rows(xs)
         return (self.amplitudes * self.frequencies * np.cos(self.frequencies * xs))[:, None, :]
 
 
@@ -267,7 +257,7 @@ class _ExactProfile(VectorValuedModel):
         self.output_dim = output_dim
 
     def eval_batch(self, xs):
-        return self._fn(np.asarray(xs, dtype=float))
+        return self._fn(self._check_rows(xs))
 
 
 def exact_conditional_expectation(model, mu, p):

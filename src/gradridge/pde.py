@@ -112,9 +112,6 @@ class Mesh2D:
     def n_cells(self):
         return self.cell_nodes.shape[0]
 
-    def cell_areas(self):
-        return np.full(self.n_cells, self.h * self.h)
-
     def interpolation_weights(self, point):
         """Node indices and bilinear weights of the cell containing ``point``."""
         s = np.asarray(point, dtype=float)
@@ -266,12 +263,6 @@ class DiffusionModel(VectorValuedModel):
         out = self._adjoint_outputs[col]
         self._adjoint_rhs = (row[out, k], col, obs_weights[out, k])
 
-    def _check_rows(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.input_dim:
-            raise DimensionMismatch(f"points have shape {xs.shape}, model takes {self.input_dim}")
-        return xs
-
     def _solve(self, xs):
         """Solve the points of one sub-block (at most SUB_BLOCK rows of
         ``xs``): their conductivities, band Cholesky factors and nodal
@@ -313,15 +304,9 @@ class DiffusionModel(VectorValuedModel):
             factors.append(factor)
         return kappa, factors, u
 
-    def _forward(self, x):
-        """One point's conductivities, band Cholesky factor and nodal
-        solution, as ``_solve`` forms them."""
-        kappa, factors, u = self._solve(self._check_point(x)[None])
-        return kappa[0], factors[0], u[0]
-
     def solve_field(self, x):
         """Full nodal solution vector, boundary values included."""
-        return self._forward(x)[2]
+        return self._solve(self._check_rows(np.reshape(x, (1, -1))))[2][0]
 
     def eval_batch(self, xs):
         xs = self._check_rows(xs)

@@ -14,7 +14,8 @@ place in the stream, and blocks merge in order. With ``threads`` workers,
 the calling thread is one of them, next to at most ``threads - 1`` helper
 threads and never more helpers than further blocks; a walk of one block, or
 on one worker, starts none. Workers only decide who computes which block,
-so results are bit-identical for any worker count.
+so results are bit-identical for any worker count. Before the first draw,
+each routine checks that the model takes points of the measure's dimension.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ def _eval_rows(fn, xs, offset):
         for i in range(xs.shape[0]):
             _eval_rows(fn, xs[i:i + 1], offset + i)
         raise
+
+
+def _require_model_dim(model, mu):
+    """DimensionMismatch unless the model takes points of mu's dimension;
+    run before the first draw, so no model call sees a point of the wrong
+    width."""
+    if model.input_dim != mu.dim:
+        raise DimensionMismatch(f"model takes {model.input_dim}-dimensional points, "
+                                f"measure is {mu.dim}-dimensional")
 
 
 def _metric_sq_norms(diff, metric):
@@ -181,6 +191,7 @@ def estimate_h(model, mu, stream, count, threads=1):
     count = int(count)
     if count < 1:
         raise ValueError("count must be at least 1")
+    _require_model_dim(model, mu)
     d = model.input_dim
     n = model.output_dim
     metric = model.output_metric.entries
@@ -388,6 +399,7 @@ def build_ridge(model, mu, p, stream, profile_samples):
     conditional expectation of the model along ``p``. Raises
     NotSigmaOrthogonal unless ``p`` is sigma-inverse-orthogonal for mu's
     covariance, the only P for which that is the conditional law."""
+    _require_model_dim(model, mu)
     require_sigma_orthogonal(p, mu.cov)
     if int(profile_samples) < 1:
         raise ValueError("profile_samples must be at least 1")
@@ -408,6 +420,7 @@ def validate_error(approx, model, mu, stream, count, threads=1):
     count = int(count)
     if count < 2:
         raise ValueError("need at least 2 validation samples for a standard error")
+    _require_model_dim(model, mu)
     metric = model.output_metric.entries
 
     def one_block(lo, xs):

@@ -40,7 +40,7 @@ from .errors import (
     ZeroVariance,
 )
 from .projector import RankRProjector
-from .ridge import _eval_rows, _map_draws, _metric_sq_norms, estimate_h
+from .ridge import _eval_rows, _map_draws, _metric_sq_norms, _require_model_dim, estimate_h
 
 __all__ = [
     "IndexGroup",
@@ -80,11 +80,6 @@ class IndexGroup:
         if self.indices and self.indices[-1] > dim:
             raise IndexOutOfRange(f"index {self.indices[-1]} exceeds dimension {dim}")
         return self
-
-    def complement(self, dim):
-        self.validate(dim)
-        mine = set(self.indices)
-        return IndexGroup(tuple(i for i in range(1, dim + 1) if i not in mine))
 
     def mask(self, dim):
         self.validate(dim)
@@ -133,6 +128,7 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
             "Sobol' indices assume independent inputs; run the error-curve "
             "analysis instead for correlated covariances"
         )
+    _require_model_dim(model, mu)
     n = int(n)
     if n < 2:
         raise ValueError("need n_outer >= 2")

@@ -902,8 +902,9 @@ def test_cli_singular_diffusion_factor_exits_3_without_traceback(tmp_path, capsy
 
 
 def test_cli_per_point_jacobian_failure_names_the_sample_and_its_cause(tmp_path, capsys):
-    # the singular-factor config under curve: estimate_h walks the diffusion
-    # model one Jacobian at a time, and its failure keeps the solver's reason
+    # the singular-factor config under curve: the Jacobian batch that fails
+    # is evaluated again one row at a time, and the first failing sample
+    # keeps the solver's reason
     cfg = _write_cfg(tmp_path, {
         "model": {"kind": "pde", "grid": 4, "scenario": "point_pair"},
         "measure": {"covariance": {"kind": "diagonal", "values": [1e6] * 16}},

@@ -58,9 +58,8 @@ def test_every_model_matches_finite_differences(models):
 
 
 def test_batch_paths_agree_with_loops(models):
-    # the analytic models write only the batch pair and derive the single
-    # points; the diffusion model writes only the single points and derives
-    # the batch loop
+    # every model writes only the batch pair; the base class derives each
+    # single point as a batch of one row
     rng = np.random.default_rng(57)
     for model in models + [DiffusionModel(3, scenario="point_pair")]:
         xs = rng.standard_normal((7, model.input_dim))
@@ -77,11 +76,11 @@ def test_model_implementing_neither_form_raises_not_implemented():
 
     model = Bare()
     x = np.zeros(2)
-    for call, arg, pair in ((model.eval, x, "eval nor eval_batch"),
-                            (model.jacobian, x, "jacobian nor jacobian_batch"),
-                            (model.eval_batch, x[None], "eval nor eval_batch"),
-                            (model.jacobian_batch, x[None], "jacobian nor jacobian_batch")):
-        with pytest.raises(NotImplementedError, match=pair):
+    for call, arg, missing in ((model.eval, x, "eval_batch"),
+                               (model.jacobian, x, "jacobian_batch"),
+                               (model.eval_batch, x[None], "eval_batch"),
+                               (model.jacobian_batch, x[None], "jacobian_batch")):
+        with pytest.raises(NotImplementedError, match=f"^Bare does not implement {missing}$"):
             call(arg)
 
 
@@ -92,6 +91,19 @@ def test_derived_single_point_calls_check_the_point_length(models):
                 model.eval(bad)
             with pytest.raises(DimensionMismatch):
                 model.jacobian(bad)
+
+
+def test_batch_calls_check_the_point_width(models):
+    # a batch one column short, one column long, and a single point unbatched
+    shipped = models + [DiffusionModel(3, scenario="point_pair")]
+    profile = exact_conditional_expectation(models[0], GaussianMeasure.standard(5),
+                                            RankRProjector.identity(5))
+    calls = [m.eval_batch for m in shipped] + [m.jacobian_batch for m in shipped]
+    for call in calls + [profile.eval_batch]:
+        d = call.__self__.input_dim
+        for bad in (np.zeros((2, d - 1)), np.zeros((2, d + 1)), np.zeros(d)):
+            with pytest.raises(DimensionMismatch, match=f"model takes {d}$"):
+                call(bad)
 
 
 def test_linear_eval_and_jacobian():

@@ -79,7 +79,6 @@ def test_mesh_structure_smallest():
     np.testing.assert_array_equal(m.interior, [4])
     np.testing.assert_allclose(m.nodes[4], [0.5, 0.5])
     np.testing.assert_allclose(m.cell_centers[0], [0.25, 0.25])
-    np.testing.assert_allclose(m.cell_areas(), np.full(4, 0.25))
 
 
 def test_mesh_counts():
@@ -201,7 +200,7 @@ def test_backward_stable_solve_of_a_tiny_rhs_passes_the_residual_check():
     # the residual, about 1e-16, is far above 1e-10 |rhs| but far below
     # 1e-10 |A| |u|: a backward-stable solve, not a failed one
     model = DiffusionModel(4, "point_pair")
-    kappa, _, u = model._forward(_tiny_rhs_point(model))
+    (kappa,), _, (u,) = model._solve(_tiny_rhs_point(model)[None])
     rhs = (model._system @ kappa)[:model.mesh.interior.size]
     assert float(np.linalg.norm(rhs)) < 1e-16
     assert np.all(np.isfinite(u))
@@ -219,7 +218,7 @@ def test_corrupted_solution_fails_the_residual_check(monkeypatch, tiny_rhs):
 
     monkeypatch.setattr(pde_mod, "dpbtrs", corrupted)
     with pytest.raises(SolverFailure, match="^linear solver failed"):
-        model._forward(x)
+        model._solve(x[None])
 
 
 @pytest.mark.parametrize("g", [2, 3, 5, 12])
@@ -555,7 +554,7 @@ def test_gradient_second_moment_rank_ceiling():
 def _full_node_lambda(model, x):
     """kappa, S_c u per cell, and the adjoint solutions extended by zero to
     every node, as the Jacobian formed them before its sparse contraction."""
-    kappa, factor, u = model._forward(x)
+    (kappa,), (factor,), (u,) = model._solve(x[None])
     rows, cols, weights = model._adjoint_rhs
     rhs = np.zeros((model.mesh.interior.size, model._adjoint_outputs.size), order="F")
     rhs[rows, cols] = weights

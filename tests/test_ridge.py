@@ -20,6 +20,7 @@ from gradridge import (
     SpectrumReport,
     SumOfSinesModel,
     build_ridge,
+    build_sensitivity_report,
     coordinate_projector,
     error_bound,
     estimate_h,
@@ -32,6 +33,7 @@ from gradridge import (
     sample,
     select_rank,
     sigma_orthogonalize,
+    sobol_estimates,
     spectrum_report,
     validate_error,
 )
@@ -122,10 +124,10 @@ def test_estimate_h_wraps_model_failure():
         def output_metric(self):
             return SpdMatrix.identity(1)
 
-        def eval(self, x):
-            return np.zeros(1)
+        def eval_batch(self, xs):
+            return np.zeros((xs.shape[0], 1))
 
-        def jacobian(self, x):
+        def jacobian_batch(self, xs):
             raise RuntimeError("boom")
 
     with pytest.raises(ModelEvaluationFailure) as err:
@@ -134,12 +136,49 @@ def test_estimate_h_wraps_model_failure():
     assert str(err.value) == "model evaluation failed at sample 0: RuntimeError: boom"
 
 
-class NanAt(VectorValuedModel):
-    """f(x) = F x, but NaN in the output and the Jacobian at the given points.
+class CountingSines(SumOfSinesModel):
+    """The sine sum, recording the shape of every batch it is called on."""
 
-    Only the per-sample methods are defined, so estimate_h takes its
-    per-sample path; NanAtBatched adds a jacobian_batch to take the other.
-    """
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def eval_batch(self, xs):
+        self.calls.append(np.shape(xs))
+        return super().eval_batch(xs)
+
+    def jacobian_batch(self, xs):
+        self.calls.append(np.shape(xs))
+        return super().jacobian_batch(xs)
+
+
+_SAMPLED_ROUTINES = {
+    "estimate_h": lambda m, mu: estimate_h(m, mu, SampleStream(3), 4),
+    "build_ridge": lambda m, mu: build_ridge(m, mu, RankRProjector.identity(mu.dim),
+                                             SampleStream(3), 4),
+    "validate_error": lambda m, mu: validate_error(
+        build_ridge(m, GaussianMeasure.standard(m.input_dim),
+                    RankRProjector.identity(m.input_dim), SampleStream(3), 4),
+        m, mu, SampleStream(4), 100),
+    "sobol_estimates": lambda m, mu: sobol_estimates(m, mu, [1], SampleStream(1), n_outer=200),
+    "build_sensitivity_report": lambda m, mu: build_sensitivity_report(
+        m, mu, [[1]], SampleStream(1), n_outer=200, dgsm_samples=20),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(_SAMPLED_ROUTINES))
+def test_sampled_routines_refuse_a_measure_of_another_dimension(routine):
+    # a 1-d measure under a 4-input model: the sines would broadcast a
+    # one-column batch, so the check must come before the first draw
+    model = CountingSines(np.ones(4), [1, 2, 3, 4])
+    with pytest.raises(DimensionMismatch,
+                       match="^model takes 4-dimensional points, measure is 1-dimensional$"):
+        _SAMPLED_ROUTINES[routine](model, GaussianMeasure.standard(1))
+    assert model.calls == []
+
+
+class NanAt(VectorValuedModel):
+    """f(x) = F x, but NaN in the output and the Jacobian at the given points."""
 
     def __init__(self, f, poison):
         self.f = np.asarray(f, dtype=float)
@@ -153,16 +192,15 @@ class NanAt(VectorValuedModel):
     def _hit(self, x):
         return any(np.array_equal(x, bad) for bad in self.poison)
 
-    def eval(self, x):
-        return np.full(self.output_dim, np.nan) if self._hit(x) else self.f @ x
+    def eval_batch(self, xs):
+        out = xs @ self.f.T
+        out[[self._hit(x) for x in xs]] = np.nan
+        return out
 
-    def jacobian(self, x):
-        return np.full(self.f.shape, np.nan) if self._hit(x) else self.f.copy()
-
-
-class NanAtBatched(NanAt):
     def jacobian_batch(self, xs):
-        return np.stack([self.jacobian(x) for x in xs])
+        out = np.broadcast_to(self.f, (xs.shape[0],) + self.f.shape).copy()
+        out[[self._hit(x) for x in xs]] = np.nan
+        return out
 
 
 def draws_at(mu, stream, count, indices):
@@ -173,7 +211,7 @@ def draws_at(mu, stream, count, indices):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("model_cls", [NanAt, NanAtBatched], ids=["per-sample", "batch"])
+@pytest.mark.parametrize("model_cls", [NanAt], ids=["batch"])
 def test_estimate_h_reports_first_non_finite_jacobian(monkeypatch, model_cls, threads):
     mu = GaussianMeasure.standard(3)
     count = CHUNK + 200
@@ -190,58 +228,28 @@ def test_estimate_h_reports_first_non_finite_jacobian(monkeypatch, model_cls, th
         assert err.value.sample_index == CHUNK + 88
 
 
-class PerPoint(VectorValuedModel):
-    """A batch model seen through a per-point ``jacobian`` only, so
-    estimate_h walks its samples one Jacobian at a time."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.input_dim, self.output_dim = inner.input_dim, inner.output_dim
-        self.output_metric = inner.output_metric
-
-    def jacobian(self, x):
-        return self.inner.jacobian_batch(x[None])[0]
-
-
 def _assert_same_h(got, want):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("which", ["linear", "quadratic"])
-def test_estimate_h_per_point_model_matches_the_batch_path(which):
-    model, mu = make_linear(seed=42)
-    if which == "quadratic":
-        model = QuadraticFormModel(np.random.default_rng(42).standard_normal((7, 7)))
-    count = CHUNK + 100
-    batch = estimate_h(model, mu, SampleStream(42), count).h.entries
-    per_point = estimate_h(PerPoint(model), mu, SampleStream(42), count).h.entries
-    _assert_same_h(per_point, batch)
-
-
 class Transposed(VectorValuedModel):
-    """f(x) = F x whose per-point Jacobian comes back as F^T, shape (d, n)."""
+    """f(x) = F x whose Jacobians come back as F^T, shape (d, n) each."""
 
     def __init__(self, f):
         self.f = np.asarray(f, dtype=float)
         self.output_dim, self.input_dim = self.f.shape
         self.output_metric = SpdMatrix.identity(self.output_dim)
 
-    def jacobian(self, x):
-        return self.f.T.copy()
-
-
-class TransposedBatched(Transposed):
     def jacobian_batch(self, xs):
-        return np.stack([self.jacobian(x) for x in xs])
+        return np.broadcast_to(self.f.T, (xs.shape[0],) + self.f.T.shape).copy()
 
 
-@pytest.mark.parametrize("model_cls", [Transposed, TransposedBatched],
-                         ids=["per-point", "batch"])
+@pytest.mark.parametrize("model_cls", [Transposed], ids=["batch"])
 def test_estimate_h_rejects_a_jacobian_of_the_wrong_shape(model_cls):
     # F^T has as many entries as F, so reshaping it to (n, d) would run and
     # give diag(H) = [16, 13, 26] where F^T F has [9, 17, 29]
     model = model_cls(np.arange(6.0).reshape(2, 3))
-    with pytest.raises(DimensionMismatch, match=r"shape \((4, )?3, 2\)"):
+    with pytest.raises(DimensionMismatch, match=r"shape \(4, 3, 2\)"):
         estimate_h(model, GaussianMeasure.standard(3), SampleStream(49), 4)
 
 
@@ -285,7 +293,7 @@ def test_validate_error_reports_first_non_finite_output(threads):
     mu = GaussianMeasure.standard(3)
     count = CHUNK + 200
     poison = draws_at(mu, SampleStream(41), count, [CHUNK + 7])
-    model = NanAtBatched(np.ones((2, 3)), poison)
+    model = NanAt(np.ones((2, 3)), poison)
     p = sigma_inverse_projector(np.ones((3, 1)), mu.cov)
     ridge = build_ridge(model, mu, p, SampleStream(42), 2)
     with pytest.raises(ModelEvaluationFailure, match=f"output at sample {CHUNK + 7}") as err:
@@ -300,7 +308,7 @@ def test_validate_error_reports_global_index_of_non_finite_ridge_output():
     # poisoned sample too and raises first, counting rows within its block
     mu = GaussianMeasure.standard(3)
     count = CHUNK + 200
-    model = NanAtBatched(np.ones((2, 3)), draws_at(mu, SampleStream(41), count, [CHUNK + 7]))
+    model = NanAt(np.ones((2, 3)), draws_at(mu, SampleStream(41), count, [CHUNK + 7]))
     ridge = build_ridge(model, mu, sigma_inverse_projector(np.eye(3), mu.cov), SampleStream(42), 2)
     with pytest.raises(ModelEvaluationFailure,
                        match=f"non-finite ridge output at sample {CHUNK + 7}$") as err:
@@ -395,19 +403,6 @@ def test_estimate_h_names_the_sample_where_a_batch_jacobian_raises(threads):
     assert isinstance(err.value.__cause__, RuntimeError)
 
 
-def test_estimate_h_calls_a_per_point_jacobian_once_per_sample():
-    calls = []
-
-    class Counting(PerPoint):
-        def jacobian(self, x):
-            calls.append(1)
-            return super().jacobian(x)
-
-    model, mu = make_linear(seed=44)
-    estimate_h(Counting(model), mu, SampleStream(44), CHUNK + 9, threads=2)
-    assert len(calls) == CHUNK + 9
-
-
 def test_validate_error_keeps_a_batch_failure_that_no_single_row_repeats():
     class TooBig(LinearModel):
         def eval_batch(self, xs):
@@ -437,7 +432,7 @@ def _walk_results(chunk, threads, monkeypatch):
     val = validate_error(approx, model, mu, SampleStream(47), count, threads=threads)
     poison = draws_at(mu, SampleStream(48), count, [CHUNK + 33])
     with pytest.raises(ModelEvaluationFailure) as err:
-        estimate_h(NanAtBatched(np.ones((2, 5)), poison), mu, SampleStream(48), count,
+        estimate_h(NanAt(np.ones((2, 5)), poison), mu, SampleStream(48), count,
                    threads=threads)
     return h, val, err.value.sample_index
 
