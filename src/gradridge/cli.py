@@ -16,11 +16,11 @@ the gradient samples of ``estimate_h`` (which the ``sobol`` derivative
 bounds use too), the validation samples of ``validate_error`` and the blocks
 of the Sobol' base rows; a loop of one block starts no thread. More workers
 pay where one chunk of work costs half a millisecond or more, as with
-``point_pair`` at grid 32, and not at grid 12: a grid-12 sample's work is
-mostly the banded LAPACK calls, and scipy's f2py wrappers of those hold the
-GIL, so two workers run them one at a time (on 2 cores, 40,000 grid-12
-``dpbtrf`` calls took 0.80-1.09 s on one thread and 0.96-1.05 s split over
-two).
+``point_pair`` at grid 32. At grid 12 a second worker costs time: a grid-12
+sample's work is mostly the banded LAPACK calls, and scipy's f2py wrappers
+of those hold the GIL, so two workers run them one at a time. On 2 cores the ``curve-pair-g12`` benchmark config
+took a median 0.70 s wall and 0.70 s CPU with ``--threads 1``, and 0.77 s
+wall and 0.80 s CPU with ``--threads 2`` (12 alternating runs each).
 
 The process entry (``python -m gradridge`` and the ``gradridge`` script, both
 ``gradridge.__main__:main``) sets ``OPENBLAS_NUM_THREADS=1`` before numpy
@@ -84,7 +84,8 @@ def _build_parser():
         cmd.add_argument("--threads", type=int, default=1,
                          help="worker threads for the gradient, validation and "
                               "Sobol' samples; pays when a sample costs milliseconds "
-                              "(pde grid 32), not at grid 12; never changes results")
+                              "(pde grid 32), and costs time at grid 12; never "
+                              "changes results")
     return parser
 
 

@@ -6,6 +6,14 @@ symmetric-definite eigenproblem reduced through that root. Every kernel
 rejects NaN or infinite input with NonFiniteInput rather than returning a
 silently wrong answer.
 
+The other modules use an SPD matrix (a covariance, a gradient moment H or
+an output metric R) and its root only through four queries: ``gram``,
+``sq_norms`` and ``diag`` of an SpdMatrix and ``apply`` of an EigenRoot.
+Outside this module only ridge reads dense entries, where it sums J^T (R J)
+into H and in ``basis_error_bounds``, and nothing reads the dense root; so
+another form of either needs new queries here, not a new path in each
+caller.
+
 Loading this module does not import scipy, yet it is the one module that
 imports scipy's compiled kernels: ``eigh``, and the banded ``dpbtrf``,
 ``dpbtrs`` and ``dsbmv`` that the pde model reads from it, each imported and
@@ -102,6 +110,18 @@ class SpdMatrix:
     def diagonal(cls, values):
         return cls(np.diag(np.asarray(values, dtype=float)))
 
+    def diag(self):
+        """The diagonal entries, as a new array."""
+        return np.diag(self.entries).copy()
+
+    def gram(self, b):
+        """B^T A B for this matrix A and a d x k array B."""
+        return b.T @ self.entries @ b
+
+    def sq_norms(self, rows):
+        """|row|_A^2 = row^T A row for every row of ``rows``."""
+        return np.einsum("kn,nm,km->k", rows, self.entries, rows)
+
     def root(self):
         """The EigenRoot of this matrix, computed on the first call and cached.
 
@@ -148,6 +168,12 @@ class EigenRoot:
         self.vectors = vectors
         self.factor = factor
 
+    def apply(self, xs):
+        """S applied to every row of ``xs``: xs S^T, the convention of
+        ``RankRProjector.apply``. S is symmetric, so the transpose of
+        apply(b^T) is S b."""
+        return xs @ self.factor.T
+
     def whiten(self, b):
         """S^{-1} b, which is also S^{-T} b: Q ((Q^T b) / sqrt(values)).
 
@@ -156,13 +182,6 @@ class EigenRoot:
         """
         q = self.vectors
         return (((b.T @ q) / np.sqrt(self.values)) @ q.T).T
-
-
-def _entries(a):
-    if isinstance(a, SpdMatrix):
-        return a.entries
-    m = _as_square(a)
-    return 0.5 * (m + m.T)
 
 
 def _require_finite(m, what):
@@ -179,7 +198,8 @@ def sym_eig(a):
     ``vectors``. NaN or infinite entries raise NonFiniteInput; a LAPACK
     convergence failure raises NoConvergence.
     """
-    m = _require_finite(_entries(a), "sym_eig")
+    m = _as_square(a)
+    m = _require_finite(0.5 * (m + m.T), "sym_eig")
     solve = globals().get("eigh") or __getattr__("eigh")
     try:
         values, vectors = solve(m)
@@ -208,7 +228,8 @@ class GeneralizedEigenPairs:
 
 
 def generalized_eig(h, sigma):
-    """Solve H v = lambda Sigma^{-1} v for SPD Sigma and symmetric PSD H.
+    """Solve H v = lambda Sigma^{-1} v for SPD Sigma and symmetric PSD H, both
+    SpdMatrix.
 
     With S the root of Sigma (S S^T = Sigma) the problem reduces to the
     ordinary symmetric eigenproblem S^T H S w = lambda w, with v = S w and its
@@ -217,17 +238,12 @@ def generalized_eig(h, sigma):
     negative raises NotPositiveSemidefinite; a NaN or infinite entry in either
     matrix raises NonFiniteInput.
     """
-    hm = _require_finite(_entries(h), "generalized_eig")
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
-    if hm.shape[0] != sigma.dim:
-        raise DimensionMismatch(
-            f"H is {hm.shape[0]}x{hm.shape[0]} but Sigma is {sigma.dim}x{sigma.dim}"
-        )
+    _require_finite(h.entries, "generalized_eig")
+    if h.dim != sigma.dim:
+        raise DimensionMismatch(f"H is {h.dim}x{h.dim} but Sigma is {sigma.dim}x{sigma.dim}")
     root = sigma.root()
     s = root.factor
-    reduced = s.T @ hm @ s
-    values, w = sym_eig(reduced)
+    values, w = sym_eig(h.gram(s))
     lam_max = max(float(values[0]), 0.0)
     clamp = 1e-10 * lam_max
     if float(values[-1]) < -clamp:
@@ -239,22 +255,20 @@ def generalized_eig(h, sigma):
 
 
 def trace_quadratic(sigma, h, p):
-    """trace(Sigma (I - P^T) H (I - P)) for a projector P.
+    """trace(Sigma (I - P^T) H (I - P)) for SpdMatrix Sigma and H and a
+    projector P.
 
     This is the residual gradient energy left outside the range of P. Tiny
     negative round-off (above -1e-10 * ||Sigma||_F * ||H||_F) is clamped to
     zero; anything below that threshold raises NegativeTrace.
     """
-    sm = _entries(sigma)
-    hm = _entries(h)
     pm = p.matrix if hasattr(p, "matrix") else np.asarray(p, dtype=float)
-    d = sm.shape[0]
-    if hm.shape[0] != d or pm.shape != (d, d):
+    d = sigma.dim
+    if h.dim != d or pm.shape != (d, d):
         raise DimensionMismatch("sigma, h and p must share one square dimension")
-    resid = np.eye(d) - pm
-    inner = resid.T @ hm @ resid
-    value = float(np.sum(sm * inner))
-    floor = -1e-10 * float(np.linalg.norm(sm, "fro")) * float(np.linalg.norm(hm, "fro"))
+    value = float(np.sum(sigma.entries * h.gram(np.eye(d) - pm)))
+    norm = np.linalg.norm
+    floor = -1e-10 * float(norm(sigma.entries, "fro")) * float(norm(h.entries, "fro"))
     if value < floor:
         raise NegativeTrace(f"trace {value:.3e} below round-off floor {floor:.3e}")
     return max(value, 0.0)

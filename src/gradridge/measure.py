@@ -6,6 +6,10 @@ arithmetic with no platform-dependent tables, so a stream replays bit-for-bit
 on any host, regardless of thread count or of what other streams were doing in
 between. The block counter advances per call, making the whole draw history a
 pure function of (seed, stream_id, call sizes).
+
+A measure holds its covariance as an SpdMatrix and uses it only through that
+class: draws are m + S z through the root's ``apply``, and ``is_standard``
+reads its ``diag``.
 """
 
 from __future__ import annotations
@@ -154,7 +158,7 @@ class GaussianMeasure:
 
     @property
     def is_standard(self):
-        ones = np.all(np.diag(self.cov.entries) == 1.0)
+        ones = np.all(self.cov.diag() == 1.0)
         return bool(np.all(self.mean == 0.0) and self.cov.is_diagonal and ones)
 
     @property
@@ -170,7 +174,7 @@ def sample(mu, stream, count):
     if count < 0:
         raise ValueError("count must be nonnegative")
     z = stream.normal_matrix(count, mu.dim)
-    x = z @ mu.cov.root().factor.T
+    x = mu.cov.root().apply(z)
     x += mu.mean
     return x
 

@@ -38,6 +38,9 @@ __all__ = [
 # The observation scenarios of pde.DiffusionModel, named here so that a config
 # check can read them without importing pde and scipy.
 SCENARIOS = ("full_field", "subdomain", "point_pair")
+# Coordinates per eval_batch call of finite_diff_jacobian: 512 shifted points,
+# which bounds its memory at a few thousand inputs.
+FD_COORDS = 256
 
 
 class VectorValuedModel:
@@ -100,7 +103,7 @@ class LinearModel(VectorValuedModel):
         # an F^T R F that overflows is refused as NonFiniteInput, in the words
         # of sym_eig; the overflow itself is not a second report of the fault
         with np.errstate(over="ignore", invalid="ignore"):
-            self._gram = _require_finite(f.T @ output_metric.entries @ f, "sym_eig")
+            self._gram = _require_finite(output_metric.gram(f), "sym_eig")
 
     @cached_property
     def lipschitz_constant(self):
@@ -171,17 +174,23 @@ class SumOfSinesModel(VectorValuedModel):
 
 def finite_diff_jacobian(model, x, step=None):
     """Central-difference Jacobian, the reference every adjoint is checked
-    against. Step defaults to 1e-5 * (1 + max|x_i|)."""
+    against. Step defaults to 1e-5 * (1 + max|x_i|). The shifted points go
+    through ``eval_batch``, FD_COORDS coordinates (twice as many points) a
+    call."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if step is None:
         step = 1e-5 * (1.0 + (float(np.max(np.abs(x))) if x.size else 0.0))
-    out = np.empty((model.output_dim, x.shape[0]))
-    for i in range(x.shape[0]):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        out[:, i] = (model.eval(hi) - model.eval(lo)) / (2.0 * step)
+    d = x.shape[0]
+    out = np.empty((model.output_dim, d))
+    for start in range(0, d, FD_COORDS):
+        coords = np.arange(start, min(start + FD_COORDS, d))
+        k = coords.size
+        # rows x + step e_i, then rows x - step e_i, for i in coords
+        pts = np.tile(x, (2 * k, 1))
+        pts[np.arange(k), coords] += step
+        pts[np.arange(k, 2 * k), coords] -= step
+        vals = model.eval_batch(pts)
+        out[:, coords] = ((vals[:k] - vals[k:]) / (2.0 * step)).T
     return out
 
 
@@ -210,7 +219,8 @@ def linear_cond_exp_error(model, mu, p):
     """
     require_sigma_orthogonal(p, mu.cov)
     resid = np.eye(model.input_dim) - p.matrix
-    core = model.output_metric.root().factor @ model.matrix @ resid @ mu.cov.root().factor
+    # the transpose of R^{1/2} F (I - P) S, one root applied to each side
+    core = model.output_metric.root().apply(mu.cov.root().apply(model.matrix @ resid).T)
     return float(np.sum(core * core))
 
 

@@ -2,6 +2,10 @@
 
 A projector here is P = U W^T with d x r factors and W^T U = I: U spans the
 range and the kernel is span(W)^perp. ``apply`` costs O(d r) per point.
+
+The covariance Sigma comes in as an SpdMatrix and is used only through its
+root S: ``apply`` and ``whiten`` on a d x r basis, and the Karhunen-Loeve
+values for a norm. No function here reads a dense d x d array.
 """
 
 from __future__ import annotations
@@ -9,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NotSigmaOrthogonal, RankOutOfRange
-from .linalg import SpdMatrix
 
 __all__ = [
     "RankRProjector",
@@ -77,8 +80,6 @@ class RankRProjector:
 def sigma_inverse_projector(basis, sigma):
     """Projector with range span(basis) that is orthogonal in the
     Sigma^{-1} inner product: P = B (B^T Sigma^{-1} B)^{-1} B^T Sigma^{-1}."""
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2 or b.shape[0] != sigma.dim:
         raise DimensionMismatch(f"basis shape {b.shape} incompatible with dim {sigma.dim}")
@@ -89,7 +90,7 @@ def sigma_inverse_projector(basis, sigma):
 def _from_whitened(q, root):
     """The Sigma^{-1}-orthogonal projector onto span(S q), for the root S of
     Sigma and a whitened basis q with orthonormal columns: P = (S q)(S^{-T} q)^T."""
-    return RankRProjector(root.factor @ q, root.whiten(q))
+    return RankRProjector(root.apply(q.T).T, root.whiten(q))
 
 
 def euclidean_projector(basis):
@@ -111,16 +112,14 @@ def sigma_orthogonalize(p, sigma):
     The kernel of U W^T is span(W)^perp, whose Sigma^{-1}-orthogonal
     complement is span(Sigma W): that is the range of the result.
     """
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
     d = sigma.dim
     if p.dim != d:
         raise DimensionMismatch(f"projector dim {p.dim} vs dim {d}")
     if p.rank == d:
         return RankRProjector.identity(d)
-    # span(Sigma W) whitens to S^{-1} Sigma W = S^T W
+    # span(Sigma W) whitens to S^{-1} Sigma W = S W
     root = sigma.root()
-    return _from_whitened(np.linalg.qr(root.factor.T @ p.dual)[0], root)
+    return _from_whitened(np.linalg.qr(root.apply(p.dual.T).T)[0], root)
 
 
 def random_sigma_orthogonal_projector(dim, rank, sigma, rng):
@@ -131,8 +130,6 @@ def random_sigma_orthogonal_projector(dim, rank, sigma, rng):
     """
     if not 1 <= rank <= dim:
         raise RankOutOfRange(f"rank {rank} outside [1, {dim}]")
-    if not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
     if sigma.dim != dim:
         raise DimensionMismatch(f"sigma dim {sigma.dim} vs dim {dim}")
     g = np.asarray(rng.standard_normal(dim * rank), dtype=float).reshape(dim, rank)
@@ -143,16 +140,18 @@ def require_sigma_orthogonal(p, sigma):
     """NotSigmaOrthogonal unless P^T Sigma^{-1} = Sigma^{-1} P, which for
     P = U W^T with W^T U = I means Sigma W = U (W^T Sigma W). Tested to 1e-9
     of |Sigma| |W| + |U| |W^T Sigma W| (Frobenius), as the constructor tests
-    W^T U = I."""
+    W^T U = I. Sigma W is formed as S (S W) from the root S, and |Sigma| as
+    the norm of its eigenvalues."""
     if not isinstance(p, RankRProjector):
         raise NotSigmaOrthogonal(f"expected a RankRProjector, not {type(p).__name__}")
-    s = sigma.entries if isinstance(sigma, SpdMatrix) else np.asarray(sigma, dtype=float)
-    if s.shape != (p.dim, p.dim):
-        raise DimensionMismatch(f"projector dim {p.dim} vs covariance {s.shape}")
-    sw = s @ p.dual
+    if sigma.dim != p.dim:
+        raise DimensionMismatch(f"projector dim {p.dim} vs covariance dim {sigma.dim}")
+    root = sigma.root()
+    sw = root.apply(root.apply(p.dual.T)).T
     gram = p.dual.T @ sw
     norm = np.linalg.norm
-    if norm(sw - p.basis @ gram) > 1e-9 * (norm(s) * norm(p.dual) + norm(p.basis) * norm(gram)):
+    scale = norm(root.values) * norm(p.dual) + norm(p.basis) * norm(gram)
+    if norm(sw - p.basis @ gram) > 1e-9 * scale:
         raise NotSigmaOrthogonal(
             "projector is not sigma-inverse-orthogonal for this covariance; "
             "use sigma_orthogonalize to convert one with the right kernel"

@@ -15,7 +15,14 @@ the calling thread is one of them, next to at most ``threads - 1`` helper
 threads and never more helpers than further blocks; a walk of one block, or
 on one worker, starts none. Workers only decide who computes which block,
 so results are bit-identical for any worker count. Before the first draw,
-each routine checks that the model takes points of the measure's dimension.
+each routine checks that the model takes points of the measure's dimension,
+and every model or surrogate call in a block goes through ``_eval_rows``,
+which checks the shape of what it returns.
+
+H, Sigma and the output metric R come in as SpdMatrix forms (an estimated H
+inside its HMatrixEstimate) and are used through their queries. The two
+places that read dense entries are the sums of J^T (R J) that accumulate H
+and the H V product of ``basis_error_bounds``.
 """
 
 from __future__ import annotations
@@ -71,24 +78,31 @@ def _require_finite(values, offset, what):
         raise ModelEvaluationFailure(offset + int(np.argmax(bad)), what)
 
 
-def _eval_rows(fn, xs, offset):
+def _eval_rows(fn, xs, offset, shape):
     """fn(xs), with fn a batch method such as a model's or a ridge's
-    ``eval_batch``, whose failures leave as a ModelEvaluationFailure at the
-    global index, ``offset`` plus the row. One that fn raises itself counts
-    the rows of ``xs`` and is moved by ``offset``. Any other error has the
-    rows evaluated again one at a time, and the first that fails on its own
-    is named, with its error as cause; a single row is not evaluated again,
-    and an error that no row repeats is raised as it was."""
+    ``eval_batch`` that returns one array of ``shape`` per row of ``xs``;
+    a result of any other shape raises DimensionMismatch naming fn. Its
+    failures leave as a ModelEvaluationFailure at the global index,
+    ``offset`` plus the row. One that fn raises itself counts the rows of
+    ``xs`` and is moved by ``offset``. Any other error has the rows
+    evaluated again one at a time, and the first that fails on its own is
+    named, with its error as cause; a single row is not evaluated again, and
+    an error that no row repeats is raised as it was."""
     try:
-        return fn(xs)
+        out = fn(xs)
     except ModelEvaluationFailure as err:
         raise err.moved(offset) from err
     except Exception as err:  # noqa: BLE001 - find the sample to annotate
         if xs.shape[0] == 1:
             raise ModelEvaluationFailure(offset, cause=err) from err
         for i in range(xs.shape[0]):
-            _eval_rows(fn, xs[i:i + 1], offset + i)
+            _eval_rows(fn, xs[i:i + 1], offset + i, shape)
         raise
+    expected = (xs.shape[0],) + shape
+    if np.shape(out) != expected:
+        raise DimensionMismatch(
+            f"{fn.__qualname__} returned shape {np.shape(out)}, expected {expected}")
+    return out
 
 
 def _require_model_dim(model, mu):
@@ -98,11 +112,6 @@ def _require_model_dim(model, mu):
     if model.input_dim != mu.dim:
         raise DimensionMismatch(f"model takes {model.input_dim}-dimensional points, "
                                 f"measure is {mu.dim}-dimensional")
-
-
-def _metric_sq_norms(diff, metric):
-    """|row|_R^2 for every row of ``diff``, with R the output metric."""
-    return np.einsum("kn,nm,km->k", diff, metric, diff)
 
 
 def _map_chunks(fn, n_chunks, threads):
@@ -186,7 +195,9 @@ def estimate_h(model, mu, stream, count, threads=1):
     larger) and adds J^T (R J) over each run's stacked Jacobians. Blocks
     return sums, which add in block order and are divided by ``count`` once.
     A NaN or inf Jacobian entry, or a Jacobian call that raises, raises
-    ModelEvaluationFailure with the index of the first such sample.
+    ModelEvaluationFailure with the index of the first such sample; a
+    Jacobian of another shape than (output_dim, input_dim) raises
+    DimensionMismatch.
     """
     count = int(count)
     if count < 1:
@@ -201,9 +212,7 @@ def estimate_h(model, mu, stream, count, threads=1):
         total = np.zeros((d, d))
         for start in range(0, xs.shape[0], step):
             part = xs[start:start + step]
-            jac = _eval_rows(model.jacobian_batch, part, lo + start)
-            if jac.shape != (part.shape[0], n, d):
-                raise DimensionMismatch(f"jacobian_batch returned shape {jac.shape}")
+            jac = _eval_rows(model.jacobian_batch, part, lo + start, (n, d))
             _require_finite(jac, lo + start, "Jacobian")
             total += jac.reshape(-1, d).T @ (metric @ jac).reshape(-1, d)
         return total
@@ -217,11 +226,8 @@ def estimate_h(model, mu, stream, count, threads=1):
 
 
 def _h_matrix(h):
-    if isinstance(h, HMatrixEstimate):
-        return h.h
-    if isinstance(h, SpdMatrix):
-        return h
-    return SpdMatrix(h)
+    """The SpdMatrix of an HMatrixEstimate, or ``h`` itself."""
+    return h.h if isinstance(h, HMatrixEstimate) else h
 
 
 def optimal_projector(h, mu, rank, pairs=None):
@@ -415,18 +421,21 @@ def validate_error(approx, model, mu, stream, count, threads=1):
     count. ``approx`` is anything with an ``eval_batch``; it and the model
     are both called through ``_eval_rows``, so a NaN or inf in either output,
     or a model call that raises at a sample X or at its ridge points, raises
-    ModelEvaluationFailure with the sample index.
+    ModelEvaluationFailure with the sample index, and an output that is not
+    one row of ``output_dim`` values per sample raises DimensionMismatch.
     """
     count = int(count)
     if count < 2:
         raise ValueError("need at least 2 validation samples for a standard error")
     _require_model_dim(model, mu)
-    metric = model.output_metric.entries
+    shape = (model.output_dim,)
+    sq_norms = model.output_metric.sq_norms
 
     def one_block(lo, xs):
-        diff = _eval_rows(model.eval_batch, xs, lo) - _eval_rows(approx.eval_batch, xs, lo)
+        diff = (_eval_rows(model.eval_batch, xs, lo, shape)
+                - _eval_rows(approx.eval_batch, xs, lo, shape))
         _require_finite(diff, lo, "output")
-        return _metric_sq_norms(diff, metric)
+        return sq_norms(diff)
 
     errs = np.concatenate(_map_draws(mu, (stream,), count, one_block, threads))
     mse = float(np.mean(errs))
@@ -450,9 +459,11 @@ def m_inflation_check(model, mu, p, profile_samples, replicates, stream):
     require_sigma_orthogonal(p, mu.cov)
     if int(replicates) < 1:
         raise ValueError("need at least one replicate")
-    base, quad = _linear_profile_error_terms(model, mu, p)
+    gram = model.gradient_gram()
+    base = trace_quadratic(mu.cov, gram, p)
     if base <= 0.0:
         raise ValueError("exact conditional-expectation error is zero; ratio undefined")
+    quad = gram.gram(np.eye(model.input_dim) - p.matrix)
     total = 0.0
     m = int(profile_samples)
     for rep in range(int(replicates)):
@@ -460,10 +471,3 @@ def m_inflation_check(model, mu, p, profile_samples, replicates, stream):
         shift = ys.mean(axis=0) - mu.mean
         total += (base + float(shift @ quad @ shift)) / base
     return total / int(replicates)
-
-
-def _linear_profile_error_terms(model, mu, p):
-    resid = np.eye(model.input_dim) - p.matrix
-    quad = resid.T @ model.gradient_gram().entries @ resid
-    base = float(np.sum(mu.cov.entries * quad))
-    return base, quad

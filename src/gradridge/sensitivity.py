@@ -40,7 +40,7 @@ from .errors import (
     ZeroVariance,
 )
 from .projector import RankRProjector
-from .ridge import _eval_rows, _map_draws, _metric_sq_norms, _require_model_dim, estimate_h
+from .ridge import _eval_rows, _map_draws, _require_model_dim, estimate_h
 
 __all__ = [
     "IndexGroup",
@@ -133,19 +133,21 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
     if n < 2:
         raise ValueError("need n_outer >= 2")
     masks = [g.mask(mu.dim) for g in groups]
-    metric = model.output_metric.entries
+    shape = (model.output_dim,)
+    sq_norms = model.output_metric.sq_norms
 
     def one_block(lo, a, b):
-        f_a, f_b = _eval_rows(model.eval_batch, a, lo), _eval_rows(model.eval_batch, b, lo)
+        f_a = _eval_rows(model.eval_batch, a, lo, shape)
+        f_b = _eval_rows(model.eval_batch, b, lo, shape)
         finite = np.isfinite(f_a).all(axis=1) & np.isfinite(f_b).all(axis=1)
         # per group: |f(B) - f(A_B)|^2 / 2, then |f(A) - f(A_B)|^2 / 2
         halves = np.empty((len(masks), 2, a.shape[0]))
         for g, mask in enumerate(masks):
-            f_ab = _eval_rows(model.eval_batch, np.where(mask, b, a), lo)
+            f_ab = _eval_rows(model.eval_batch, np.where(mask, b, a), lo, shape)
             finite &= np.isfinite(f_ab).all(axis=1)
             if finite.all():
-                halves[g, 0] = 0.5 * _metric_sq_norms(f_b - f_ab, metric)
-                halves[g, 1] = 0.5 * _metric_sq_norms(f_a - f_ab, metric)
+                halves[g, 0] = 0.5 * sq_norms(f_b - f_ab)
+                halves[g, 1] = 0.5 * sq_norms(f_a - f_ab)
         if not finite.all():
             raise ModelEvaluationFailure(lo + int(np.argmin(finite)), "output")
         return f_a, f_b, halves
@@ -153,7 +155,7 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
     blocks = _map_draws(mu, (stream.substream(0), stream.substream(1)), n, one_block, threads)
     f = np.concatenate([blk[0] for blk in blocks] + [blk[1] for blk in blocks])
     halves = np.concatenate([blk[2] for blk in blocks], axis=2)
-    dev = _metric_sq_norms(f - f.mean(axis=0), metric)
+    dev = sq_norms(f - f.mean(axis=0))
     # Unbiased total variance in the metric norm, pooled over A and B.
     total_var = float(np.sum(dev) / (2 * n - 1))
     # the standard errors below divide by the squared variance
@@ -203,7 +205,7 @@ def dgsm(model, mu, stream, count, threads=1):
     """Diagonal of the gradient second-moment matrix: the derivative-based
     sensitivity measure of each coordinate."""
     est = estimate_h(model, mu, stream, count, threads=threads)
-    return np.diag(est.h.entries).copy()
+    return est.h.diag()
 
 
 def sobol_bounds(dgsm_values, mu, tau, total_variance):
@@ -224,7 +226,7 @@ def sobol_bounds(dgsm_values, mu, tau, total_variance):
         raise IndexOutOfRange(f"dgsm vector has length {g.shape[0]}, measure dim {mu.dim}")
     group = IndexGroup.coerce(tau).validate(mu.dim)
     keep = group.mask(mu.dim)
-    weights = np.diag(mu.cov.entries) * g
+    weights = mu.cov.diag() * g
     s_lower = 1.0 - float(np.sum(weights[~keep])) / total_variance
     t_upper = float(np.sum(weights[keep])) / total_variance
     return s_lower, t_upper, s_lower < 0.0

@@ -13,8 +13,13 @@ from gradridge import (
     sym_eig,
     trace_quadratic,
 )
-from gradridge import RankRProjector, linalg
-from gradridge.projector import euclidean_projector, sigma_inverse_projector
+from gradridge import RankRProjector, SampleStream, linalg
+from gradridge.pde import Mesh2D, build_field_covariance
+from gradridge.projector import (
+    euclidean_projector,
+    random_sigma_orthogonal_projector,
+    sigma_inverse_projector,
+)
 
 
 def random_spd(rng, d, spread=1.0):
@@ -316,3 +321,54 @@ def test_generalized_eigenpairs_is_frozen():
     assert isinstance(pairs, GeneralizedEigenPairs)
     with pytest.raises(AttributeError):
         pairs.values = None
+
+
+# Each query of SpdMatrix and EigenRoot must stay the exact expression its
+# callers would otherwise write out, so that calling it changes no digit of
+# the artifacts. Pinned on the grid-12 field covariance of the benchmark runs
+# and on a random SPD.
+
+
+@pytest.fixture(params=["field-g12", "random"])
+def spd(request):
+    if request.param == "field-g12":
+        return build_field_covariance(Mesh2D(12))
+    return random_spd(np.random.default_rng(61), 9)
+
+
+@pytest.mark.parametrize("count", [1, 5, 512])
+def test_root_apply_is_the_rows_times_the_transposed_factor(spd, count):
+    root = spd.root()
+    rows = np.random.default_rng(62).standard_normal((count, spd.dim))
+    np.testing.assert_array_equal(root.apply(rows), rows @ root.factor.T)
+
+
+def test_gram_is_b_transposed_times_the_entries_times_b(spd):
+    b = np.random.default_rng(63).standard_normal((spd.dim, 4))
+    for basis in (b, spd.root().factor):
+        np.testing.assert_array_equal(spd.gram(basis), basis.T @ spd.entries @ basis)
+
+
+def test_sq_norms_is_the_metric_einsum_over_rows(spd):
+    rows = np.random.default_rng(64).standard_normal((7, spd.dim))
+    np.testing.assert_array_equal(spd.sq_norms(rows),
+                                  np.einsum("kn,nm,km->k", rows, spd.entries, rows))
+
+
+def test_diag_is_a_writable_copy_of_the_diagonal(spd):
+    diag = spd.diag()
+    np.testing.assert_array_equal(diag, np.diag(spd.entries))
+    diag[0] = -1.0
+    assert spd.entries[0, 0] > 0.0
+
+
+@pytest.mark.parametrize("rank", [1, 7, 20, 29])
+def test_trace_quadratic_of_a_sigma_orthogonal_projector_is_two_small_traces(rank):
+    # for P = U W^T with P Sigma = Sigma P^T, (I - P) Sigma (I - P)^T is
+    # Sigma - P Sigma P^T, so the bound is tr(H Sigma) - tr((U^T H U)(W^T Sigma W))
+    rng = np.random.default_rng(65)
+    sigma, h = random_spd(rng, 30), random_spd(rng, 30)
+    p = random_sigma_orthogonal_projector(30, rank, sigma, SampleStream(66).substream(rank))
+    total = float(np.sum(h.entries * sigma.entries))
+    small = float(np.sum(h.gram(p.basis) * sigma.gram(p.dual).T))
+    assert abs(trace_quadratic(sigma, h, p) - (total - small)) <= 1e-12 * total

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import cholesky
 from scipy.linalg.lapack import dpbtrs
 
+import gradridge.models as models_mod
 import gradridge.pde as pde_mod
 from gradridge import (
     DiffusionModel,
@@ -21,6 +22,7 @@ from gradridge import (
     build_field_covariance,
     build_ridge,
     estimate_h,
+    finite_diff_jacobian,
     generalized_eig,
     sample,
     squared_exponential_covariance,
@@ -341,6 +343,27 @@ def test_jacobian_matches_finite_differences():
             fd[:, i] = (model.eval(x + e) - model.eval(x - e)) / (2 * h)
         rel = np.linalg.norm(jac - fd) / np.linalg.norm(fd)
         assert rel < 1e-5
+
+
+@pytest.mark.parametrize("scenario", ["full_field", "subdomain", "point_pair"])
+def test_finite_diff_jacobian_is_the_point_at_a_time_loop_bitwise(monkeypatch, scenario):
+    model = DiffusionModel(3, scenario)
+    x = 0.3 * np.random.default_rng(72).standard_normal(model.input_dim)
+    step = 1e-5 * (1.0 + float(np.max(np.abs(x))))
+    want = np.empty((model.output_dim, model.input_dim))
+    for i in range(model.input_dim):
+        hi, lo = x.copy(), x.copy()
+        hi[i] += step
+        lo[i] -= step
+        want[:, i] = (model.eval(hi) - model.eval(lo)) / (2.0 * step)
+    np.testing.assert_array_equal(finite_diff_jacobian(model, x), want)
+    # 4 coordinates a call: 9 inputs take calls of 8, 8 and 2 points
+    rows = []
+    batch = model.eval_batch
+    monkeypatch.setattr(model, "eval_batch", lambda xs: rows.append(len(xs)) or batch(xs))
+    monkeypatch.setattr(models_mod, "FD_COORDS", 4)
+    np.testing.assert_array_equal(finite_diff_jacobian(model, x), want)
+    assert rows == [8, 8, 2]
 
 
 @pytest.mark.parametrize("scenario", ["full_field", "subdomain", "point_pair"])

@@ -123,7 +123,7 @@ def test_random_projector_valid():
 
 
 def test_random_projector_rejects_sigma_of_another_dim():
-    for sigma in (np.eye(4), SpdMatrix.identity(2)):
+    for sigma in (SpdMatrix.identity(4), SpdMatrix.identity(2)):
         with pytest.raises(DimensionMismatch, match="sigma dim"):
             random_sigma_orthogonal_projector(3, 1, sigma, np.random.default_rng(0))
 

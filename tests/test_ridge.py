@@ -253,6 +253,33 @@ def test_estimate_h_rejects_a_jacobian_of_the_wrong_shape(model_cls):
         estimate_h(model, GaussianMeasure.standard(3), SampleStream(49), 4)
 
 
+class _Reshaped:
+    """A surrogate whose eval_batch returns ``cut`` of the model's values."""
+
+    def __init__(self, model, cut):
+        self.model = model
+        self.cut = cut
+
+    def eval_batch(self, xs):
+        return self.cut(self.model.eval_batch(xs))
+
+
+@pytest.mark.parametrize("matrix, cut, got", [
+    (np.arange(8.0).reshape(2, 4), lambda v: v[:, :1], "(50, 1)"),
+    (np.arange(8.0).reshape(2, 4), lambda v: v[:1], "(1, 2)"),
+    (np.ones((1, 3)), lambda v: v[:, 0], "(50,)"),
+], ids=["first-column", "one-row", "flat"])
+def test_validate_error_rejects_a_surrogate_output_of_the_wrong_shape(matrix, cut, got):
+    # each of these broadcasts against the model's (50, n) values into a
+    # finite number: (87.59, 17.67), (197.03, 39.25) and (7187.5, 1295.9)
+    model = LinearModel(matrix)
+    mu = GaussianMeasure.standard(model.input_dim)
+    want = f"(50, {model.output_dim})"
+    with pytest.raises(DimensionMismatch) as err:
+        validate_error(_Reshaped(model, cut), model, mu, SampleStream(1), 50)
+    assert str(err.value) == f"_Reshaped.eval_batch returned shape {got}, expected {want}"
+
+
 def test_estimate_h_block_budget_does_not_change_h(monkeypatch):
     model, mu = make_linear(seed=43)
     rows = []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gradridge import (
+    DimensionMismatch,
     GaussianMeasure,
     IndexOutOfRange,
     LinearModel,
@@ -296,6 +297,30 @@ def test_report_without_groups_fails_before_any_jacobian():
         build_sensitivity_report(Counting(np.ones((1, 2))), GaussianMeasure.standard(2), [],
                                  SampleStream(24), n_outer=10, dgsm_samples=10)
     assert Counting.calls == 0
+
+
+class _Widened(SumOfSinesModel):
+    """A 1-output model whose eval_batch repeats its value in 3 columns."""
+
+    def eval_batch(self, xs):
+        return np.repeat(super().eval_batch(xs), 3, axis=1)
+
+
+class _Flat(SumOfSinesModel):
+    """A 1-output model whose eval_batch returns shape (N,)."""
+
+    def eval_batch(self, xs):
+        return super().eval_batch(xs)[:, 0]
+
+
+@pytest.mark.parametrize("model_cls, got", [(_Widened, r"\(512, 3\)"), (_Flat, r"\(512,\)")],
+                         ids=["widened", "flat"])
+def test_sobol_rejects_a_model_output_of_the_wrong_shape(model_cls, got):
+    # (N, 3) values used to give t_hat 0.328, and (N,) values an AxisError
+    model = model_cls([1.0, 0.5, 0.25], [1.0, 2.0, 0.5])
+    with pytest.raises(DimensionMismatch,
+                       match=rf"{model_cls.__name__}.eval_batch returned shape {got}"):
+        sobol_estimates(model, GaussianMeasure.standard(3), (1,), SampleStream(9), 600)
 
 
 class _NanPast(SumOfSinesModel):
