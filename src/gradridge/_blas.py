@@ -3,13 +3,14 @@
 numpy and scipy wheels each bundle their own OpenBLAS: numpy's
 ``libscipy_openblas64_`` exports ``scipy_openblas_{get,set}_num_threads64_``
 and scipy's ``libscipy_openblas`` the same names without the suffix. Both are
-found by their mapped paths in ``/proc/self/maps``. gradridge imports scipy
-only where a run needs it, so scipy's copy may load while the pin is active:
-``linalg``, the one module that imports scipy's compiled kernels, calls
+found by their mapped paths in ``/proc/self/maps``. gradridge loads scipy's
+compiled kernels only where a run needs them, so scipy's copy may load while
+the pin is active: ``linalg``, the one module that loads them (from scipy's
+extension modules, without importing ``scipy.linalg``), calls
 ``pin_new_copies`` before it hands each out, which pins a copy that was not
-mapped when the pin started and restores it with the others on exit. Where no copy or symbol is
-found (another BLAS vendor, or no ``/proc``) the block runs with BLAS left as
-it is.
+mapped when the pin started and restores it with the others on exit. Where
+no copy or symbol is found (another BLAS vendor, or no ``/proc``) the block
+runs with BLAS left as it is.
 """
 
 import ctypes
@@ -52,7 +53,7 @@ def _copies():
 def pin_new_copies():
     """Inside ``one_blas_thread``, set each OpenBLAS copy it has not pinned yet
     to one thread, to be restored on exit; outside it, do nothing. ``linalg``
-    calls it after each import of a scipy kernel."""
+    calls it after it loads each scipy kernel."""
     with _lock:
         if _pinned is None:
             return

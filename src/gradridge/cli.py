@@ -28,10 +28,12 @@ loads, so the OpenBLAS copies that numpy and scipy bundle load on one thread
 and start no idle worker. ``main`` here keeps a runtime pin for in-process
 callers, which load numpy first: every command runs with each copy set to one
 thread, and restores their thread counts when it returns. scipy's compiled
-kernels are imported only when a run needs them (an eigendecomposition of a
-matrix that is not diagonal, or the pde model), all by ``linalg``, so its copy
-usually loads inside the run; ``linalg`` pins it as it loads, and it is set
-back to the count it loaded with. So the artifacts
+kernels are loaded only when a run needs them (an eigendecomposition of a
+matrix that is not diagonal, or the pde model), all by ``linalg``, which
+reads them from scipy's extension modules and imports neither
+``scipy.linalg`` nor ``scipy.sparse``. So scipy's copy usually loads inside
+the run; ``linalg`` pins it as it loads, and it is set back to the count it
+loaded with. So the artifacts
 do not depend on ``OPENBLAS_NUM_THREADS``, and on these small dense kernels
 one thread is also the fastest. Importing this module changes neither BLAS
 nor the environment, and the library API leaves BLAS as the caller set it: a

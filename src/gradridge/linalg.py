@@ -1,6 +1,6 @@
 """Dense symmetric linear algebra kernels.
 
-The symmetric eigendecomposition (scipy.linalg.eigh) in float64, the square
+The symmetric eigendecomposition (LAPACK's dsyevr) in float64, the square
 root of an SPD matrix that one such decomposition gives, and the generalized
 symmetric-definite eigenproblem reduced through that root. Every kernel
 rejects NaN or infinite input with NonFiniteInput rather than returning a
@@ -15,14 +15,23 @@ another form of either needs new queries here, not a new path in each
 caller.
 
 Loading this module does not import scipy, yet it is the one module that
-imports scipy's compiled kernels: ``eigh``, and the banded ``dpbtrf``,
-``dpbtrs`` and ``dsbmv`` that the pde model reads from it, each imported and
-bound on first use. The root of an exactly diagonal matrix needs no ``eigh``.
+binds scipy's compiled kernels: LAPACK's ``dsyevr`` for ``sym_eig``, and the
+banded ``dpbtrf``, ``dpbtrs``, ``dsbmv`` and the CSR product ``csr_matvecs``
+that the pde model reads from it, each bound on first use. They are read
+from the three extension modules that hold them, ``scipy.linalg._flapack``,
+``scipy.linalg._fblas`` and ``scipy.sparse._sparsetools``, loaded on their
+own: the ``scipy.linalg`` and ``scipy.sparse`` packages are never imported,
+as their ``__init__`` files load much of scipy and numpy that no kernel needs.
+The root of an exactly diagonal matrix needs no ``dsyevr``.
 """
 
 from __future__ import annotations
 
-import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,20 +57,57 @@ __all__ = [
 ]
 
 
-# scipy's compiled kernels, each with the module that defines it
-_SCIPY_KERNELS = {"eigh": "scipy.linalg", "dsbmv": "scipy.linalg.blas",
-                  "dpbtrf": "scipy.linalg.lapack", "dpbtrs": "scipy.linalg.lapack"}
+# scipy's compiled kernels, each with the extension module that defines it
+_SCIPY_KERNELS = {
+    "dsyevr": "scipy.linalg._flapack", "dsyevr_lwork": "scipy.linalg._flapack",
+    "dpbtrf": "scipy.linalg._flapack", "dpbtrs": "scipy.linalg._flapack",
+    "dsbmv": "scipy.linalg._fblas", "csr_matvecs": "scipy.sparse._sparsetools",
+}
+_load_lock = threading.Lock()
+
+
+def _extension(name):
+    """scipy's extension module ``name``, without running its package's
+    ``__init__``: the entry in sys.modules if there is one, else the module
+    found in its package's directory and loaded.
+
+    The interpreter initialises such a module once per process and enters it
+    in sys.modules as it loads; the entry is taken out again, so that a later
+    import of the package imports the module the usual way, which also sets
+    it as the package's attribute, and gets the same kernel objects.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        package, _, _ = name.rpartition(".")
+        where = os.path.join(scipy.__path__[0], package.rpartition(".")[2])
+        spec = importlib.machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ModuleNotFoundError(f"scipy has no module {name!r} in {where}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)
+    return module
 
 
 def __getattr__(name):
     # PEP 562: a kernel is bound on first use, after the OpenBLAS copy that
-    # importing it may load is pinned
+    # loading it may bring is pinned; the lock lets threads that reach it
+    # together load it once
     if name not in _SCIPY_KERNELS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    kernel = getattr(importlib.import_module(_SCIPY_KERNELS[name]), name)
-    _blas.pin_new_copies()
-    globals()[name] = kernel
-    return kernel
+    with _load_lock:
+        if name not in globals():
+            kernel = getattr(_extension(_SCIPY_KERNELS[name]), name)
+            _blas.pin_new_copies()
+            globals()[name] = kernel
+    return globals()[name]
+
+
+def _kernel(name):
+    """The kernel ``name`` as bound now, so a patched one is used."""
+    return globals().get(name) or __getattr__(name)
 
 
 def _as_square(a):
@@ -191,20 +237,21 @@ def _require_finite(m, what):
 
 
 def sym_eig(a):
-    """Eigendecomposition of a symmetric matrix (LAPACK, via scipy.linalg.eigh).
+    """Eigendecomposition of a symmetric matrix (LAPACK ``dsyevr``, called as
+    scipy.linalg.eigh calls it by default).
 
     Returns ``(values, vectors)`` with eigenvalues sorted descending (stable
     order among ties) and orthonormal eigenvectors in the columns of
     ``vectors``. NaN or infinite entries raise NonFiniteInput; a LAPACK
-    convergence failure raises NoConvergence.
+    failure raises NoConvergence.
     """
     m = _as_square(a)
     m = _require_finite(0.5 * (m + m.T), "sym_eig")
-    solve = globals().get("eigh") or __getattr__("eigh")
-    try:
-        values, vectors = solve(m)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's
-        raise NoConvergence(str(exc)) from exc
+    lwork, liwork, _ = _kernel("dsyevr_lwork")(m.shape[0], lower=1)
+    values, vectors, _, _, info = _kernel("dsyevr")(
+        a=m, compute_v=1, lower=1, lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        raise NoConvergence(f"LAPACK dsyevr failed with info {info}")
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
 

@@ -13,10 +13,13 @@ a map fixed at construction fills a sub-block's lifts and matrices, in
 LAPACK's band storage, and each band is factored with the banded Cholesky
 ``dpbtrf`` (read from ``linalg``), about g^4 flops. Jacobians come from one
 adjoint band solve per output component that touches an interior node,
-against the same factor, and a sub-block's are contracted with one
-block-diagonal CSR matrix. Every sum over cells runs through a sparse pattern
+against the same factor, and a sub-block's are contracted through one
+block-diagonal CSR pattern. Every sum over cells runs through a sparse pattern
 fixed at construction, and a point's results do not depend on the block it
-is solved in.
+is solved in. The patterns are plain CSR arrays built with numpy, and both
+products run scipy's ``csr_matvecs`` (read from ``linalg``) through
+``_csr_product``, so the model builds no scipy sparse matrix and imports
+neither ``scipy.sparse`` nor ``scipy.linalg``.
 
 Three observation scenarios map the solution field to the model output, each
 read off the nodal solution by index: the full nodal field in the discrete H^1
@@ -30,10 +33,9 @@ import math
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, InputClampedWarning, SolverFailure
-from .linalg import PD_FLOOR, SpdMatrix, dpbtrf, dpbtrs, dsbmv
+from .linalg import PD_FLOOR, SpdMatrix, csr_matvecs, dpbtrf, dpbtrs, dsbmv
 from .measure import squared_exponential_covariance
 from .models import SCENARIOS, VectorValuedModel
 
@@ -170,7 +172,7 @@ class DiffusionModel(VectorValuedModel):
     time: one product of a map fixed at construction fills the sub-block's
     Dirichlet lifts and interior bands (half-bandwidth g), each band is
     factored anew with LAPACK's banded Cholesky, and the sub-block's
-    Jacobians are contracted through one CSR matrix on a fixed pattern. So a
+    Jacobians are contracted through one CSR product on a fixed pattern. So a
     call holds at most one sub-block of systems, and each point's result is
     the same bits in any batch; the single-point ``eval`` and ``jacobian``
     are batches of one. Instances hold only immutable precomputed structure,
@@ -190,7 +192,8 @@ class DiffusionModel(VectorValuedModel):
         n_int = mesh.interior.size
         cells = mesh.cell_nodes
         self._boundary_values = mesh.nodes[:, 0] + mesh.nodes[:, 1]
-        # each node's interior row, -1 on the boundary, int32 as scipy keeps it
+        # each node's interior row, -1 on the boundary, int32 as csr_matvecs
+        # takes CSR indices
         interior_row = np.full(mesh.n_nodes, -1, dtype=np.int32)
         interior_row[mesh.interior] = np.arange(n_int)
         # kappa -> the system: its first n_int rows are the Dirichlet lift
@@ -203,11 +206,10 @@ class DiffusionModel(VectorValuedModel):
         j = interior_row[node]
         lift = j < 0
         keep = lift | (i <= j)
-        self._system = sp.csr_matrix(
-            (np.where(lift, -k1 * self._boundary_values[node], k1)[keep],
-             (np.where(lift, i, n_int + g + i - j + (g + 1) * j)[keep], c[keep])),
-            shape=((g + 2) * n_int, mesh.n_cells),
-        )
+        self._system = _csr_arrays(
+            np.where(lift, -k1 * self._boundary_values[node], k1)[keep],
+            np.where(lift, i, n_int + g + i - j + (g + 1) * j)[keep], c[keep],
+            (g + 2) * n_int)
         # the Jacobian's cells x interior-nodes pattern, as SUB_BLOCK copies
         # down a diagonal, the first s of which serve a sub-block of s points:
         # the interior corners' positions in the points' cells.ravel(), then
@@ -245,8 +247,9 @@ class DiffusionModel(VectorValuedModel):
             out_nodes = np.unique(cells[inside].ravel())
             block = _M1 * (mesh.h * mesh.h) + _K1
             i, j, _, values = _cell_entries(cells[inside], block, out_nodes, out_nodes)
-            # toarray adds the entries in the order given, which is cell order
-            r = sp.coo_matrix((values, (i, j)), shape=(out_nodes.size,) * 2).toarray()
+            # np.add.at adds the entries in the order given, which is cell order
+            r = np.zeros((out_nodes.size,) * 2)
+            np.add.at(r, (i, j), values)
             self.output_metric = SpdMatrix(r)
             obs_nodes = out_nodes[:, None]
             obs_weights = np.ones(obs_nodes.shape)
@@ -278,7 +281,7 @@ class DiffusionModel(VectorValuedModel):
         n_int = self.mesh.interior.size
         kappa = np.exp(_clamped_log_conductivity(xs))
         # column j is point j's system; LAPACK copies each band it factors
-        systems = self._system @ kappa.T
+        systems = _csr_product(self._system, kappa.T)
         u = np.empty((xs.shape[0], self.mesh.n_nodes))
         u[:] = self._boundary_values
         factors = []
@@ -346,13 +349,42 @@ class DiffusionModel(VectorValuedModel):
                 dpbtrs(factor, lam[j].T, overwrite_b=1)
             lam = np.ascontiguousarray(lam.transpose(0, 2, 1)).reshape(s * n_int, -1)
             # S_c u at each interior corner, summed against lambda cell by
-            # cell through one block-diagonal CSR matrix for the sub-block
+            # cell through the first s copies of the block-diagonal pattern
             w = (u.take(self.mesh.cell_nodes, axis=1) @ _K1T).reshape(-1).take(corners[:s * nnz])
-            acc = sp.csr_matrix((w, indices[:s * nnz], indptr[:s * n_cells + 1]),
-                                (s * n_cells, s * n_int)) @ lam
+            acc = _csr_product((w, indices[:s * nnz], indptr[:s * n_cells + 1]), lam)
             acc *= -kappa.reshape(-1, 1)
             jac[start:start + s, :, self._adjoint_outputs] = acc.reshape(s, n_cells, -1)
         return jac.transpose(0, 2, 1)
+
+
+def _csr_arrays(values, rows, cols, n_rows):
+    """The CSR arrays (data, indices, indptr) of the sum of the entries
+    ``values`` at (``rows``, ``cols``), as scipy's COO to CSR conversion
+    forms them: sorted by row, then column, ties in the order given, and
+    the duplicates of an entry summed in that order. (scipy sorts a row with
+    ``std::sort``, which keeps ties in order on rows of at most 16 entries;
+    the system map's rows hold at most 12.)"""
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = np.zeros(np.count_nonzero(first))
+    np.add.at(data, np.cumsum(first) - 1, values)
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
+    return data, cols[first].astype(np.int32), indptr
+
+
+def _csr_product(csr, x):
+    """A @ x for a CSR matrix A = (data, indices, indptr), whose indices and
+    indptr share one integer dtype, and a 2-d x with a row per column of A:
+    the loop that scipy's csr_matrix @ x runs, ``csr_matvecs``, into a
+    zeroed result."""
+    data, indices, indptr = csr
+    out = np.zeros((indptr.size - 1, x.shape[1]))
+    csr_matvecs(out.shape[0], x.shape[0], x.shape[1], indptr, indices, data,
+                x.ravel(), out.ravel())
+    return out
 
 
 def _norm(v):

@@ -98,7 +98,12 @@ def _eval_rows(fn, xs, offset, shape):
         for i in range(xs.shape[0]):
             _eval_rows(fn, xs[i:i + 1], offset + i, shape)
         raise
-    expected = (xs.shape[0],) + shape
+    return _require_shape(fn, out, (xs.shape[0],) + shape)
+
+
+def _require_shape(fn, out, expected):
+    """``out``, which the method ``fn`` returned, unless its shape is not
+    ``expected``: then DimensionMismatch naming fn and both shapes."""
     if np.shape(out) != expected:
         raise DimensionMismatch(
             f"{fn.__qualname__} returned shape {np.shape(out)}, expected {expected}")
@@ -382,19 +387,22 @@ class RidgeApproximation:
 
     def eval_batch(self, xs):
         """Ridge values at the rows of ``xs``; a NaN or inf raises
-        ModelEvaluationFailure with the row index."""
+        ModelEvaluationFailure with the row index, and a model output that
+        is not one value of the model's shape per point DimensionMismatch."""
         xs = np.asarray(xs, dtype=float)
         p = self.projector
         offsets = self._offsets
         m = offsets.shape[0]
         n = self.model.output_dim
+        evaluate = self.model.eval_batch
         out = np.empty((xs.shape[0], n))
         step = max(1, EVAL_BLOCK // m)
         for start in range(0, xs.shape[0], step):
             part = xs[start:start + step]
             frozen = p.apply(part)
             pts = (frozen[:, None, :] + offsets[None, :, :]).reshape(-1, xs.shape[1])
-            vals = self.model.eval_batch(pts).reshape(part.shape[0], m, n)
+            vals = _require_shape(evaluate, evaluate(pts), (pts.shape[0], n))
+            vals = vals.reshape(part.shape[0], m, n)
             out[start:start + step] = vals.mean(axis=1)
         _require_finite(out, 0, "ridge output")
         return out

@@ -470,14 +470,14 @@ def test_pde_runs_factor_the_covariance_once(tmp_path, monkeypatch, command):
         }
     )
     sigma = build_measure(cfg, build_model(cfg)).cov.entries
-    real = linalg.eigh
+    real = linalg.dsyevr
     factored = []
 
     def counting(a, *args, **kwargs):
         factored.append(np.array_equal(a, sigma))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "eigh", counting)
+    monkeypatch.setattr(linalg, "dsyevr", counting)
     {"curve": run_error_curve, "spectrum": run_spectrum}[command](cfg, tmp_path)
     assert sum(factored) == 1
 
@@ -953,13 +953,17 @@ def test_cli_prints_each_warning_as_one_line(tmp_path):
 
 
 # Which of numpy, scipy's heavy subpackages and the pde model are loaded after
-# each step of a run of the command argv[3], and what the pde names resolve to.
+# each step of a run of the command argv[3], which of scipy's kernels the run
+# bound and which extension modules are left in sys.modules, and what the pde
+# names resolve to.
 _SCIPY_LOADS = """
 import json, sys
 
 def heavy():
     return [m for m in ("numpy", "scipy.linalg", "scipy.sparse", "gradridge.pde")
             if m in sys.modules]
+
+EXTENSIONS = ("scipy.linalg._flapack", "scipy.linalg._fblas", "scipy.sparse._sparsetools")
 
 command = sys.argv[3]
 loaded = {}
@@ -969,26 +973,39 @@ import gradridge.cli
 loaded["import gradridge.cli"] = heavy()
 code = gradridge.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2], *sys.argv[4:]])
 loaded[command] = heavy()
+bound = vars(sys.modules.get("gradridge.linalg", json))
+kernels = sorted(n for n in ("csr_matvecs", "dpbtrf", "dpbtrs", "dsbmv", "dsyevr",
+                             "dsyevr_lwork") if n in bound)
+extensions = [m for m in EXTENSIONS if m in sys.modules]
 futures = "concurrent.futures" in sys.modules
 listed = [n for n in ("DiffusionModel", "Mesh2D", "build_field_covariance") if n in dir(gradridge)]
 from gradridge import DiffusionModel, Mesh2D, build_field_covariance
 from gradridge import pde
 same = [DiffusionModel is pde.DiffusionModel, Mesh2D is pde.Mesh2D,
         build_field_covariance is pde.build_field_covariance]
-print(json.dumps({"code": code, "loaded": loaded, "futures": futures,
-                  "listed": listed, "same": same}))
+seen = {"code": code, "loaded": loaded, "kernels": kernels, "extensions": extensions,
+        "futures": futures, "listed": listed, "same": same}
 """
 
 
-def _scipy_loads(cfg, out, command, *flags):
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter on this checkout's gradridge and
+    return the JSON it prints last."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gradridge.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_LOADS, str(cfg), str(out), command, *flags],
+        [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _scipy_loads(cfg, out, command, *flags, then=""):
+    """What ``_SCIPY_LOADS`` sees, after running ``then``, more code that
+    may add to ``seen``."""
+    code = _SCIPY_LOADS + then + "\nprint(json.dumps(seen))\n"
+    return _fresh_python(code, str(cfg), str(out), command, *flags)
 
 
 def test_closed_form_sobol_runs_without_scipy_linalg_or_sparse(tmp_path):
@@ -1036,12 +1053,97 @@ def test_linear_sobol_runs_without_scipy_linalg(tmp_path):
 
 def test_linear_spectrum_loads_neither_the_pde_model_nor_scipy_sparse(tmp_path):
     # only a pde run adds cell centers to the mode tables, and the check reads
-    # the config, so a linear spectrum imports scipy.linalg for eigh alone
+    # the config, so a linear spectrum loads LAPACK's extension module for
+    # dsyevr alone, and no scipy package
     cfg = _write_cfg(tmp_path, {"model": {"kind": "linear", "matrix": [[1.0, 0.5, 0.2]]},
                                 "sampling": {"k": 50}})
     seen = _scipy_loads(cfg, tmp_path / "out", "spectrum")
     assert seen["code"] == 0
-    assert seen["loaded"]["spectrum"] == ["numpy", "scipy.linalg"]
+    assert seen["loaded"]["spectrum"] == ["numpy"]
+    assert seen["kernels"] == ["dsyevr", "dsyevr_lwork"]
+
+
+_PDE_CURVE = {"model": {"kind": "pde", "grid": 3, "scenario": "point_pair"},
+              "sampling": {"k": 40, "m": [1], "n_val": 20}}
+
+
+def test_pde_curve_binds_scipys_kernels_but_imports_neither_package(tmp_path):
+    # the eigensolve, the band solves and the CSR products read their kernels
+    # from the three extension modules, loaded without their packages and
+    # not left in sys.modules for a later import of the package to skip
+    seen = _scipy_loads(_write_cfg(tmp_path, _PDE_CURVE), tmp_path / "out", "curve")
+    assert seen["code"] == 0
+    assert seen["loaded"]["curve"] == ["numpy", "gradridge.pde"]
+    assert seen["kernels"] == [
+        "csr_matvecs", "dpbtrf", "dpbtrs", "dsbmv", "dsyevr", "dsyevr_lwork"]
+    assert seen["extensions"] == []
+
+
+_LATER_IMPORTS = """
+from gradridge import linalg
+import numpy as np
+import scipy.linalg, scipy.sparse._sparsetools
+public = {"dpbtrf": scipy.linalg._flapack.dpbtrf, "dpbtrs": scipy.linalg.lapack.dpbtrs,
+          "dsyevr": scipy.linalg.lapack.dsyevr, "dsbmv": scipy.linalg._fblas.dsbmv,
+          "csr_matvecs": scipy.sparse._sparsetools.csr_matvecs}
+seen["same_kernels"] = {name: getattr(linalg, name) is kernel for name, kernel in public.items()}
+a = np.array([[2.0, 1.0], [1.0, 3.0]])
+seen["eigh"] = scipy.linalg.eigh(a)[0].tolist()
+seen["sparse"] = (scipy.sparse.csr_matrix(a) @ np.ones(2)).tolist()
+"""
+
+
+def test_scipy_imported_after_a_pde_run_hands_out_the_same_kernels(tmp_path):
+    # a later import of scipy.linalg and scipy.sparse hands out the kernels
+    # the run bound, sets each extension module as its package's attribute,
+    # and both packages still work
+    seen = _scipy_loads(_write_cfg(tmp_path, _PDE_CURVE), tmp_path / "out", "curve",
+                        then=_LATER_IMPORTS)
+    assert seen["code"] == 0
+    assert seen["same_kernels"] == {
+        "dpbtrf": True, "dpbtrs": True, "dsyevr": True, "dsbmv": True, "csr_matvecs": True}
+    np.testing.assert_allclose(seen["eigh"], [(5 - 5 ** 0.5) / 2, (5 + 5 ** 0.5) / 2])
+    assert seen["sparse"] == [3.0, 4.0]
+
+
+# Threads that first read linalg.dsyevr at one moment; the search for LAPACK's
+# extension module is slowed so that they overlap inside the load.
+_FIRST_TOUCH = """
+import importlib.machinery, json, sys, threading, time
+from gradridge import linalg
+
+searches = []
+find_spec = importlib.machinery.PathFinder.find_spec
+
+def slow_find_spec(name, path=None, target=None):
+    if name == "scipy.linalg._flapack":
+        searches.append(name)
+        time.sleep(0.05)
+    return find_spec(name, path, target)
+
+importlib.machinery.PathFinder.find_spec = slow_find_spec
+barrier = threading.Barrier(4)
+got = []
+
+def touch():
+    barrier.wait()
+    got.append(linalg.dsyevr)
+
+threads = [threading.Thread(target=touch) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+seen = {"got": len(got), "objects": len({id(k) for k in got}), "searches": len(searches)}
+import scipy.linalg
+seen["scipys"] = scipy.linalg.lapack.dsyevr is got[0]
+print(json.dumps(seen))
+"""
+
+
+def test_threads_that_first_read_a_kernel_together_load_it_once():
+    seen = _fresh_python(_FIRST_TOUCH)
+    assert seen == {"got": 4, "objects": 1, "searches": 1, "scipys": True}
 
 
 def test_cli_sobol_rejects_correlated_measure(tmp_path, capsys):

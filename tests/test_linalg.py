@@ -113,13 +113,29 @@ def test_diagonal_root_is_the_eigensolver_root_bitwise(values):
 
 def test_diagonal_root_needs_no_eigensolver(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("eigh called on a diagonal matrix")
+        raise AssertionError("dsyevr called on a diagonal matrix")
 
-    monkeypatch.setattr(linalg, "eigh", refuse)
+    monkeypatch.setattr(linalg, "dsyevr", refuse)
     root = SpdMatrix.diagonal([1.0, 4.0]).root()
     np.testing.assert_array_equal(root.factor, np.diag([1.0, 2.0]))
-    with pytest.raises(AssertionError, match="eigh called"):
+    with pytest.raises(AssertionError, match="dsyevr called"):
         SpdMatrix([[2.0, 1.0], [1.0, 2.0]]).root()
+
+
+@pytest.mark.parametrize("case", ["field-g12", "random-9"])
+def test_sym_eig_is_scipys_eigh_in_reverse_order_bitwise(case):
+    # sym_eig calls dsyevr as eigh does by default, and both hand back
+    # ascending values, so reversing eigh's order gives sym_eig's bits
+    import scipy.linalg
+
+    if case == "field-g12":
+        a = build_field_covariance(Mesh2D(12)).entries
+    else:
+        a = random_spd(np.random.default_rng(9), 9).entries
+    values, vectors = sym_eig(a)
+    want_values, want_vectors = scipy.linalg.eigh(a)
+    assert values.tobytes() == want_values[::-1].tobytes()
+    assert vectors.tobytes() == np.ascontiguousarray(want_vectors[:, ::-1]).tobytes()
 
 
 def test_diagonal_root_orders_tied_values_by_index():

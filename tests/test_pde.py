@@ -203,7 +203,7 @@ def test_backward_stable_solve_of_a_tiny_rhs_passes_the_residual_check():
     # 1e-10 |A| |u|: a backward-stable solve, not a failed one
     model = DiffusionModel(4, "point_pair")
     (kappa,), _, (u,) = model._solve(_tiny_rhs_point(model)[None])
-    rhs = (model._system @ kappa)[:model.mesh.interior.size]
+    rhs = pde_mod._csr_product(model._system, kappa[:, None])[:model.mesh.interior.size, 0]
     assert float(np.linalg.norm(rhs)) < 1e-16
     assert np.all(np.isfinite(u))
 
@@ -238,7 +238,7 @@ def test_band_map_fills_the_cell_loop_interior_system(g):
     for j in range(n):
         for i in range(max(0, j - g), j + 1):
             expect[g + i - j, j] = a_ii[i, j]
-    system = model._system @ kappa
+    system = pde_mod._csr_product(model._system, kappa[:, None])[:, 0]
     assert system.shape == ((g + 2) * n,)
     np.testing.assert_array_equal(system[n:].reshape(g + 1, n, order="F"), expect)
     u_b = mesh.nodes[mesh.boundary].sum(axis=1)
@@ -246,15 +246,41 @@ def test_band_map_fills_the_cell_loop_interior_system(g):
     np.testing.assert_allclose(system[:n], lift, rtol=1e-13, atol=1e-13 * np.abs(lift).max())
 
 
+def test_csr_arrays_are_scipys_coo_to_csr_conversion():
+    # up to 12 entries a row, as the system map has, over 6 columns: repeats,
+    # zeros and a pair that cancels, shuffled
+    import scipy.sparse
+
+    rng = np.random.default_rng(5)
+    per_row = rng.integers(0, 13, 40)
+    rows = np.repeat(np.arange(40), per_row)
+    cols = rng.integers(0, 6, rows.size)
+    values = rng.standard_normal(rows.size)
+    values[::7] = 0.0
+    rows, cols, values = (np.append(part, extra) for part, extra in
+                          ((rows, [3, 3]), (cols, [7, 7]), (values, [0.25, -0.25])))
+    order = rng.permutation(rows.size)
+    rows, cols, values = rows[order], cols[order], values[order]
+    want = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(40, 8))
+    data, indices, indptr = pde_mod._csr_arrays(values, rows, cols, 40)
+    for got, expect in ((data, want.data), (indices, want.indices), (indptr, want.indptr)):
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+    x = rng.standard_normal((8, 3))
+    assert pde_mod._csr_product((data, indices, indptr), x).tobytes() == (want @ x).tobytes()
+
+
 def test_pde_reads_scipys_banded_kernels_through_linalg():
     import scipy.linalg.blas
     import scipy.linalg.lapack
+    import scipy.sparse._sparsetools
 
     from gradridge import linalg
 
     assert pde_mod.dpbtrf is scipy.linalg.lapack.dpbtrf
     assert pde_mod.dpbtrs is scipy.linalg.lapack.dpbtrs
     assert pde_mod.dsbmv is scipy.linalg.blas.dsbmv
+    assert pde_mod.csr_matvecs is scipy.sparse._sparsetools.csr_matvecs
+    assert linalg.dsyevr is scipy.linalg.lapack.dsyevr
     assert not hasattr(pde_mod, "_blas")
     with pytest.raises(AttributeError, match="no attribute 'dgemm'"):
         linalg.dgemm
@@ -401,7 +427,7 @@ def test_batch_evaluation_matches_loop():
 def _fail_one_forward_solve(monkeypatch, model, x):
     """Patch dpbtrs so that the forward solve of the point ``x``, and only
     that solve, comes back corrupted and fails the residual check."""
-    rhs = (model._system @ np.exp(x))[:model.mesh.interior.size]
+    rhs = pde_mod._csr_product(model._system, np.exp(x)[:, None])[:model.mesh.interior.size, 0]
 
     def corrupted(factor, b, **kwargs):
         u, info = dpbtrs(factor, b, **kwargs)

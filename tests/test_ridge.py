@@ -280,6 +280,25 @@ def test_validate_error_rejects_a_surrogate_output_of_the_wrong_shape(matrix, cu
     assert str(err.value) == f"_Reshaped.eval_batch returned shape {got}, expected {want}"
 
 
+class _TransposedValues(LinearModel):
+    """F x whose eval_batch returns its values transposed, (n, N)."""
+
+    def eval_batch(self, xs):
+        return super().eval_batch(xs).T
+
+
+def test_ridge_rejects_a_model_output_of_the_wrong_shape():
+    # (2, 15) has as many entries as (15, 2), so reshaping it to (5, 3, 2)
+    # would run and give a wrong ridge with no error
+    model = _TransposedValues(np.arange(8.0).reshape(2, 4))
+    mu = GaussianMeasure.standard(4)
+    ridge_fn = build_ridge(model, mu, coordinate_projector([1, 2], 4), SampleStream(42), 3)
+    xs = sample(mu, SampleStream(43), 5)
+    with pytest.raises(DimensionMismatch) as err:
+        ridge_fn.eval_batch(xs)
+    assert str(err.value) == "_TransposedValues.eval_batch returned shape (2, 15), expected (15, 2)"
+
+
 def test_estimate_h_block_budget_does_not_change_h(monkeypatch):
     model, mu = make_linear(seed=43)
     rows = []
