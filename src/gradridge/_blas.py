@@ -21,46 +21,60 @@ from contextlib import contextmanager
 MAPS = "/proc/self/maps"
 
 _lock = threading.Lock()
-# While one_blas_thread is active: the set function and saved thread count of
-# each copy it pinned, by mapped path. None when no pin is active.
+# While one_blas_thread is active: by mapped path, each OpenBLAS copy it has
+# seen, with the set function and saved thread count of a copy it pinned, or
+# None for one without thread controls. None when no pin is active.
 _pinned = None
 
 
-def _copies():
-    """{mapped path: (get, set)} for each OpenBLAS copy with thread controls."""
+def _paths():
+    """The mapped paths of the OpenBLAS copies loaded in-process, sorted."""
     try:
         with open(MAPS, "r", encoding="utf-8") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
-        return {}
+        return []
     paths = {f[5].strip() for f in fields if len(f) == 6}
-    copies = {}
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for suffix in ("64_", ""):
-            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
-            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
-            if get is not None and put is not None:
-                get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
-                copies[path] = (get, put)
-                break
-    return copies
+    return sorted(p for p in paths if "openblas" in os.path.basename(p))
+
+
+def _controls(path):
+    """(get, set) of the OpenBLAS copy at ``path``, or None if it cannot be
+    opened or has no thread controls."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for suffix in ("64_", ""):
+        get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+        put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+        if get is not None and put is not None:
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _copies():
+    """{mapped path: (get, set)} for each OpenBLAS copy with thread controls."""
+    return {path: controls for path in _paths() if (controls := _controls(path))}
 
 
 def pin_new_copies():
-    """Inside ``one_blas_thread``, set each OpenBLAS copy it has not pinned yet
-    to one thread, to be restored on exit; outside it, do nothing. ``linalg``
-    calls it after it loads each scipy kernel."""
+    """Inside ``one_blas_thread``, set each OpenBLAS copy it has not seen yet
+    to one thread, to be restored on exit; outside it, do nothing. Only a
+    copy not seen yet is opened. ``linalg`` calls it after it loads each
+    scipy kernel."""
     with _lock:
         if _pinned is None:
             return
-        for path, (get, put) in _copies().items():
+        for path in _paths():
             if path not in _pinned:
-                _pinned[path] = (put, get())
-                put(1)
+                controls = _controls(path)
+                if controls is not None:
+                    get, put = controls
+                    controls = (put, get())
+                    put(1)
+                _pinned[path] = controls
 
 
 @contextmanager
@@ -75,6 +89,6 @@ def one_blas_thread():
         yield
     finally:
         with _lock:
-            for put, count in _pinned.values():
+            for put, count in filter(None, _pinned.values()):
                 put(count)
             _pinned = None

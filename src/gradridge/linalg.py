@@ -9,10 +9,11 @@ silently wrong answer.
 The other modules use an SPD matrix (a covariance, a gradient moment H or
 an output metric R) and its root only through four queries: ``gram``,
 ``sq_norms`` and ``diag`` of an SpdMatrix and ``apply`` of an EigenRoot.
-Outside this module only ridge reads dense entries, where it sums J^T (R J)
-into H and in ``basis_error_bounds``, and nothing reads the dense root; so
-another form of either needs new queries here, not a new path in each
-caller.
+Outside this module only ridge reads dense entries, in the H V product of
+``basis_error_bounds``, and nothing reads the dense root: R reaches H through
+each model's whitened Jacobian rows, the base class's through ``apply`` of
+R's root; so another form of either needs new queries here, not a new path
+in each caller.
 
 Loading this module does not import scipy, yet it is the one module that
 binds scipy's compiled kernels: LAPACK's ``dsyevr`` for ``sym_eig``, and the

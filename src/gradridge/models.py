@@ -52,8 +52,11 @@ class VectorValuedModel:
     starting with ``xs = self._check_rows(xs)``. The base class derives the
     single-point ``eval`` and ``jacobian`` as a batch of one row. A model that
     can only do one point at a time loops over the rows in its own
-    ``eval_batch``. ``lipschitz_constant`` is None unless the subclass knows a
-    global Lipschitz constant in the output-metric norm.
+    ``eval_batch``. ``estimate_h`` sums the rows of ``whitened_jacobian_batch``,
+    ``whitened_rows`` per point with G^T G = J^T R J; the base class derives
+    them from ``jacobian_batch`` and R's root, and a model that can fold R in
+    more cheaply overrides both. ``lipschitz_constant`` is None unless the
+    subclass knows a global Lipschitz constant in the output-metric norm.
     """
 
     input_dim = None
@@ -72,6 +75,25 @@ class VectorValuedModel:
 
     def jacobian_batch(self, xs):
         raise NotImplementedError(f"{type(self).__name__} does not implement jacobian_batch")
+
+    @property
+    def whitened_rows(self):
+        """Rows per point of ``whitened_jacobian_batch``: ``output_dim``
+        unless a subclass leaves out rows that are zero."""
+        return self.output_dim
+
+    def whitened_jacobian_batch(self, xs):
+        """Rows G per point, ``whitened_rows`` x ``input_dim``, with
+        G^T G = J^T R J for the Jacobian J and the output metric R: here
+        G = S J, one ``jacobian_batch`` call and the root S of R applied
+        through its query. For an identity or diagonal R, S is exact, so G
+        holds J scaled by the square roots of R's diagonal."""
+        expected = (len(xs), self.output_dim, self.input_dim)
+        jac = _require_shape(self.jacobian_batch, self.jacobian_batch(xs), expected)
+        # S J is the transpose of J^T S^T, S applied to each row of J^T; in C
+        # order first, as the product's digits follow the layout of J
+        jac = np.ascontiguousarray(jac)
+        return self.output_metric.root().apply(jac.transpose(0, 2, 1)).transpose(0, 2, 1)
 
     def _check_rows(self, xs):
         """``xs`` as a float array of points, one per row; DimensionMismatch
@@ -170,6 +192,15 @@ class SumOfSinesModel(VectorValuedModel):
     def jacobian_batch(self, xs):
         xs = self._check_rows(xs)
         return (self.amplitudes * self.frequencies * np.cos(self.frequencies * xs))[:, None, :]
+
+
+def _require_shape(fn, out, expected):
+    """``out``, which the method ``fn`` returned, unless its shape is not
+    ``expected``: then DimensionMismatch naming fn and both shapes."""
+    if np.shape(out) != expected:
+        raise DimensionMismatch(
+            f"{fn.__qualname__} returned shape {np.shape(out)}, expected {expected}")
+    return out
 
 
 def finite_diff_jacobian(model, x, step=None):

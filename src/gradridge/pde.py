@@ -14,12 +14,17 @@ LAPACK's band storage, and each band is factored with the banded Cholesky
 ``dpbtrf`` (read from ``linalg``), about g^4 flops. Jacobians come from one
 adjoint band solve per output component that touches an interior node,
 against the same factor, and a sub-block's are contracted through one
-block-diagonal CSR pattern. Every sum over cells runs through a sparse pattern
-fixed at construction, and a point's results do not depend on the block it
-is solved in. The patterns are plain CSR arrays built with numpy, and both
-products run scipy's ``csr_matvecs`` (read from ``linalg``) through
-``_csr_product``, so the model builds no scipy sparse matrix and imports
-neither ``scipy.sparse`` nor ``scipy.linalg``.
+block-diagonal CSR pattern. The whitened rows G = U J_a that ``estimate_h``
+sums, with G^T G = J^T R J, come from the same solves and contraction on
+other right-hand sides: R restricted to those outputs, R_aa = U^T U, is
+banded in their order and factored once at construction with the same
+``dpbtrf``, and its factor is folded into the right-hand sides, so no
+Jacobian and no product with R is formed. Every sum over cells runs through
+a sparse pattern fixed at construction, and a point's results do not depend
+on the block it is solved in. The patterns are plain CSR arrays built with
+numpy, and both products run scipy's ``csr_matvecs`` (read from ``linalg``)
+through ``_csr_product``, so the model builds no scipy sparse matrix and
+imports neither ``scipy.sparse`` nor ``scipy.linalg``.
 
 Three observation scenarios map the solution field to the model output, each
 read off the nodal solution by index: the full nodal field in the discrete H^1
@@ -34,7 +39,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputClampedWarning, SolverFailure
+from .errors import DimensionMismatch, InputClampedWarning, NotPositiveDefinite, SolverFailure
 from .linalg import PD_FLOOR, SpdMatrix, csr_matvecs, dpbtrf, dpbtrs, dsbmv
 from .measure import squared_exponential_covariance
 from .models import SCENARIOS, VectorValuedModel
@@ -168,14 +173,15 @@ class DiffusionModel(VectorValuedModel):
     - ``point_pair``: interpolated values at two fixed points, diagonal metric
       diag(alpha, beta).
 
-    ``eval_batch`` and ``jacobian_batch`` walk their points SUB_BLOCK at a
-    time: one product of a map fixed at construction fills the sub-block's
-    Dirichlet lifts and interior bands (half-bandwidth g), each band is
-    factored anew with LAPACK's banded Cholesky, and the sub-block's
-    Jacobians are contracted through one CSR product on a fixed pattern. So a
-    call holds at most one sub-block of systems, and each point's result is
-    the same bits in any batch; the single-point ``eval`` and ``jacobian``
-    are batches of one. Instances hold only immutable precomputed structure,
+    ``eval_batch``, ``jacobian_batch`` and ``whitened_jacobian_batch`` walk
+    their points SUB_BLOCK at a time: one product of a map fixed at
+    construction fills the sub-block's Dirichlet lifts and interior bands
+    (half-bandwidth g), each band is factored anew with LAPACK's banded
+    Cholesky, and the sub-block's Jacobians, or whitened rows, are
+    contracted through one CSR product on a fixed pattern. So a call holds
+    at most one sub-block of systems, and each point's result is the same
+    bits in any batch; the single-point ``eval`` and ``jacobian`` are
+    batches of one. Instances hold only immutable precomputed structure,
     safe across threads.
     """
 
@@ -232,6 +238,9 @@ class DiffusionModel(VectorValuedModel):
             obs_weights = np.array([weights for _, weights in picks])
             self.output_metric = SpdMatrix.diagonal([alpha, beta])
             self.point_weights = (float(alpha), float(beta))
+            # R's entries as (row, column, value)
+            i = j = np.arange(2)
+            values = np.array([float(alpha), float(beta)])
         else:
             inside = np.arange(mesh.n_cells)
             if scenario == "subdomain":
@@ -243,8 +252,11 @@ class DiffusionModel(VectorValuedModel):
                 )[0]
                 if inside.size == 0:
                     raise DimensionMismatch("subdomain contains no cell centers at this resolution")
-            # every node of the full grid touches a cell, so full_field observes all of them
-            out_nodes = np.unique(cells[inside].ravel())
+            # every node of the full grid touches a cell, so full_field observes
+            # all of them; the nodes in order, without np.unique, which imports
+            # numpy.ma
+            touched = np.bincount(cells[inside].ravel(), minlength=mesh.n_nodes)
+            out_nodes = np.flatnonzero(touched)
             block = _M1 * (mesh.h * mesh.h) + _K1
             i, j, _, values = _cell_entries(cells[inside], block, out_nodes, out_nodes)
             # np.add.at adds the entries in the order given, which is cell order
@@ -265,6 +277,8 @@ class DiffusionModel(VectorValuedModel):
         col, k = np.nonzero(row[self._adjoint_outputs] >= 0)
         out = self._adjoint_outputs[col]
         self._adjoint_rhs = (row[out, k], col, obs_weights[out, k])
+        self._whitened_rhs = _whitened_rhs(
+            self._adjoint_rhs, self._adjoint_outputs, self.output_dim, (i, j, values))
 
     def _solve(self, xs):
         """Solve the points of one sub-block (at most SUB_BLOCK rows of
@@ -320,30 +334,50 @@ class DiffusionModel(VectorValuedModel):
         return out
 
     def jacobian_batch(self, xs):
-        """Adjoint Jacobians: per point one factorization and one band solve
-        per output row that touches an interior node.
-
-        Row j of a Jacobian is -kappa_c * lambda_j^T S_c u per cell c, with
-        S_c the unit stiffness scatter of the cell and lambda_j the adjoint
-        solution for output j, zero on the boundary, so only a cell's interior
-        corners enter; an output that observes only boundary nodes has a zero
-        row. The Dirichlet lift enters through the boundary entries of u.
-        """
+        """Adjoint Jacobians, from one solve per output that touches an
+        interior node (``_adjoint``); the other outputs observe only boundary
+        nodes and have zero rows."""
         xs = self._check_rows(xs)
+        jac = np.zeros((xs.shape[0], self.mesh.n_cells, self.output_dim))
+        jac[:, :, self._adjoint_outputs] = self._adjoint(
+            xs, self._adjoint_rhs, self._adjoint_outputs.size)
+        return jac.transpose(0, 2, 1)
+
+    @property
+    def whitened_rows(self):
+        return self._adjoint_outputs.size
+
+    def whitened_jacobian_batch(self, xs):
+        """Rows G = U J_a per point, with J_a the Jacobian rows of the
+        outputs that touch an interior node and U the banded Cholesky factor
+        of R restricted to them, so G^T G = J^T R J: the adjoint solves of
+        ``jacobian_batch`` on the right-hand sides ``_whitened_rhs``, with no
+        Jacobian and no product with R formed."""
+        xs = self._check_rows(xs)
+        return self._adjoint(xs, self._whitened_rhs, self.whitened_rows).transpose(0, 2, 1)
+
+    def _adjoint(self, xs, rhs, k):
+        """Per point of ``xs``, the cells x k array whose column i is the
+        Jacobian row of the adjoint right-hand side i, with ``rhs`` the
+        (interior row, column, weight) entries of the k right-hand sides:
+        per point one factorization and one band solve over all k.
+
+        Column i is -kappa_c * lambda_i^T S_c u per cell c, with S_c the unit
+        stiffness scatter of the cell and lambda_i the adjoint solution, zero
+        on the boundary, so only a cell's interior corners enter. The
+        Dirichlet lift enters through the boundary entries of u.
+        """
         n_cells, n_int = self.mesh.n_cells, self.mesh.interior.size
-        rows, cols, weights = self._adjoint_rhs
+        rows, cols, weights = rhs
         corners, indices, indptr = self._corners
         nnz = indices.size // SUB_BLOCK
-        # built points x cells x outputs and returned transposed, so each
-        # Jacobian is laid out as the corner loop returned it: estimate_h's
-        # J^T (R J) rounds another memory layout differently
-        jac = np.zeros((xs.shape[0], n_cells, self.output_dim))
+        out = np.empty((xs.shape[0], n_cells, k))
         for start in range(0, xs.shape[0], SUB_BLOCK):
             kappa, factors, u = self._solve(xs[start:start + SUB_BLOCK])
             s = kappa.shape[0]
             # each point's adjoint right-hand sides, in Fortran order, solved
             # in place, then stacked in C order as the CSR product reads them
-            lam = np.zeros((s, self._adjoint_outputs.size, n_int))
+            lam = np.zeros((s, k, n_int))
             lam[:, cols, rows] = weights
             for j, factor in enumerate(factors):
                 dpbtrs(factor, lam[j].T, overwrite_b=1)
@@ -353,8 +387,48 @@ class DiffusionModel(VectorValuedModel):
             w = (u.take(self.mesh.cell_nodes, axis=1) @ _K1T).reshape(-1).take(corners[:s * nnz])
             acc = _csr_product((w, indices[:s * nnz], indptr[:s * n_cells + 1]), lam)
             acc *= -kappa.reshape(-1, 1)
-            jac[start:start + s, :, self._adjoint_outputs] = acc.reshape(s, n_cells, -1)
-        return jac.transpose(0, 2, 1)
+            out[start:start + s] = acc.reshape(s, n_cells, k)
+        return out
+
+
+def _whitened_rhs(rhs, outputs, n_outputs, metric):
+    """The adjoint right-hand sides of the whitened rows, as (interior row,
+    column, weight) entries like the Jacobian's ``rhs``, one column per
+    output in ``outputs``.
+
+    ``metric`` holds R's (row, column, value) entries, n_outputs square.
+    Restricted to ``outputs`` it is R_aa, banded in their order: the
+    row-major numbering keeps every two nodes of a cell within g. Its banded
+    Cholesky factor (LAPACK ``dpbtrf``, R_aa = U^T U) turns the Jacobian's
+    right-hand sides B into B U^T, whose column i holds U[i, j] times column
+    j of B for each j in U's band. Their adjoint rows are G = U J_a, so
+    G^T G = J^T R J, as the other outputs have zero Jacobian rows.
+    """
+    rows, cols, weights = rhs
+    i, j, values = metric
+    at = np.full(n_outputs, -1)
+    at[outputs] = np.arange(outputs.size)
+    i, j = at[i], at[j]
+    upper = (i >= 0) & (i <= j)
+    i, j, values = i[upper], j[upper], values[upper]
+    kd = int(np.max(j - i))
+    # R_aa in LAPACK's upper band storage, (i, j) at [kd + i - j, j], each
+    # entry summed in the order given, as R's dense entries are
+    band = np.zeros((kd + 1, outputs.size))
+    np.add.at(band, (kd + i - j, j), values)
+    factor, info = dpbtrf(band)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"output metric: banded Cholesky failed at leading minor {info}")
+    # U[j - t, j] sits at factor[kd - t, j]; B's entry (row, j, weight) adds
+    # weight * U[j - t, j] at (row, j - t) for each t in the band. No two land
+    # on one place: a full_field or subdomain output observes one node of its
+    # own, and point_pair's R_aa, so U, is diagonal
+    t = np.arange(kd + 1)
+    to = cols[:, None] - t
+    inside = to >= 0
+    return (np.broadcast_to(rows[:, None], to.shape)[inside], to[inside],
+            (weights[:, None] * factor[kd - t, cols[:, None]])[inside])
 
 
 def _csr_arrays(values, rows, cols, n_rows):

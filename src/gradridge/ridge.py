@@ -20,9 +20,10 @@ and every model or surrogate call in a block goes through ``_eval_rows``,
 which checks the shape of what it returns.
 
 H, Sigma and the output metric R come in as SpdMatrix forms (an estimated H
-inside its HMatrixEstimate) and are used through their queries. The two
-places that read dense entries are the sums of J^T (R J) that accumulate H
-and the H V product of ``basis_error_bounds``.
+inside its HMatrixEstimate) and are used through their queries. R reaches H
+only through the model's whitened Jacobian rows G, with G^T G = J^T R J, so
+the one place here that reads dense entries is the H V product of
+``basis_error_bounds``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .linalg import SpdMatrix, generalized_eig, trace_quadratic
 from .measure import sample
-from .models import LinearModel
+from .models import LinearModel, _require_shape
 from .projector import RankRProjector, require_sigma_orthogonal
 
 __all__ = [
@@ -64,9 +65,10 @@ __all__ = [
 # on a whole Philox block of its stream.
 CHUNK = 512
 EVAL_BLOCK = 4096  # model points per call in RidgeApproximation.eval_batch
-# Jacobian bytes per jacobian_batch call; bounds memory, not tunable. Below
-# one g=12 full_field Jacobian (169 x 144 entries), so each of those is a
-# call of its own and keeps the rounding of H it had one sample at a time.
+# Bytes of whitened Jacobian rows per whitened_jacobian_batch call; bounds
+# memory, not tunable, as the runs decide which rows each G^T G sums. Below
+# one g=12 full_field point's rows (121 x 144 entries), so each of those is a
+# call and a syrk of its own.
 JACOBIAN_BYTES = 128 << 10
 
 
@@ -81,10 +83,12 @@ def _require_finite(values, offset, what):
 def _eval_rows(fn, xs, offset, shape):
     """fn(xs), with fn a batch method such as a model's or a ridge's
     ``eval_batch`` that returns one array of ``shape`` per row of ``xs``;
-    a result of any other shape raises DimensionMismatch naming fn. Its
-    failures leave as a ModelEvaluationFailure at the global index,
-    ``offset`` plus the row. One that fn raises itself counts the rows of
-    ``xs`` and is moved by ``offset``. Any other error has the rows
+    a result of any other shape raises DimensionMismatch naming fn, and so
+    does one that fn itself meets in a result of its own, such as the
+    Jacobian behind whitened rows. Its other failures leave as a
+    ModelEvaluationFailure at the global index, ``offset`` plus the row. One
+    that fn raises itself counts the rows of ``xs`` and is moved by
+    ``offset``. Any other error has the rows
     evaluated again one at a time, and the first that fails on its own is
     named, with its error as cause; a single row is not evaluated again, and
     an error that no row repeats is raised as it was."""
@@ -92,6 +96,8 @@ def _eval_rows(fn, xs, offset, shape):
         out = fn(xs)
     except ModelEvaluationFailure as err:
         raise err.moved(offset) from err
+    except DimensionMismatch:
+        raise
     except Exception as err:  # noqa: BLE001 - find the sample to annotate
         if xs.shape[0] == 1:
             raise ModelEvaluationFailure(offset, cause=err) from err
@@ -99,15 +105,6 @@ def _eval_rows(fn, xs, offset, shape):
             _eval_rows(fn, xs[i:i + 1], offset + i, shape)
         raise
     return _require_shape(fn, out, (xs.shape[0],) + shape)
-
-
-def _require_shape(fn, out, expected):
-    """``out``, which the method ``fn`` returned, unless its shape is not
-    ``expected``: then DimensionMismatch naming fn and both shapes."""
-    if np.shape(out) != expected:
-        raise DimensionMismatch(
-            f"{fn.__qualname__} returned shape {np.shape(out)}, expected {expected}")
-    return out
 
 
 def _require_model_dim(model, mu):
@@ -195,38 +192,41 @@ class HMatrixEstimate:
 def estimate_h(model, mu, stream, count, threads=1):
     """Average J(X)^T R J(X) over ``count`` draws X ~ mu.
 
-    Each block of draws calls the model's ``jacobian_batch`` on runs of at
-    most JACOBIAN_BYTES of Jacobians (one Jacobian, if a single one is
-    larger) and adds J^T (R J) over each run's stacked Jacobians. Blocks
-    return sums, which add in block order and are divided by ``count`` once.
-    A NaN or inf Jacobian entry, or a Jacobian call that raises, raises
-    ModelEvaluationFailure with the index of the first such sample; a
-    Jacobian of another shape than (output_dim, input_dim) raises
-    DimensionMismatch.
+    Each block of draws calls the model's ``whitened_jacobian_batch`` on runs
+    of at most JACOBIAN_BYTES of rows (one point's, if those alone are
+    larger): rows G per point with G^T G = J^T R J, so R enters through the
+    model and no dense product with it is formed. Each run's rows are copied
+    to C order, so H depends on their values only, not on the layout the
+    model returned, and stacked into one matrix whose G^T G BLAS sums as a
+    syrk. Blocks return sums, which add in block order and are divided by
+    ``count`` once. A NaN or inf row entry, or a call that raises, raises
+    ModelEvaluationFailure with the index of the first such sample; rows of
+    another shape than (whitened_rows, input_dim), or a Jacobian of another
+    shape than (output_dim, input_dim), raise DimensionMismatch.
     """
     count = int(count)
     if count < 1:
         raise ValueError("count must be at least 1")
     _require_model_dim(model, mu)
     d = model.input_dim
-    n = model.output_dim
-    metric = model.output_metric.entries
-    step = max(1, JACOBIAN_BYTES // (8 * n * d))
+    m = model.whitened_rows
+    step = max(1, JACOBIAN_BYTES // (8 * m * d))
 
     def one_block(lo, xs):
         total = np.zeros((d, d))
         for start in range(0, xs.shape[0], step):
             part = xs[start:start + step]
-            jac = _eval_rows(model.jacobian_batch, part, lo + start, (n, d))
-            _require_finite(jac, lo + start, "Jacobian")
-            total += jac.reshape(-1, d).T @ (metric @ jac).reshape(-1, d)
+            rows = _eval_rows(model.whitened_jacobian_batch, part, lo + start, (m, d))
+            _require_finite(rows, lo + start, "Jacobian")
+            rows = np.ascontiguousarray(rows).reshape(-1, d)
+            total += rows.T @ rows
         return total
 
     h = sum(_map_draws(mu, (stream,), count, one_block, threads)) / count
     return HMatrixEstimate(
         h=SpdMatrix(h),
         samples_used=count,
-        rank_upper_bound=min(d, count * n),
+        rank_upper_bound=min(d, count * model.output_dim),
     )
 
 

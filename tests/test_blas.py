@@ -113,6 +113,41 @@ def test_cli_pins_a_copy_that_loads_inside_the_run(tmp_path):
     assert seen["after"] == unpinned
 
 
+# Counts the ctypes.CDLL calls on each OpenBLAS path over a pde curve run,
+# which loads scipy's kernels one at a time inside the pin.
+_OPENS = """
+import ctypes, json, os, sys
+from gradridge import _blas, cli
+
+opened = {}
+cdll = ctypes.CDLL
+
+def counting(path, *args, **kwargs):
+    if "openblas" in os.path.basename(str(path)):
+        opened[path] = opened.get(path, 0) + 1
+    return cdll(path, *args, **kwargs)
+
+ctypes.CDLL = counting
+code = cli.main(["curve", "--config", sys.argv[1], "--out", sys.argv[2]])
+ctypes.CDLL = cdll
+print(json.dumps({"code": code, "opened": opened, "mapped": _blas._paths()}))
+"""
+
+
+def test_a_pde_run_opens_each_openblas_copy_once(tmp_path):
+    # pin_new_copies runs after each kernel load; it opens only a copy the
+    # pin has not seen, where it used to open every mapped copy each time
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "pde", "grid": 3, "scenario": "point_pair"},
+        "sampling": {"k": 20, "m": [1], "n_val": 20},
+    })
+    seen = _run_script(_OPENS, cfg, tmp_path / "out")
+    assert seen["code"] == 0
+    if not seen["mapped"]:
+        pytest.skip("no OpenBLAS copy is mapped here")
+    assert seen["opened"] == {path: 1 for path in seen["mapped"]}
+
+
 @pytest.fixture
 def controls():
     """Every OpenBLAS copy set to two threads, as a caller might leave it."""

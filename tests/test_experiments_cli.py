@@ -1079,6 +1079,18 @@ def test_pde_curve_binds_scipys_kernels_but_imports_neither_package(tmp_path):
     assert seen["extensions"] == []
 
 
+@pytest.mark.parametrize("scenario", ["full_field", "subdomain", "point_pair"])
+def test_pde_curve_leaves_numpy_ma_unloaded(tmp_path, scenario):
+    # the observed nodes come from np.bincount, not np.unique, whose import
+    # of numpy.ma added about 1.2 MB to a g=12 full_field run's peak memory
+    cfg = _write_cfg(tmp_path, {"model": {"kind": "pde", "grid": 4, "scenario": scenario},
+                                "sampling": {"k": 20, "m": [1], "n_val": 20}})
+    seen = _scipy_loads(cfg, tmp_path / "out", "curve",
+                        then='seen["ma"] = "numpy.ma" in sys.modules\n')
+    assert seen["code"] == 0
+    assert seen["ma"] is False
+
+
 _LATER_IMPORTS = """
 from gradridge import linalg
 import numpy as np

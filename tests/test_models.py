@@ -69,6 +69,31 @@ def test_batch_paths_agree_with_loops(models):
         np.testing.assert_allclose(model.jacobian_batch(xs), jac, atol=1e-12)
 
 
+def test_whitened_rows_sum_to_the_metric_formula(models):
+    # G = S J through the root S of R, so sum G^T G = sum J^T R J up to
+    # round-off: a dense random SPD R, and the identities of the quadratic
+    # form and the sines
+    rng = np.random.default_rng(58)
+    dense = LinearModel(rng.standard_normal((6, 4)), random_spd(rng, 6))
+    for model in models + [dense]:
+        xs = rng.standard_normal((9, model.input_dim))
+        rows = model.whitened_jacobian_batch(xs)
+        assert rows.shape == (9, model.whitened_rows, model.input_dim)
+        r = model.output_metric.entries
+        want = sum(jac.T @ (r @ jac) for jac in model.jacobian_batch(xs))
+        got = sum(row.T @ row for row in rows)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_whitened_rows_under_the_identity_metric_are_the_jacobian(models):
+    # the identity's root is exact, so S J is J bit for bit
+    rng = np.random.default_rng(59)
+    for model in models[1:] + [LinearModel(rng.standard_normal((3, 5)))]:
+        xs = rng.standard_normal((6, model.input_dim))
+        np.testing.assert_array_equal(model.whitened_jacobian_batch(xs),
+                                      model.jacobian_batch(xs))
+
+
 def test_model_implementing_neither_form_raises_not_implemented():
     class Bare(VectorValuedModel):
         input_dim = 2
@@ -98,7 +123,8 @@ def test_batch_calls_check_the_point_width(models):
     shipped = models + [DiffusionModel(3, scenario="point_pair")]
     profile = exact_conditional_expectation(models[0], GaussianMeasure.standard(5),
                                             RankRProjector.identity(5))
-    calls = [m.eval_batch for m in shipped] + [m.jacobian_batch for m in shipped]
+    calls = [getattr(m, name) for name in ("eval_batch", "jacobian_batch",
+                                           "whitened_jacobian_batch") for m in shipped]
     for call in calls + [profile.eval_batch]:
         d = call.__self__.input_dim
         for bad in (np.zeros((2, d - 1)), np.zeros((2, d + 1)), np.zeros(d)):

@@ -649,7 +649,38 @@ def test_jacobian_bitwise_equals_the_corner_loop(scenario, g):
     np.testing.assert_array_equal(model.jacobian(x), _corner_loop_jacobian(model, x))
 
 
-class _CornerLoopModel(DiffusionModel):
+class _CRows(DiffusionModel):
+    """The diffusion model with its whitened rows copied to C order."""
+
+    def whitened_jacobian_batch(self, xs):
+        return np.ascontiguousarray(super().whitened_jacobian_batch(xs))
+
+
+class _StridedRows(DiffusionModel):
+    """The diffusion model with its whitened rows as a strided view."""
+
+    def whitened_jacobian_batch(self, xs):
+        rows = super().whitened_jacobian_batch(xs)
+        spaced = np.zeros(rows.shape[:2] + (2 * rows.shape[2],))
+        spaced[..., ::2] = rows
+        return spaced[..., ::2]
+
+
+class _BaseRows(DiffusionModel):
+    """The diffusion model through the base class's whitened rows, S J."""
+
+    whitened_rows = models_mod.VectorValuedModel.whitened_rows
+    whitened_jacobian_batch = models_mod.VectorValuedModel.whitened_jacobian_batch
+
+
+class _CJacobians(_BaseRows):
+    """_BaseRows with each Jacobian C-ordered, where the model's is not."""
+
+    def jacobian_batch(self, xs):
+        return np.ascontiguousarray(super().jacobian_batch(xs))
+
+
+class _CornerLoopModel(_BaseRows):
     def jacobian_batch(self, xs):
         # stacked in the layout the loop returned each Jacobian
         return np.stack([_corner_loop_jacobian(self, x).T for x in xs]).transpose(0, 2, 1)
@@ -657,13 +688,91 @@ class _CornerLoopModel(DiffusionModel):
 
 @pytest.mark.parametrize("g", [3, 5, 6])
 def test_gradient_moment_bitwise_equals_the_corner_loop(g):
-    # estimate_h's J^T (R J) takes another BLAS path for another memory
-    # layout of J; at these grids a C-ordered Jacobian moved H in its last
-    # bits, so the Jacobian keeps the layout that the loop returned
+    # through the base class's rows S J, the corner loop's Jacobians give the
+    # H of the model's own, bit for bit
     mesh = Mesh2D(g)
     mu = GaussianMeasure(np.zeros(mesh.n_cells), build_field_covariance(mesh))
-    got = estimate_h(DiffusionModel(mesh), mu, SampleStream(3), 50).h.entries
+    got = estimate_h(_BaseRows(mesh), mu, SampleStream(3), 50).h.entries
     want = estimate_h(_CornerLoopModel(mesh), mu, SampleStream(3), 50).h.entries
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("g", [3, 5, 6])
+@pytest.mark.parametrize("pair", [
+    (DiffusionModel, _CRows), (DiffusionModel, _StridedRows), (_BaseRows, _CJacobians),
+], ids=["c-rows", "strided-rows", "c-jacobians"])
+def test_gradient_moment_depends_on_the_values_not_the_layout(pair, g):
+    # estimate_h copies each run's rows to C order before G^T G; without the
+    # copy, strided rows moved H in its last bits at g=5 and 6 (numpy's own
+    # loop, not the BLAS syrk)
+    mesh = Mesh2D(g)
+    mu = GaussianMeasure(np.zeros(mesh.n_cells), build_field_covariance(mesh))
+    got, want = (estimate_h(cls(mesh), mu, SampleStream(3), 50).h.entries for cls in pair)
+    np.testing.assert_array_equal(got, want)
+
+
+def _h_by_the_metric(model, xs):
+    """sum J^T (R J) over the points, with R's dense entries."""
+    r = model.output_metric.entries
+    return sum(jac.T @ (r @ jac) for jac in model.jacobian_batch(xs))
+
+
+@pytest.mark.parametrize("g", [3, 6, 12])
+@pytest.mark.parametrize("scenario, weights", [
+    ("full_field", {}), ("subdomain", {}), ("point_pair", {"alpha": 2.0, "beta": 0.5}),
+], ids=["full_field", "subdomain", "point_pair"])
+def test_whitened_rows_sum_to_the_metric_formula(scenario, weights, g):
+    # G = U J_a from the adjoint solves on B U^T, so sum G^T G = sum J^T R J
+    # up to round-off
+    model = DiffusionModel(g, scenario, **weights)
+    xs = 0.5 * np.random.default_rng(g).standard_normal((10, g * g))
+    rows = model.whitened_jacobian_batch(xs)
+    assert rows.shape == (10, model.whitened_rows, g * g)
+    assert model.whitened_rows == model._adjoint_outputs.size <= model.output_dim
+    got = sum(row.T @ row for row in rows)
+    want = _h_by_the_metric(model, xs)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_whitened_point_pair_rows_at_unit_weights_are_the_jacobian():
+    # U = diag(sqrt(alpha), sqrt(beta)) = I, so the right-hand sides and the
+    # rows are the Jacobian's, bit for bit
+    model = DiffusionModel(12, "point_pair")
+    xs = 0.5 * np.random.default_rng(5).standard_normal((9, 144))
+    np.testing.assert_array_equal(model.whitened_jacobian_batch(xs), model.jacobian_batch(xs))
+
+
+def test_whitened_point_pair_rows_scale_by_the_root_weights():
+    model = DiffusionModel(6, "point_pair", alpha=2.0, beta=0.5)
+    xs = 0.5 * np.random.default_rng(6).standard_normal((3, 36))
+    want = model.jacobian_batch(xs) * np.sqrt([2.0, 0.5])[:, None]
+    np.testing.assert_allclose(model.whitened_jacobian_batch(xs), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("scenario", pde_mod.SCENARIOS)
+def test_pde_gradient_moment_reads_no_output_metric(scenario):
+    # R enters through the whitened right-hand sides, fixed at construction
+    model = DiffusionModel(5, scenario)
+    mu = GaussianMeasure.standard(25)
+    want = estimate_h(model, mu, SampleStream(8), 20).h.entries
+    model.output_metric = None
+    np.testing.assert_array_equal(estimate_h(model, mu, SampleStream(8), 20).h.entries, want)
+
+
+@pytest.mark.parametrize("g", [4, 9])
+@pytest.mark.parametrize("scenario", ["full_field", "subdomain"])
+def test_observed_nodes_are_np_unique_of_the_cells(scenario, g):
+    # the bincount form gives the same sorted array and dtype, without numpy.ma
+    model = DiffusionModel(g, scenario)
+    mesh = model.mesh
+    lo, hi = SUBDOMAIN_BOUNDS
+    c = mesh.cell_centers
+    inside = np.arange(mesh.n_cells)
+    if scenario == "subdomain":
+        inside = np.where((c >= lo).all(axis=1) & (c <= hi).all(axis=1))[0]
+    want = np.unique(mesh.cell_nodes[inside].ravel())
+    got = model._obs_nodes[:, 0]
+    assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
 
