@@ -15,7 +15,8 @@ _PUBLIC = {
         NonDiagonalCovariance NonFiniteInput NonStandardMeasure NonUniqueProjectorWarning
         NotPositiveDefinite NotPositiveSemidefinite NotSigmaOrthogonal RankOutOfRange
         SolverFailure ZeroVariance""",
-    "linalg": "EigenRoot GeneralizedEigenPairs SpdMatrix generalized_eig sym_eig trace_quadratic",
+    "linalg": """EigenRoot GeneralizedEigenPairs KroneckerRoot SpdMatrix generalized_eig sym_eig
+        trace_quadratic""",
     "measure": """GaussianMeasure SampleStream conditioned_resample kl_projector sample
         squared_exponential_covariance""",
     "models": """LinearModel QuadraticFormModel SumOfSinesModel VectorValuedModel

@@ -8,7 +8,8 @@ Four subcommands, one JSON config each:
     gradridge sobol    --config cfg.json ...
 
 Exit codes: 0 success, 2 configuration problems (including a config file or
-output path that cannot be read or written), 3 numerical failures.
+output path that cannot be read or written), 3 numerical failures and a run
+that runs out of memory (a MemoryError, reported in one line).
 Each warning prints as one stderr line, ``warning: <Category>: <message>``.
 ``--threads N`` changes wall time only; outputs are byte-identical for any
 worker count. The workers, the calling thread and N - 1 helper threads, run
@@ -124,6 +125,9 @@ def _run(args):
         return 2
     except GradRidgeError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: MemoryError: {' '.join(str(exc).split())}", file=sys.stderr)
         return 3
     print(path)
     return 0

@@ -8,12 +8,17 @@ silently wrong answer.
 
 The other modules use an SPD matrix (a covariance, a gradient moment H or
 an output metric R) and its root only through four queries: ``gram``,
-``sq_norms`` and ``diag`` of an SpdMatrix and ``apply`` of an EigenRoot.
+``sq_norms`` and ``diag`` of an SpdMatrix and ``apply`` of its root.
 Outside this module only ridge reads dense entries, in the H V product of
 ``basis_error_bounds``, and nothing reads the dense root: R reaches H through
 each model's whitened Jacobian rows, the base class's through ``apply`` of
 R's root; so another form of either needs new queries here, not a new path
-in each caller.
+in each caller. A root comes in two forms with the same queries (``values``,
+``vectors``, ``apply``, ``whiten``, and ``reduced`` and ``lift`` for
+``generalized_eig``): the dense EigenRoot of one d x d eigendecomposition,
+and the KroneckerRoot of Sigma = K (x) K + nugget I, from one g x g
+eigendecomposition of K, which ``SpdMatrix.kronecker`` holds and which forms
+no d x d array until its ``vectors`` are read.
 
 Loading this module does not import scipy, yet it is the one module that
 binds scipy's compiled kernels: LAPACK's ``dsyevr`` for ``sym_eig``, and the
@@ -50,6 +55,7 @@ from .errors import (
 __all__ = [
     "SpdMatrix",
     "EigenRoot",
+    "KroneckerRoot",
     "GeneralizedEigenPairs",
     "PD_FLOOR",
     "sym_eig",
@@ -132,17 +138,18 @@ class SpdMatrix:
     diagonal (``is_diagonal``; a NaN counts as nonzero). Positive definiteness
     is not checked here; it surfaces when ``root`` is first called. The root is
     cached on first success and never recomputed, which makes instances safe to
-    share between worker threads.
+    share between worker threads. ``kronecker`` builds the other form, which
+    holds its root from the start and forms ``entries`` on their first read.
     """
 
-    __slots__ = ("dim", "entries", "is_diagonal", "_root")
+    __slots__ = ("dim", "is_diagonal", "_entries", "_root")
 
     def __init__(self, entries):
         m = _as_square(entries)
         sym = 0.5 * (m + m.T)
         sym.setflags(write=False)
         self.dim = sym.shape[0]
-        self.entries = sym
+        self._entries = sym
         self.is_diagonal = bool(np.count_nonzero(sym) == np.count_nonzero(np.diag(sym)))
         self._root = None
 
@@ -157,6 +164,31 @@ class SpdMatrix:
     def diagonal(cls, values):
         return cls(np.diag(np.asarray(values, dtype=float)))
 
+    @classmethod
+    def kronecker(cls, kernel, nugget, dense):
+        """Sigma = K (x) K + nugget I for a symmetric g x g ``kernel`` K, held
+        as its KroneckerRoot, which is taken here (so a kernel that fails the
+        floor raises at once). ``dense`` is a function that returns the dense
+        Sigma, called on the first read of ``entries``: ``gram``,
+        ``sq_norms``, ``diag`` and ``trace_quadratic`` get its bits."""
+        k = _as_square(kernel)
+        self = cls.__new__(cls)
+        self._root = KroneckerRoot(k, nugget)
+        self.dim = self._root.values.shape[0]
+        self.is_diagonal = bool(np.count_nonzero(k) == np.count_nonzero(np.diag(k)))
+        self._entries = dense
+        return self
+
+    @property
+    def entries(self):
+        """The dense matrix, read-only; a ``kronecker`` matrix forms it here
+        on the first read."""
+        if callable(self._entries):
+            m = np.asarray(self._entries(), dtype=float)
+            m.setflags(write=False)
+            self._entries = m
+        return self._entries
+
     def diag(self):
         """The diagonal entries, as a new array."""
         return np.diag(self.entries).copy()
@@ -170,7 +202,8 @@ class SpdMatrix:
         return np.einsum("kn,nm,km->k", rows, self.entries, rows)
 
     def root(self):
-        """The EigenRoot of this matrix, computed on the first call and cached.
+        """The root of this matrix, computed on the first call and cached: an
+        EigenRoot, unless the matrix was built by ``kronecker``.
 
         An exactly diagonal matrix needs no eigensolver: its values are the
         diagonal sorted descending, tied values in index order, and its
@@ -187,12 +220,18 @@ class SpdMatrix:
                 values, vectors = diag[order], np.eye(self.dim)[:, order]
             else:
                 values, vectors = sym_eig(self.entries)
-            floor = self.dim * PD_FLOOR * max(float(np.max(diag)), 0.0)
-            if float(values[-1]) <= floor:
-                raise NotPositiveDefinite(
-                    f"not positive definite: least eigenvalue {values[-1]:.3e} <= {floor:.3e}")
+            _require_above_floor(values, float(np.max(diag)))
             self._root = EigenRoot(values, vectors)
         return self._root
+
+
+def _require_above_floor(values, max_diag):
+    """NotPositiveDefinite unless the least of the descending ``values``
+    exceeds dim * PD_FLOOR * max(diag)."""
+    floor = values.shape[0] * PD_FLOOR * max(max_diag, 0.0)
+    if float(values[-1]) <= floor:
+        raise NotPositiveDefinite(
+            f"not positive definite: least eigenvalue {values[-1]:.3e} <= {floor:.3e}")
 
 
 class EigenRoot:
@@ -229,6 +268,104 @@ class EigenRoot:
         """
         q = self.vectors
         return (((b.T @ q) / np.sqrt(self.values)) @ q.T).T
+
+    def reduced(self, h):
+        """S^T H S for an SpdMatrix H, the matrix ``generalized_eig`` solves."""
+        return h.gram(self.factor)
+
+    def lift(self, w):
+        """S W for a d x k array W."""
+        return self.factor @ w
+
+
+# Rows a KroneckerRoot transforms at once: bounds its scratch array, moves no bit.
+_KRONECKER_ROWS = 64
+
+
+class KroneckerRoot:
+    """The symmetric root S of Sigma = K (x) K + nugget I, for a symmetric
+    g x g K = q diag(lam) q^T: Sigma has the eigenvectors q_a (x) q_b and the
+    values lam_a lam_b + nugget, so one g x g eigendecomposition gives S.
+
+    ``values`` are those values sorted descending with a stable sort, so the
+    tied lam_a lam_b = lam_b lam_a come in the order of their index a g + b,
+    and the columns of ``vectors`` are the matching q_a (x) q_b, formed on
+    their first read and cached; both are read-only. A vector of length
+    d = g^2 is a g x g array X, row-major as the cells of a grid, and
+    (q (x) q)^T x is q^T X q, so ``apply`` and ``whiten`` act along each
+    axis with stacked matmuls, one g x g product per row and at most
+    _KRONECKER_ROWS rows at a time: no d x d array is formed, and a row's
+    bits do not depend on the rows that come with it. The floor check of
+    ``SpdMatrix.root`` applies, with max(diag) = max(diag K)^2 + nugget.
+    """
+
+    __slots__ = ("values", "_q", "_qt", "_scale", "_order", "_vectors")
+
+    def __init__(self, kernel, nugget):
+        if not np.isfinite(nugget):
+            raise NonFiniteInput("Kronecker nugget is NaN or infinite")
+        lam, q = sym_eig(kernel)
+        grid = np.multiply.outer(lam, lam) + nugget
+        order = np.argsort(-grid.ravel(), kind="stable")
+        values = grid.ravel()[order]
+        diag = np.diag(kernel)
+        _require_above_floor(values, float(np.max(np.multiply.outer(diag, diag))) + nugget)
+        values.setflags(write=False)
+        self.values = values
+        self._q = q
+        self._qt = np.ascontiguousarray(q.T)
+        self._scale = np.sqrt(grid)
+        self._order = order
+        self._vectors = None
+
+    @property
+    def vectors(self):
+        """The d x d matrix whose column j is q_a (x) q_b for the pair (a, b)
+        of ``values[j]``, formed on the first read."""
+        if self._vectors is None:
+            q = self._q
+            a, b = np.divmod(self._order, q.shape[0])
+            vectors = (q[:, None, a] * q[None, :, b]).reshape(self._order.size, -1)
+            vectors.setflags(write=False)
+            self._vectors = vectors
+        return self._vectors
+
+    def _rows(self, xs, op):
+        """Each row x of ``xs`` taken to (q (x) q) op(c, scale), with
+        c = (q (x) q)^T x and ``op`` multiplying (S) or dividing (S^{-1})
+        by sqrt(values) in grid order; a C-ordered result of xs's shape."""
+        q, qt, g = self._q, self._qt, self._q.shape[0]
+        shape = np.shape(xs)
+        xs = np.reshape(xs, (-1, g * g))
+        out = np.empty((xs.shape[0], g, g))
+        scratch = np.empty((min(xs.shape[0], _KRONECKER_ROWS), g, g))
+        for lo in range(0, xs.shape[0], _KRONECKER_ROWS):
+            # contiguous operands keep every product on BLAS
+            x = np.ascontiguousarray(xs[lo:lo + _KRONECKER_ROWS]).reshape(-1, g, g)
+            y, t = out[lo:lo + x.shape[0]], scratch[:x.shape[0]]
+            np.matmul(x, q, out=t)
+            np.matmul(qt, t, out=y)
+            op(y, self._scale, out=y)
+            np.matmul(y, qt, out=t)
+            np.matmul(q, t, out=y)
+        return out.reshape(shape)
+
+    def apply(self, xs):
+        """S applied to every row of ``xs``: xs S^T, as ``EigenRoot.apply``."""
+        return self._rows(xs, np.multiply)
+
+    def whiten(self, b):
+        """S^{-1} b, formed on b^T, so Fortran-ordered as ``EigenRoot.whiten``."""
+        return self._rows(np.transpose(b), np.divide).T
+
+    def reduced(self, h):
+        """S^T H S = S H S for an SpdMatrix H: S applied to the rows of H,
+        then to the rows of the transposed product."""
+        return self.apply(self.apply(h.entries).T)
+
+    def lift(self, w):
+        """S W for a d x k array W, Fortran-ordered."""
+        return self.apply(np.transpose(w)).T
 
 
 def _require_finite(m, what):
@@ -281,7 +418,8 @@ def generalized_eig(h, sigma):
 
     With S the root of Sigma (S S^T = Sigma) the problem reduces to the
     ordinary symmetric eigenproblem S^T H S w = lambda w, with v = S w and its
-    dual Sigma^{-1} v = S^{-T} w; Sigma^{-1} is never formed.
+    dual Sigma^{-1} v = S^{-T} w; Sigma^{-1} is never formed. The root forms
+    S^T H S (``reduced``) and S W (``lift``), each in its own way.
     Eigenvalues in [-1e-10 * lambda_max, 0) are clamped to zero; anything more
     negative raises NotPositiveSemidefinite; a NaN or infinite entry in either
     matrix raises NonFiniteInput.
@@ -290,8 +428,7 @@ def generalized_eig(h, sigma):
     if h.dim != sigma.dim:
         raise DimensionMismatch(f"H is {h.dim}x{h.dim} but Sigma is {sigma.dim}x{sigma.dim}")
     root = sigma.root()
-    s = root.factor
-    values, w = sym_eig(h.gram(s))
+    values, w = sym_eig(root.reduced(h))
     lam_max = max(float(values[0]), 0.0)
     clamp = 1e-10 * lam_max
     if float(values[-1]) < -clamp:
@@ -299,7 +436,7 @@ def generalized_eig(h, sigma):
             f"generalized eigenvalue {values[-1]:.3e} below -1e-10 * lambda_max"
         )
     values = np.where(values < 0.0, 0.0, values)
-    return GeneralizedEigenPairs(values=values, vectors=s @ w, duals=root.whiten(w))
+    return GeneralizedEigenPairs(values=values, vectors=root.lift(w), duals=root.whiten(w))
 
 
 def trace_quadratic(sigma, h, p):

@@ -142,6 +142,22 @@ class LinearModel(VectorValuedModel):
         xs = self._check_rows(xs)
         return np.broadcast_to(self.matrix, (xs.shape[0],) + self.matrix.shape).copy()
 
+    @cached_property
+    def _whitened(self):
+        # S F with the arithmetic of the base class's rows for one point
+        rows = self.output_metric.root().apply(np.ascontiguousarray(self.matrix).T).T
+        rows.setflags(write=False)
+        return rows
+
+    def whitened_jacobian_batch(self, xs):
+        """The constant rows S F, formed once on first use: one copy per
+        point. A subclass with a ``jacobian_batch`` of its own gets the base
+        class's rows of that Jacobian."""
+        if type(self).jacobian_batch is not LinearModel.jacobian_batch:
+            return super().whitened_jacobian_batch(xs)
+        xs = self._check_rows(xs)
+        return np.broadcast_to(self._whitened, (xs.shape[0],) + self._whitened.shape).copy()
+
 
 class QuadraticFormModel(VectorValuedModel):
     """Scalar quadratic form f(x) = x^T A x / 2 with symmetric A."""

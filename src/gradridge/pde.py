@@ -385,9 +385,11 @@ class DiffusionModel(VectorValuedModel):
             # S_c u at each interior corner, summed against lambda cell by
             # cell through the first s copies of the block-diagonal pattern
             w = (u.take(self.mesh.cell_nodes, axis=1) @ _K1T).reshape(-1).take(corners[:s * nnz])
-            acc = _csr_product((w, indices[:s * nnz], indptr[:s * n_cells + 1]), lam)
+            # summed straight into the points' rows of out, so no array the
+            # size of a point's rows comes and goes per point
+            acc = out[start:start + s].reshape(s * n_cells, k)
+            _csr_product((w, indices[:s * nnz], indptr[:s * n_cells + 1]), lam, out=acc)
             acc *= -kappa.reshape(-1, 1)
-            out[start:start + s] = acc.reshape(s, n_cells, k)
         return out
 
 
@@ -449,13 +451,16 @@ def _csr_arrays(values, rows, cols, n_rows):
     return data, cols[first].astype(np.int32), indptr
 
 
-def _csr_product(csr, x):
+def _csr_product(csr, x, out=None):
     """A @ x for a CSR matrix A = (data, indices, indptr), whose indices and
     indptr share one integer dtype, and a 2-d x with a row per column of A:
     the loop that scipy's csr_matrix @ x runs, ``csr_matvecs``, into a
-    zeroed result."""
+    zeroed result, a new array or ``out``, C-contiguous, zeroed here."""
     data, indices, indptr = csr
-    out = np.zeros((indptr.size - 1, x.shape[1]))
+    if out is None:
+        out = np.zeros((indptr.size - 1, x.shape[1]))
+    else:
+        out[...] = 0.0
     csr_matvecs(out.shape[0], x.shape[0], x.shape[1], indptr, indices, data,
                 x.ravel(), out.ravel())
     return out
@@ -476,8 +481,18 @@ def _field_nugget(dim):
 
 def build_field_covariance(mesh, lengthscale=0.15):
     """Squared-exponential covariance over cell centers plus the diagonal
-    nugget ``_field_nugget(n_cells)``; its root is taken once, by the measure
-    that holds it."""
-    return squared_exponential_covariance(
-        mesh.cell_centers, lengthscale, nugget=_field_nugget(mesh.n_cells)
-    )
+    nugget ``_field_nugget(n_cells)``.
+
+    The kernel of two cells is the product of the 1-D kernels of their x and
+    of their y centers, so with cells numbered row-major the matrix is
+    K (x) K + nugget I, K the g x g kernel on one axis's centers (k + 1/2)/g.
+    It is built in that form (``SpdMatrix.kronecker``), whose root comes from
+    one g x g eigendecomposition; the dense matrix, the kernel over all cell
+    centers, is formed only when its entries are read.
+    """
+    g = mesh.cells_per_side
+    nugget = _field_nugget(mesh.n_cells)
+    kernel = squared_exponential_covariance(mesh.cell_centers[:g, 0], lengthscale)
+    return SpdMatrix.kronecker(
+        kernel.entries, nugget,
+        lambda: squared_exponential_covariance(mesh.cell_centers, lengthscale, nugget).entries)

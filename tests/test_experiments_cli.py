@@ -24,6 +24,7 @@ from gradridge import (
     kl_projector,
     optimal_projector,
     sample,
+    squared_exponential_covariance,
 )
 from gradridge import linalg, ridge
 from gradridge.cli import main
@@ -461,7 +462,9 @@ def test_spectrum_artifacts_pde(tmp_path):
 @pytest.mark.parametrize("command", ["curve", "spectrum"])
 def test_pde_runs_factor_the_covariance_once(tmp_path, monkeypatch, command):
     # sampling, the generalized eigensolve, the projectors and the K-L
-    # comparison all read the one cached root of Sigma
+    # comparison all read the one cached root of Sigma = K (x) K + nugget I,
+    # taken from one eigendecomposition of the grid-3 kernel K; the dense
+    # Sigma is never decomposed
     cfg = resolve_config(
         {
             "model": {"kind": "pde", "grid": 3, "scenario": "point_pair"},
@@ -469,17 +472,19 @@ def test_pde_runs_factor_the_covariance_once(tmp_path, monkeypatch, command):
             "comparisons": {"kl": True},
         }
     )
-    sigma = build_measure(cfg, build_model(cfg)).cov.entries
+    model = build_model(cfg)
+    sigma = build_measure(cfg, model).cov.entries
+    kernel = squared_exponential_covariance(model.mesh.cell_centers[:3, 0], 0.15).entries
     real = linalg.dsyevr
     factored = []
 
     def counting(a, *args, **kwargs):
-        factored.append(np.array_equal(a, sigma))
+        factored.append((np.array_equal(a, kernel), np.array_equal(a, sigma)))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "dsyevr", counting)
     {"curve": run_error_curve, "spectrum": run_spectrum}[command](cfg, tmp_path)
-    assert sum(factored) == 1
+    assert [sum(column) for column in zip(*factored)] == [1, 0]
 
 
 def test_sobol_artifacts(tmp_path):
@@ -873,6 +878,25 @@ def test_rank_past_dim_fails_before_any_jacobian(tmp_path, monkeypatch, runner):
     with pytest.raises(ConfigError, match=r"rank 3 outside \[1, 2\]"):
         runner(cfg, str(tmp_path))
     assert Counting.calls == 0
+
+
+def test_cli_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # a runner that cannot allocate fails like a numerical failure: exit 3,
+    # one stderr line naming MemoryError, no traceback
+    from gradridge import cli
+
+    def runner(cfg, out, threads=1):
+        raise MemoryError("Unable to allocate 128. MiB for an array\nwith shape (4096, 4096)")
+
+    monkeypatch.setitem(cli._RUNNERS, "curve", runner)
+    cfg = _write_cfg(tmp_path, {"model": _LINEAR, "sampling": {"k": 5, "m": []}})
+    assert main(["curve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "out of memory: MemoryError: Unable to allocate 128. MiB for an array "
+        "with shape (4096, 4096)"]
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("seed", [5, 8])

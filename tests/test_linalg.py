@@ -4,7 +4,9 @@ import pytest
 from gradridge import (
     DimensionMismatch,
     EigenRoot,
+    GaussianMeasure,
     GeneralizedEigenPairs,
+    KroneckerRoot,
     NegativeTrace,
     NonFiniteInput,
     NotPositiveDefinite,
@@ -13,7 +15,7 @@ from gradridge import (
     sym_eig,
     trace_quadratic,
 )
-from gradridge import RankRProjector, SampleStream, linalg
+from gradridge import RankRProjector, SampleStream, linalg, sample
 from gradridge.pde import Mesh2D, build_field_covariance
 from gradridge.projector import (
     euclidean_projector,
@@ -341,14 +343,15 @@ def test_generalized_eigenpairs_is_frozen():
 
 # Each query of SpdMatrix and EigenRoot must stay the exact expression its
 # callers would otherwise write out, so that calling it changes no digit of
-# the artifacts. Pinned on the grid-12 field covariance of the benchmark runs
-# and on a random SPD.
+# the artifacts. Pinned on the grid-12 field covariance of the benchmark runs,
+# taken as a dense matrix, so that it has the dense root (the benchmark's own
+# covariance holds a KroneckerRoot, tested below), and on a random SPD.
 
 
 @pytest.fixture(params=["field-g12", "random"])
 def spd(request):
     if request.param == "field-g12":
-        return build_field_covariance(Mesh2D(12))
+        return SpdMatrix(build_field_covariance(Mesh2D(12)).entries)
     return random_spd(np.random.default_rng(61), 9)
 
 
@@ -388,3 +391,126 @@ def test_trace_quadratic_of_a_sigma_orthogonal_projector_is_two_small_traces(ran
     total = float(np.sum(h.entries * sigma.entries))
     small = float(np.sum(h.gram(p.basis) * sigma.gram(p.dual).T))
     assert abs(trace_quadratic(sigma, h, p) - (total - small)) <= 1e-12 * total
+
+
+# The field covariance is K (x) K + nugget I, and build_field_covariance holds
+# it as a KroneckerRoot from one g x g eigendecomposition of K. Checked
+# against the dense root of the same matrix, which user-supplied covariances
+# keep.
+
+
+def _field_pair(g):
+    cov = build_field_covariance(Mesh2D(g))
+    return cov, SpdMatrix(cov.entries)
+
+
+def test_field_covariance_holds_the_root_of_its_one_axis_kernel():
+    from gradridge.measure import squared_exponential_covariance
+    from gradridge.pde import _field_nugget
+
+    mesh = Mesh2D(12)
+    cov = build_field_covariance(mesh)
+    root = cov.root()
+    assert isinstance(root, KroneckerRoot) and not cov.is_diagonal
+    # values lam_a lam_b + nugget in a stable descending sort, vectors q_a (x) q_b
+    lam, q = sym_eig(squared_exponential_covariance(mesh.cell_centers[:12, 0], 0.15).entries)
+    grid = (np.multiply.outer(lam, lam) + _field_nugget(144)).ravel()
+    order = np.argsort(-grid, kind="stable")
+    assert root.values.tobytes() == grid[order].tobytes()
+    assert root.vectors.tobytes() == np.kron(q, q)[:, order].tobytes()
+    assert not root.values.flags.writeable and not root.vectors.flags.writeable
+    # the tie lam_0 lam_1 = lam_1 lam_0 comes in index order: q_0 (x) q_1 first
+    assert root.values[1] == root.values[2]
+    np.testing.assert_array_equal(root.vectors[:, 1], np.kron(q[:, 0], q[:, 1]))
+    # the dense entries are the kernel over all cell centers, as before
+    want = squared_exponential_covariance(mesh.cell_centers, 0.15, _field_nugget(144)).entries
+    assert cov.entries.tobytes() == want.tobytes() and not cov.entries.flags.writeable
+
+
+def test_kronecker_pairs_match_the_dense_root():
+    cov, dense = _field_pair(12)
+    root, ref = cov.root(), dense.root()
+    lam_max = ref.values[0]
+    assert np.abs(root.values - ref.values).max() <= 1e-13 * lam_max
+    sigma, v = dense.entries, root.vectors
+    assert np.abs(sigma @ v - v * root.values).max() <= 1e-13 * lam_max
+    assert np.abs(v.T @ v - np.eye(144)).max() <= 1e-13
+    s = root.apply(np.eye(144))
+    assert np.abs(s @ s.T - sigma).max() <= 1e-13 * np.abs(sigma).max()
+    mean = np.full(144, 0.5)
+    got = sample(GaussianMeasure(mean, cov), SampleStream(71), 300) - mean
+    want = sample(GaussianMeasure(mean, dense), SampleStream(71), 300) - mean
+    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("g", [6, 12, 32])
+def test_kronecker_sample_rows_do_not_depend_on_the_block(g):
+    # one g x g product per row, so a row's bits are the same in a block of
+    # any size, one-row blocks included
+    cov = build_field_covariance(Mesh2D(g))
+    mu = GaussianMeasure(np.zeros(g * g), cov)
+    whole = sample(mu, SampleStream(72), 700)
+    for block in (1, 7, 100, 512, 700):
+        parts = [sample(mu, SampleStream(72).ahead(lo * g * g), min(block, 700 - lo))
+                 for lo in range(0, 700, block)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), block
+
+
+@pytest.mark.parametrize("g", [6, 12])
+def test_kronecker_whiten_inverts_apply(g):
+    root = build_field_covariance(Mesh2D(g)).root()
+    x = np.random.default_rng(73).standard_normal((9, g * g))
+    # whiten is S^{-1} on columns, apply is S on rows
+    back = root.whiten(root.apply(x).T)
+    assert back.flags.f_contiguous
+    assert np.abs(back.T - x).max() <= 1e-12 * np.abs(x).max()
+    np.testing.assert_array_equal(root.whiten(x[0]), root.whiten(x[:1].T)[:, 0])
+    np.testing.assert_array_equal(root.apply(x[0]), root.apply(x[:1])[0])
+
+
+def test_kronecker_generalized_eig_matches_the_dense_root():
+    # generalized_eig asks the root for S^T H S and S W: the Kronecker root
+    # forms both along the grid axes, with no d x d product
+    cov, dense = _field_pair(12)
+    b = np.random.default_rng(74).standard_normal((144, 30))
+    h = SpdMatrix(b @ b.T)
+    got, want = generalized_eig(h, cov), generalized_eig(h, dense)
+    assert np.abs(got.values - want.values).max() <= 1e-13 * want.values[0]
+    assert np.abs(got.duals.T @ got.vectors - np.eye(144)).max() <= 1e-12
+    # the leading 30 are simple eigenvalues, so their vectors agree up to sign
+    signs = np.sign(np.sum(got.vectors[:, :30] * want.vectors[:, :30], axis=0))
+    scale = np.abs(want.vectors[:, :30]).max()
+    assert np.abs(got.vectors[:, :30] * signs - want.vectors[:, :30]).max() <= 1e-9 * scale
+
+
+def test_kronecker_root_without_a_nugget_fails_the_floor():
+    # at g = 32 the one-axis kernel K is singular to round-off, so K (x) K
+    # alone has a least value below the floor d * PD_FLOOR * max(diag) =
+    # 1024e-14, and the Kronecker root refuses it as the dense root does
+    from gradridge.measure import squared_exponential_covariance
+
+    kernel = squared_exponential_covariance(Mesh2D(32).cell_centers[:32, 0], 0.15).entries
+    floor = r"<= 1\.024e-11$"
+    with pytest.raises(NotPositiveDefinite, match=r"^not positive definite: least eigenvalue .*" + floor):
+        SpdMatrix.kronecker(kernel, 0.0, lambda: np.kron(kernel, kernel))
+    with pytest.raises(NotPositiveDefinite, match=floor):
+        SpdMatrix(np.kron(kernel, kernel)).root()
+    with pytest.raises(NonFiniteInput):
+        SpdMatrix.kronecker(kernel, np.nan, lambda: None)
+
+
+def test_field_covariance_at_grid_64_forms_no_dense_array():
+    # d = 4096: a d x d array is 128 MiB; building the covariance, drawing
+    # from it and whitening stay within a few MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        mu = GaussianMeasure(np.zeros(4096), build_field_covariance(Mesh2D(64)))
+        x = sample(mu, SampleStream(75), 16)
+        mu.cov.root().whiten(x.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -17,6 +17,7 @@ from gradridge import (
     SpdMatrix,
     SumOfSinesModel,
     VectorValuedModel,
+    estimate_h,
     exact_conditional_expectation,
     finite_diff_jacobian,
     linear_cond_exp_error,
@@ -326,3 +327,31 @@ def test_exact_profile_quadratic_vs_mc():
     vals = model.eval_batch(pts)[:, 0]
     se = np.std(vals, ddof=1) / np.sqrt(len(vals))
     assert abs(float(np.mean(vals)) - profile.eval(x)[0]) < 3.0 * se
+
+
+def test_linear_whitened_rows_are_formed_once_and_sum_to_the_metric_formula():
+    # a dense, non-diagonal R = I + 0.1 * 11^T: the rows S F are formed on
+    # first use, with the base class's arithmetic, and copied per point
+    rng = np.random.default_rng(60)
+    f = rng.standard_normal((20, 50))
+    model = LinearModel(f, np.eye(20) + 0.1 * np.ones((20, 20)))
+    xs = rng.standard_normal((7, 50))
+    rows = model.whitened_jacobian_batch(xs)
+    assert rows.shape == (7, 20, 50) and rows.flags.writeable
+    np.testing.assert_array_equal(rows, VectorValuedModel.whitened_jacobian_batch(model, xs))
+    assert model._whitened is model._whitened
+    rows[0] = 0.0
+    np.testing.assert_array_equal(model.whitened_jacobian_batch(xs[:1])[0], rows[1])
+    mu = GaussianMeasure.standard(50)
+    h = estimate_h(model, mu, SampleStream(61), 300).h.entries
+    want = model.gradient_gram().entries
+    assert np.abs(h - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_linear_whitened_rows_under_a_diagonal_metric_are_the_scaled_jacobian():
+    rng = np.random.default_rng(62)
+    weights = np.array([4.0, 0.25, 9.0])
+    model = LinearModel(rng.standard_normal((3, 5)), np.diag(weights))
+    rows = model.whitened_jacobian_batch(rng.standard_normal((4, 5)))
+    np.testing.assert_array_equal(rows, np.broadcast_to(np.sqrt(weights)[:, None] * model.matrix,
+                                                        (4, 3, 5)))

@@ -267,6 +267,10 @@ def test_csr_arrays_are_scipys_coo_to_csr_conversion():
         assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
     x = rng.standard_normal((8, 3))
     assert pde_mod._csr_product((data, indices, indptr), x).tobytes() == (want @ x).tobytes()
+    # into a given buffer, whatever it held: the same bits
+    into = np.full((40, 3), np.nan)
+    pde_mod._csr_product((data, indices, indptr), x, out=into)
+    assert into.tobytes() == (want @ x).tobytes()
 
 
 def test_pde_reads_scipys_banded_kernels_through_linalg():
