@@ -13,12 +13,14 @@ Outside this module only ridge reads dense entries, in the H V product of
 ``basis_error_bounds``, and nothing reads the dense root: R reaches H through
 each model's whitened Jacobian rows, the base class's through ``apply`` of
 R's root; so another form of either needs new queries here, not a new path
-in each caller. A root comes in two forms with the same queries (``values``,
-``vectors``, ``apply``, ``whiten``, and ``reduced`` and ``lift`` for
-``generalized_eig``): the dense EigenRoot of one d x d eigendecomposition,
-and the KroneckerRoot of Sigma = K (x) K + nugget I, from one g x g
-eigendecomposition of K, which ``SpdMatrix.kronecker`` holds and which forms
-no d x d array until its ``vectors`` are read.
+in each caller. A root comes in two forms with the same four members
+(``values``, ``vectors``, ``apply`` and ``whiten``), and neither reads H:
+the dense EigenRoot of one d x d eigendecomposition, and the KroneckerRoot
+of Sigma = K (x) K + nugget I, from one g x g eigendecomposition of K, which
+``SpdMatrix.kronecker`` holds and which forms no d x d array until its
+``vectors`` are read. ``generalized_eig`` has one reduction for both,
+S^T H S and S W through ``apply``, and ``trace_quadratic`` reads Sigma only
+through the root and a projector only through its ``apply``.
 
 Loading this module does not import scipy, yet it is the one module that
 binds scipy's compiled kernels: LAPACK's ``dsyevr`` for ``sym_eig``, and the
@@ -170,7 +172,7 @@ class SpdMatrix:
         as its KroneckerRoot, which is taken here (so a kernel that fails the
         floor raises at once). ``dense`` is a function that returns the dense
         Sigma, called on the first read of ``entries``: ``gram``,
-        ``sq_norms``, ``diag`` and ``trace_quadratic`` get its bits."""
+        ``sq_norms`` and ``diag`` get its bits."""
         k = _as_square(kernel)
         self = cls.__new__(cls)
         self._root = KroneckerRoot(k, nugget)
@@ -269,14 +271,6 @@ class EigenRoot:
         q = self.vectors
         return (((b.T @ q) / np.sqrt(self.values)) @ q.T).T
 
-    def reduced(self, h):
-        """S^T H S for an SpdMatrix H, the matrix ``generalized_eig`` solves."""
-        return h.gram(self.factor)
-
-    def lift(self, w):
-        """S W for a d x k array W."""
-        return self.factor @ w
-
 
 # Rows a KroneckerRoot transforms at once: bounds its scratch array, moves no bit.
 _KRONECKER_ROWS = 64
@@ -358,15 +352,6 @@ class KroneckerRoot:
         """S^{-1} b, formed on b^T, so Fortran-ordered as ``EigenRoot.whiten``."""
         return self._rows(np.transpose(b), np.divide).T
 
-    def reduced(self, h):
-        """S^T H S = S H S for an SpdMatrix H: S applied to the rows of H,
-        then to the rows of the transposed product."""
-        return self.apply(self.apply(h.entries).T)
-
-    def lift(self, w):
-        """S W for a d x k array W, Fortran-ordered."""
-        return self.apply(np.transpose(w)).T
-
 
 def _require_finite(m, what):
     if not np.all(np.isfinite(m)):
@@ -418,8 +403,10 @@ def generalized_eig(h, sigma):
 
     With S the root of Sigma (S S^T = Sigma) the problem reduces to the
     ordinary symmetric eigenproblem S^T H S w = lambda w, with v = S w and its
-    dual Sigma^{-1} v = S^{-T} w; Sigma^{-1} is never formed. The root forms
-    S^T H S (``reduced``) and S W (``lift``), each in its own way.
+    dual Sigma^{-1} v = S^{-T} w; Sigma^{-1} is never formed. S is symmetric,
+    so S^T H S is S applied to the rows of H and then to the rows of the
+    transposed product, and S W is S applied to the rows of W^T, transposed
+    (Fortran-ordered): the root's ``apply`` gives both, in either form.
     Eigenvalues in [-1e-10 * lambda_max, 0) are clamped to zero; anything more
     negative raises NotPositiveSemidefinite; a NaN or infinite entry in either
     matrix raises NonFiniteInput.
@@ -428,7 +415,7 @@ def generalized_eig(h, sigma):
     if h.dim != sigma.dim:
         raise DimensionMismatch(f"H is {h.dim}x{h.dim} but Sigma is {sigma.dim}x{sigma.dim}")
     root = sigma.root()
-    values, w = sym_eig(root.reduced(h))
+    values, w = sym_eig(root.apply(root.apply(h.entries).T))
     lam_max = max(float(values[0]), 0.0)
     clamp = 1e-10 * lam_max
     if float(values[-1]) < -clamp:
@@ -436,24 +423,29 @@ def generalized_eig(h, sigma):
             f"generalized eigenvalue {values[-1]:.3e} below -1e-10 * lambda_max"
         )
     values = np.where(values < 0.0, 0.0, values)
-    return GeneralizedEigenPairs(values=values, vectors=root.lift(w), duals=root.whiten(w))
+    return GeneralizedEigenPairs(values=values, vectors=root.apply(w.T).T, duals=root.whiten(w))
 
 
 def trace_quadratic(sigma, h, p):
     """trace(Sigma (I - P^T) H (I - P)) for SpdMatrix Sigma and H and a
-    projector P.
+    projector P, any P = U W^T.
 
-    This is the residual gradient energy left outside the range of P. Tiny
-    negative round-off (above -1e-10 * ||Sigma||_F * ||H||_F) is clamped to
-    zero; anything below that threshold raises NegativeTrace.
+    This is the residual gradient energy left outside the range of P. With
+    S S^T = Sigma it is trace(B^T H B) for B = (I - P) S, whose transpose
+    is the rows of S with P applied and subtracted: Sigma is read only
+    through its root and P only through ``apply``, so neither dense matrix
+    is formed. Tiny negative round-off (above -1e-10 * ||Sigma||_F * ||H||_F,
+    ||Sigma||_F from the root's values) is clamped to zero; anything below
+    that threshold raises NegativeTrace.
     """
-    pm = p.matrix if hasattr(p, "matrix") else np.asarray(p, dtype=float)
     d = sigma.dim
-    if h.dim != d or pm.shape != (d, d):
+    if h.dim != d or p.dim != d:
         raise DimensionMismatch("sigma, h and p must share one square dimension")
-    value = float(np.sum(sigma.entries * h.gram(np.eye(d) - pm)))
+    root = sigma.root()
+    rows = root.apply(np.eye(d))
+    value = float(np.trace(h.gram((rows - p.apply(rows)).T)))
     norm = np.linalg.norm
-    floor = -1e-10 * float(norm(sigma.entries, "fro")) * float(norm(h.entries, "fro"))
+    floor = -1e-10 * float(norm(root.values)) * float(norm(h.entries, "fro"))
     if value < floor:
         raise NegativeTrace(f"trace {value:.3e} below round-off floor {floor:.3e}")
     return max(value, 0.0)

@@ -231,8 +231,8 @@ class DiffusionModel(VectorValuedModel):
             part.setflags(write=False)
 
         if scenario == "point_pair":
-            if alpha <= 0 or beta <= 0:
-                raise ValueError("point weights alpha, beta must be positive")
+            if not (0 < alpha < np.inf and 0 < beta < np.inf):
+                raise ValueError("point weights alpha, beta must be finite and positive")
             picks = [mesh.interpolation_weights(point) for point in (POINT_A, POINT_B)]
             obs_nodes = np.array([nodes for nodes, _ in picks])
             obs_weights = np.array([weights for _, weights in picks])

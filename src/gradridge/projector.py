@@ -5,7 +5,9 @@ range and the kernel is span(W)^perp. ``apply`` costs O(d r) per point.
 
 The covariance Sigma comes in as an SpdMatrix and is used only through its
 root S: ``apply`` and ``whiten`` on a d x r basis, and the Karhunen-Loeve
-values for a norm. No function here reads a dense d x d array.
+values for a norm. No function here reads a dense d x d array, and outside
+this module only the closed-form oracles form a projector's dense matrix:
+``trace_quadratic`` and every other caller use ``apply`` or the factors.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class RankRProjector:
 
     @property
     def matrix(self):
-        """The dense d x d matrix, formed on every access; for oracles."""
+        """The dense d x d matrix, formed on every access; for the
+        closed-form oracles."""
         return self.basis @ self.dual.T
 
     def apply(self, xs):

@@ -23,7 +23,9 @@ H, Sigma and the output metric R come in as SpdMatrix forms (an estimated H
 inside its HMatrixEstimate) and are used through their queries. R reaches H
 only through the model's whitened Jacobian rows G, with G^T G = J^T R J, so
 the one place here that reads dense entries is the H V product of
-``basis_error_bounds``.
+``basis_error_bounds``. A projector is used only through ``apply`` and its
+factors: ``error_bound`` for any P, and the residual (I - P)(y-bar - m) of
+``m_inflation_check``, form no d x d matrix of P.
 """
 
 from __future__ import annotations
@@ -326,10 +328,13 @@ def basis_error_bounds(h, vectors):
     For a complete Sigma^{-1}-orthonormal basis (V^T Sigma^{-1} V = I, so
     V V^T = Sigma) that bound is exactly sum_{i>r} v_i^T H v_i. The
     generalized eigenvectors are one such basis; covariance eigenvectors
-    scaled by their standard deviations are another.
+    scaled by their standard deviations are another. ``vectors`` of another
+    height than H raise DimensionMismatch.
     """
-    hm = _h_matrix(h).entries
-    energy = np.einsum("ij,ij->j", vectors, hm @ vectors)
+    hm = _h_matrix(h)
+    if np.ndim(vectors) != 2 or len(vectors) != hm.dim:
+        raise DimensionMismatch(f"H is {hm.dim}x{hm.dim} but the basis has shape {np.shape(vectors)}")
+    energy = np.einsum("ij,ij->j", vectors, hm.entries @ vectors)
     return np.maximum(tail_sums(energy), 0.0)
 
 
@@ -337,8 +342,8 @@ def select_rank(report, eps):
     """Smallest rank whose tail sum is at most eps^2; d if even the full
     spectrum does not reach the target. With an estimated H the tail sum is
     biased low, so the true bound at that rank can exceed eps^2."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, not {eps!r}")
     target = eps * eps
     for r in range(report.dim + 1):
         if report.tail_sums[r] <= target:
@@ -387,10 +392,13 @@ class RidgeApproximation:
 
     def eval_batch(self, xs):
         """Ridge values at the rows of ``xs``; a NaN or inf raises
-        ModelEvaluationFailure with the row index, and a model output that
-        is not one value of the model's shape per point DimensionMismatch."""
+        ModelEvaluationFailure with the row index, and points that are not a
+        2-d array of the projector's width, or a model output that is not
+        one value of the model's shape per point, DimensionMismatch."""
         xs = np.asarray(xs, dtype=float)
         p = self.projector
+        if xs.ndim != 2 or xs.shape[1] != p.dim:
+            raise DimensionMismatch(f"points have shape {xs.shape}, ridge takes {p.dim}")
         offsets = self._offsets
         m = offsets.shape[0]
         n = self.model.output_dim
@@ -459,7 +467,8 @@ def m_inflation_check(model, mu, p, profile_samples, replicates, stream):
     built from sample mean y-bar is exact: trace(Sigma B) + (y-bar - m)^T B
     (y-bar - m) with B = (I-P)^T F^T R F (I-P). In expectation the ratio is
     1 + 1/M; substituting the exact conditional expectation (y-bar = m) gives
-    exactly 1.
+    exactly 1. The quadratic term is the F^T R F norm of (I - P)(y-bar - m),
+    with P applied to the shift, so no d x d matrix is formed.
     """
     if not isinstance(model, LinearModel):
         raise TypeError("m_inflation_check needs a model with an exact profile error; "
@@ -471,11 +480,7 @@ def m_inflation_check(model, mu, p, profile_samples, replicates, stream):
     base = trace_quadratic(mu.cov, gram, p)
     if base <= 0.0:
         raise ValueError("exact conditional-expectation error is zero; ratio undefined")
-    quad = gram.gram(np.eye(model.input_dim) - p.matrix)
-    total = 0.0
     m = int(profile_samples)
-    for rep in range(int(replicates)):
-        ys = sample(mu, stream.substream(rep), m)
-        shift = ys.mean(axis=0) - mu.mean
-        total += (base + float(shift @ quad @ shift)) / base
-    return total / int(replicates)
+    shifts = np.array([sample(mu, stream.substream(rep), m).mean(axis=0)
+                       for rep in range(int(replicates))]) - mu.mean
+    return float(np.mean((base + gram.sq_norms(shifts - p.apply(shifts))) / base))

@@ -219,8 +219,8 @@ def sobol_bounds(dgsm_values, mu, tau, total_variance):
     """
     if not mu.has_diagonal_cov:
         raise NonDiagonalCovariance("bounds assume independent inputs")
-    if total_variance <= 0.0:
-        raise ZeroVariance("total variance must be positive")
+    if not 0.0 < total_variance < np.inf:
+        raise ZeroVariance(f"total variance must be finite and positive, not {total_variance!r}")
     g = np.asarray(dgsm_values, dtype=float).reshape(-1)
     if g.shape[0] != mu.dim:
         raise IndexOutOfRange(f"dgsm vector has length {g.shape[0]}, measure dim {mu.dim}")

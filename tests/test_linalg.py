@@ -393,6 +393,61 @@ def test_trace_quadratic_of_a_sigma_orthogonal_projector_is_two_small_traces(ran
     assert abs(trace_quadratic(sigma, h, p) - (total - small)) <= 1e-12 * total
 
 
+def _oblique_projector(rng, d, rank):
+    """P = B (C^T B)^{-1} C^T for random B and C: W = C (B^T C)^{-1}, so
+    W^T B = I, and P is neither orthogonal nor Sigma^{-1}-orthogonal."""
+    b, c = rng.standard_normal((d, rank)), rng.standard_normal((d, rank))
+    return RankRProjector(b, c @ np.linalg.inv(b.T @ c))
+
+
+@pytest.mark.parametrize("case", ["random-9", "field-g6"])
+def test_trace_quadratic_of_an_oblique_projector_is_the_dense_sum(case):
+    # the bound holds for every projector, so for any P it is the dense
+    # sum(Sigma * ((I - P)^T H (I - P))), through trace_quadratic and error_bound
+    from gradridge import error_bound
+
+    rng = np.random.default_rng(76)
+    sigma = random_spd(rng, 9) if case == "random-9" else build_field_covariance(Mesh2D(6))
+    d = sigma.dim
+    h = random_spd(rng, d)
+    mu = GaussianMeasure(np.zeros(d), sigma)
+    for rank in (1, 3, d // 2):
+        p = _oblique_projector(rng, d, rank)
+        resid = np.eye(d) - p.matrix
+        want = float(np.sum(sigma.entries * (resid.T @ h.entries @ resid)))
+        assert abs(trace_quadratic(sigma, h, p) - want) <= 1e-12 * want
+        assert abs(error_bound(p, h, mu) - want) <= 1e-12 * want
+
+
+class _NoMatrix(RankRProjector):
+    """A projector whose dense matrix may not be read."""
+
+    @property
+    def matrix(self):
+        raise AssertionError("the projector's dense matrix was read")
+
+
+def test_trace_quadratic_forms_neither_the_dense_sigma_nor_the_projector_matrix():
+    # on the field covariance, Sigma is read through its Kronecker root and P
+    # through apply: neither d x d matrix is formed
+    from gradridge.measure import squared_exponential_covariance
+    from gradridge.pde import _field_nugget
+
+    def refuse():
+        raise AssertionError("the dense Sigma was formed")
+
+    mesh = Mesh2D(6)
+    kernel = squared_exponential_covariance(mesh.cell_centers[:6, 0], 0.15).entries
+    sigma = SpdMatrix.kronecker(kernel, _field_nugget(36), refuse)
+    rng = np.random.default_rng(77)
+    h = random_spd(rng, 36)
+    p = _oblique_projector(rng, 36, 5)
+    got = trace_quadratic(sigma, h, _NoMatrix(p.basis, p.dual))
+    resid = np.eye(36) - p.matrix
+    want = float(np.sum(build_field_covariance(mesh).entries * (resid.T @ h.entries @ resid)))
+    assert abs(got - want) <= 1e-12 * want
+
+
 # The field covariance is K (x) K + nugget I, and build_field_covariance holds
 # it as a KroneckerRoot from one g x g eigendecomposition of K. Checked
 # against the dense root of the same matrix, which user-supplied covariances

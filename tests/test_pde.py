@@ -521,6 +521,15 @@ def test_constructor_validation():
         model.eval(np.zeros(7))
 
 
+@pytest.mark.parametrize("weights", [{"alpha": np.nan}, {"alpha": np.inf}, {"beta": np.nan}],
+                         ids=["alpha-nan", "alpha-inf", "beta-nan"])
+def test_point_weights_must_be_finite(weights):
+    # a NaN weight used to build, and estimate_h then blamed sample 0 for a
+    # non-finite Jacobian
+    with pytest.raises(ValueError, match="^point weights alpha, beta must be finite and positive"):
+        DiffusionModel(4, "point_pair", **weights)
+
+
 def test_iterative_path_matches_harmonic():
     # zero log-conductivity makes the solution the harmonic lift s1 + s2
     # itself; g=17 is past the old conjugate-gradient cutoff, now solved by

@@ -19,6 +19,7 @@ from gradridge import (
     SpdMatrix,
     SpectrumReport,
     SumOfSinesModel,
+    basis_error_bounds,
     build_ridge,
     build_sensitivity_report,
     coordinate_projector,
@@ -297,6 +298,27 @@ def test_ridge_rejects_a_model_output_of_the_wrong_shape():
     with pytest.raises(DimensionMismatch) as err:
         ridge_fn.eval_batch(xs)
     assert str(err.value) == "_TransposedValues.eval_batch returned shape (2, 15), expected (15, 2)"
+
+
+def test_ridge_refuses_points_of_another_width():
+    # a ridge built at d = 4, validated against a d = 5 model: the ridge
+    # refuses the points before any product, and _eval_rows passes its
+    # DimensionMismatch on unchanged, with no sample blamed
+    ridge_fn = build_ridge(LinearModel(np.ones((1, 4))), GaussianMeasure.standard(4),
+                           coordinate_projector([1, 2], 4), SampleStream(44), 3)
+    with pytest.raises(DimensionMismatch, match=r"^points have shape \(50, 5\), ridge takes 4$"):
+        validate_error(ridge_fn, LinearModel(np.ones((1, 5))), GaussianMeasure.standard(5),
+                       SampleStream(45), 50)
+    for bad in (np.zeros(4), np.zeros((2, 3)), np.zeros((1, 2, 4))):
+        with pytest.raises(DimensionMismatch):
+            ridge_fn.eval_batch(bad)
+
+
+def test_basis_error_bounds_refuses_a_basis_of_another_height():
+    model, mu = make_linear(seed=46, d=4)
+    est = estimate_h(model, mu, SampleStream(46), 4)
+    with pytest.raises(DimensionMismatch, match=r"^H is 4x4 but the basis has shape \(3, 3\)$"):
+        basis_error_bounds(est, np.eye(3))
 
 
 def test_estimate_h_block_budget_does_not_change_h(monkeypatch):
@@ -636,6 +658,15 @@ def test_spectrum_report_and_select_rank():
     assert select_rank(frozen, np.sqrt(1.02)) == 1
     assert select_rank(frozen, np.sqrt(5.01) + 1.0) == 0
     assert select_rank(frozen, 0.0) == 3
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_select_rank_refuses_an_eps_that_is_not_finite(eps):
+    # a NaN compares false with every tail sum, and so picked rank d
+    model, mu = make_linear(seed=47, d=4)
+    report = spectrum_report(estimate_h(model, mu, SampleStream(47), 4), mu)
+    with pytest.raises(ValueError, match="^eps must be finite and nonnegative"):
+        select_rank(report, eps)
 
 
 def test_build_ridge_requires_sigma_flag():

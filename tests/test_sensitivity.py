@@ -195,6 +195,14 @@ def test_sobol_bounds_zero_variance():
         sobol_bounds(np.ones(2), mu, [1], 0.0)
 
 
+@pytest.mark.parametrize("total", [np.nan, np.inf])
+def test_sobol_bounds_refuses_a_total_variance_that_is_not_finite(total):
+    # a NaN gave (nan, nan, False): a bound reported as not vacuous
+    mu = GaussianMeasure.standard(2)
+    with pytest.raises(ZeroVariance, match="^total variance must be finite and positive"):
+        sobol_bounds(np.ones(2), mu, [1], total)
+
+
 def test_sandwich_property_all_models_d4():
     rng = np.random.default_rng(18)
     mu = GaussianMeasure.standard(4)
