@@ -158,8 +158,9 @@ class GaussianMeasure:
 
     @property
     def is_standard(self):
-        ones = np.all(self.cov.diag() == 1.0)
-        return bool(np.all(self.mean == 0.0) and self.cov.is_diagonal and ones)
+        # diag() may form a dense Sigma, so it is read only for a diagonal one
+        return bool(self.cov.is_diagonal and np.all(self.mean == 0.0)
+                    and np.all(self.cov.diag() == 1.0))
 
     @property
     def has_diagonal_cov(self):

@@ -1,10 +1,12 @@
 """Vector-valued model interface and the analytical test models.
 
 A model is a function f: R^d -> R^n with a Jacobian and an SPD metric on the
-output space. The three analytical families (linear maps, scalar quadratic
-forms, separable sine sums) come with closed-form conditional-expectation
-errors under Gaussian measures, which is what makes them useful: every Monte
-Carlo estimator in the package can be checked against them exactly.
+output space. ``estimate_h`` reads it through whitened Jacobian rows, which
+the base class derives from the Jacobian for every model here. The three
+analytical families (linear maps, scalar quadratic forms, separable sine sums)
+come with closed-form conditional-expectation errors under Gaussian measures,
+which is what makes them useful: every Monte Carlo estimator in the package
+can be checked against them exactly.
 """
 
 from __future__ import annotations
@@ -53,10 +55,12 @@ class VectorValuedModel:
     single-point ``eval`` and ``jacobian`` as a batch of one row. A model that
     can only do one point at a time loops over the rows in its own
     ``eval_batch``. ``estimate_h`` sums the rows of ``whitened_jacobian_batch``,
-    ``whitened_rows`` per point with G^T G = J^T R J; the base class derives
-    them from ``jacobian_batch`` and R's root, and a model that can fold R in
-    more cheaply overrides both. ``lipschitz_constant`` is None unless the
-    subclass knows a global Lipschitz constant in the output-metric norm.
+    ``whitened_rows`` per point with G^T G = J^T R J. The base class derives
+    them, G = S J, from ``jacobian_batch`` and R's root; that is the one
+    derived path, and a model overrides both only where it folds R into its
+    own solves (``pde.DiffusionModel``, whose adjoint solves take R's banded
+    factor). ``lipschitz_constant`` is None unless the subclass knows a
+    global Lipschitz constant in the output-metric norm.
     """
 
     input_dim = None
@@ -141,22 +145,6 @@ class LinearModel(VectorValuedModel):
     def jacobian_batch(self, xs):
         xs = self._check_rows(xs)
         return np.broadcast_to(self.matrix, (xs.shape[0],) + self.matrix.shape).copy()
-
-    @cached_property
-    def _whitened(self):
-        # S F with the arithmetic of the base class's rows for one point
-        rows = self.output_metric.root().apply(np.ascontiguousarray(self.matrix).T).T
-        rows.setflags(write=False)
-        return rows
-
-    def whitened_jacobian_batch(self, xs):
-        """The constant rows S F, formed once on first use: one copy per
-        point. A subclass with a ``jacobian_batch`` of its own gets the base
-        class's rows of that Jacobian."""
-        if type(self).jacobian_batch is not LinearModel.jacobian_batch:
-            return super().whitened_jacobian_batch(xs)
-        xs = self._check_rows(xs)
-        return np.broadcast_to(self._whitened, (xs.shape[0],) + self._whitened.shape).copy()
 
 
 class QuadraticFormModel(VectorValuedModel):

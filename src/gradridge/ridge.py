@@ -181,8 +181,8 @@ def _map_draws(mu, streams, count, fn, threads):
 class HMatrixEstimate:
     """Monte Carlo estimate of the gradient second-moment matrix.
 
-    ``rank_upper_bound`` is min(d, samples * output_dim): each sample
-    contributes a term of rank at most the output dimension, so the estimate
+    ``rank_upper_bound`` is min(d, samples * whitened_rows): each sample
+    adds at most ``whitened_rows`` rows to the sum G^T G, so the estimate
     cannot exceed that rank no matter what the model does.
     """
 
@@ -228,7 +228,7 @@ def estimate_h(model, mu, stream, count, threads=1):
     return HMatrixEstimate(
         h=SpdMatrix(h),
         samples_used=count,
-        rank_upper_bound=min(d, count * model.output_dim),
+        rank_upper_bound=min(d, count * m),
     )
 
 

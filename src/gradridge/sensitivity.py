@@ -113,6 +113,16 @@ class GroupEstimate:
     total_variance_se: float
 
 
+def _require_independent(mu):
+    """NonDiagonalCovariance unless mu has a diagonal covariance, which the
+    pick-freeze estimates assume."""
+    if not mu.has_diagonal_cov:
+        raise NonDiagonalCovariance(
+            "Sobol' indices assume independent inputs; run the error-curve "
+            "analysis instead for correlated covariances"
+        )
+
+
 def _pick_freeze(model, mu, groups, stream, n, threads):
     """A GroupEstimate per group in ``groups``, all from one base of ``n``
     rows: A from ``stream.substream(0)``, B from ``stream.substream(1)``.
@@ -123,11 +133,7 @@ def _pick_freeze(model, mu, groups, stream, n, threads):
     Standard errors come from the delta method on the per-row terms, with
     each numerator's covariance with the shared variance.
     """
-    if not mu.has_diagonal_cov:
-        raise NonDiagonalCovariance(
-            "Sobol' indices assume independent inputs; run the error-curve "
-            "analysis instead for correlated covariances"
-        )
+    _require_independent(mu)
     _require_model_dim(model, mu)
     n = int(n)
     if n < 2:
@@ -280,7 +286,9 @@ def build_sensitivity_report(model, mu, groups, stream, n_outer=DEFAULT_OUTER,
 
     Substreams: tag 0 for the derivative estimate, tag 1 for the base that
     every group shares, so adding a group never changes the others' numbers.
+    A correlated covariance raises NonDiagonalCovariance before any draw.
     """
+    _require_independent(mu)
     groups = tuple(IndexGroup.coerce(g).validate(mu.dim) for g in groups)
     if not groups:
         raise ValueError("at least one index group is required")

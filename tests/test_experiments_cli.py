@@ -354,6 +354,20 @@ def test_projector_audit_matches_dense_projectors(tmp_path, model, ladder):
     assert np.any(got[:, 4] == 1) and np.any(got[:, 4] == 0)
 
 
+def test_projector_audit_flags_ranks_past_the_whitened_rows(tmp_path):
+    # one g=12 full_field sample identifies its 121 whitened rows' directions,
+    # not one per each of its 169 outputs: rank 122 is past the ceiling
+    cfg = resolve_config(
+        {
+            "model": {"kind": "pde", "grid": 12, "scenario": "full_field"},
+            "ranks": [121, 122],
+            "sampling": {"k_ref": 2, "k_ladder": [1], "seed": 5},
+        }
+    )
+    _, _, rows = _read_csv(run_projector_audit(cfg, tmp_path))
+    assert [(int(r[0]), int(r[1]), int(r[4])) for r in rows] == [(1, 121, 0), (1, 122, 1)]
+
+
 def test_projector_audit_at_paper_scale(tmp_path):
     # d = 1024 (g = 32), two outputs: each K identifies at most 2K directions,
     # past which its own tail must vanish

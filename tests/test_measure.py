@@ -157,6 +157,21 @@ def test_standard_and_diagonal_properties_match_the_dense_expressions(cov, diago
     assert mu.is_standard is standard is (not mean.any() and np.array_equal(cov, np.eye(3)))
 
 
+def test_is_standard_forms_no_dense_sigma_of_a_correlated_covariance():
+    # a correlated Sigma is not standard whatever its diagonal, so is_standard
+    # answers without reading diag(), which would form the dense field matrix
+    from gradridge.pde import _field_nugget
+
+    def refuse():
+        raise AssertionError("the dense Sigma was formed")
+
+    mesh = Mesh2D(6)
+    kernel = squared_exponential_covariance(mesh.cell_centers[:6, 0], 0.15).entries
+    mu = GaussianMeasure(np.zeros(36), SpdMatrix.kronecker(kernel, _field_nugget(36), refuse))
+    assert mu.is_standard is False
+    assert mu.has_diagonal_cov is False
+
+
 def test_kl_projector_diagonal():
     mu = GaussianMeasure(np.zeros(3), SpdMatrix(np.diag([9.0, 4.0, 1.0])))
     p = kl_projector(mu, 2)

@@ -329,9 +329,13 @@ def test_exact_profile_quadratic_vs_mc():
     assert abs(float(np.mean(vals)) - profile.eval(x)[0]) < 3.0 * se
 
 
-def test_linear_whitened_rows_are_formed_once_and_sum_to_the_metric_formula():
-    # a dense, non-diagonal R = I + 0.1 * 11^T: the rows S F are formed on
-    # first use, with the base class's arithmetic, and copied per point
+def test_linear_model_takes_the_one_derived_whitened_path():
+    assert LinearModel.whitened_jacobian_batch is VectorValuedModel.whitened_jacobian_batch
+
+
+def test_linear_whitened_rows_are_the_base_rows_and_sum_to_the_metric_formula():
+    # a dense, non-diagonal R = I + 0.1 * 11^T: the rows S F, one writable
+    # array per call that shares no memory between points
     rng = np.random.default_rng(60)
     f = rng.standard_normal((20, 50))
     model = LinearModel(f, np.eye(20) + 0.1 * np.ones((20, 20)))
@@ -339,7 +343,6 @@ def test_linear_whitened_rows_are_formed_once_and_sum_to_the_metric_formula():
     rows = model.whitened_jacobian_batch(xs)
     assert rows.shape == (7, 20, 50) and rows.flags.writeable
     np.testing.assert_array_equal(rows, VectorValuedModel.whitened_jacobian_batch(model, xs))
-    assert model._whitened is model._whitened
     rows[0] = 0.0
     np.testing.assert_array_equal(model.whitened_jacobian_batch(xs[:1])[0], rows[1])
     mu = GaussianMeasure.standard(50)

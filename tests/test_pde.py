@@ -600,6 +600,20 @@ def test_field_generalized_eig_matches_a_cholesky_reduction():
     assert np.abs(gram - np.eye(mesh.n_cells)).max() <= 1e-12
 
 
+def test_full_field_rank_ceiling_counts_the_whitened_rows():
+    # one g=12 full_field sample adds its 121 whitened rows to H, not one
+    # row per each of its 169 outputs, so 121 is both ceiling and rank
+    mesh = Mesh2D(12)
+    model = DiffusionModel(mesh, "full_field")
+    assert (model.whitened_rows, model.output_dim) == (121, 169)
+    mu = GaussianMeasure(np.zeros(144), build_field_covariance(mesh))
+    est = estimate_h(model, mu, SampleStream(31), 1)
+    assert est.rank_upper_bound == 121
+    ev = np.sort(np.linalg.eigvalsh(est.h.entries))[::-1]
+    assert ev[120] > 1e-6 * ev[0]
+    assert ev[121] <= 1e-12 * ev[0]
+
+
 def test_gradient_second_moment_rank_ceiling():
     # two outputs and K samples cannot produce more than 2K active directions
     mesh = Mesh2D(4)

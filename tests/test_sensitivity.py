@@ -104,6 +104,27 @@ def test_sobol_rejects_correlated_cov():
         sobol_estimates(LinearModel(np.eye(3)), mu, [1], SampleStream(5))
 
 
+def test_sensitivity_report_refuses_a_correlated_covariance_before_any_model_call():
+    # the refusal comes first, not after the derivative estimate's samples
+    calls = []
+
+    class Counting(LinearModel):
+        def eval_batch(self, xs):
+            calls.append("eval_batch")
+            return super().eval_batch(xs)
+
+        def jacobian_batch(self, xs):
+            calls.append("jacobian_batch")
+            return super().jacobian_batch(xs)
+
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3))
+    mu = GaussianMeasure(np.zeros(3), SpdMatrix(a @ a.T + 3 * np.eye(3)))
+    with pytest.raises(NonDiagonalCovariance, match="^Sobol' indices assume independent inputs"):
+        build_sensitivity_report(Counting(np.eye(3)), mu, [(1,), (2, 3)], SampleStream(5))
+    assert calls == []
+
+
 def test_sobol_zero_variance():
     model = LinearModel(np.zeros((1, 2)))
     mu = GaussianMeasure.standard(2)
