@@ -6,9 +6,10 @@ and scipy's ``libscipy_openblas`` the same names without the suffix. Both are
 found by their mapped paths in ``/proc/self/maps``. gradridge loads scipy's
 compiled kernels only where a run needs them, so scipy's copy may load while
 the pin is active: ``linalg``, the one module that loads them (from scipy's
-extension modules, without importing ``scipy.linalg``), calls
-``pin_new_copies`` before it hands each out, which pins a copy that was not
-mapped when the pin started and restores it with the others on exit. Where
+extension modules, without importing any scipy package), calls
+``pin_new_copies`` once per extension module, after it loads and before any
+of its kernels is handed out, which pins a copy that was not mapped when the
+pin started and restores it with the others on exit. Where
 no copy or symbol is found (another BLAS vendor, or no ``/proc``) the block
 runs with BLAS left as it is.
 """
@@ -63,7 +64,7 @@ def pin_new_copies():
     """Inside ``one_blas_thread``, set each OpenBLAS copy it has not seen yet
     to one thread, to be restored on exit; outside it, do nothing. Only a
     copy not seen yet is opened. ``linalg`` calls it after it loads each
-    scipy kernel."""
+    scipy extension module."""
     with _lock:
         if _pinned is None:
             return

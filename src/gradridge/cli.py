@@ -12,16 +12,19 @@ output path that cannot be read or written), 3 numerical failures and a run
 that runs out of memory (a MemoryError, reported in one line).
 Each warning prints as one stderr line, ``warning: <Category>: <message>``.
 ``--threads N`` changes wall time only; outputs are byte-identical for any
-worker count. The workers, the calling thread and N - 1 helper threads, run
-the gradient samples of ``estimate_h`` (which the ``sobol`` derivative
-bounds use too), the validation samples of ``validate_error`` and the blocks
-of the Sobol' base rows; a loop of one block starts no thread. More workers
-pay where one chunk of work costs half a millisecond or more, as with
-``point_pair`` at grid 32. At grid 12 a second worker costs time: a grid-12
-sample's work is mostly the banded LAPACK calls, and scipy's f2py wrappers
-of those hold the GIL, so two workers run them one at a time. On 2 cores the ``curve-pair-g12`` benchmark config
-took a median 0.70 s wall and 0.70 s CPU with ``--threads 1``, and 0.77 s
-wall and 0.80 s CPU with ``--threads 2`` (12 alternating runs each).
+worker count. The workers, the calling thread and N - 1 helper threads, take
+whole blocks of 512 samples: the gradient samples of ``estimate_h`` (which
+the ``sobol`` derivative bounds use too), the validation samples of
+``validate_error`` and the blocks of the Sobol' base rows. A loop of one
+block starts no thread, so a run with k <= 512 gradient samples computes H
+on one thread whatever N is; that includes the paper-scale ``full_field``
+curve at k = 64, whose samples cost about 70 ms each at grid 32. More
+workers pay where there are several blocks and a chunk of work costs half a
+millisecond or more, as with ``point_pair`` at grid 32: ``estimate_h`` on
+k = 2048 samples took 2.51 and 2.67 s on one thread and 1.99 and 1.59 s on
+two (2 cores). At grid 12 a second worker costs time: a grid-12 sample's
+work is mostly the banded LAPACK calls, and scipy's f2py wrappers of those
+hold the GIL, so two workers run them one at a time.
 
 The process entry (``python -m gradridge`` and the ``gradridge`` script, both
 ``gradridge.__main__:main``) sets ``OPENBLAS_NUM_THREADS=1`` before numpy
@@ -31,10 +34,9 @@ callers, which load numpy first: every command runs with each copy set to one
 thread, and restores their thread counts when it returns. scipy's compiled
 kernels are loaded only when a run needs them (an eigendecomposition of a
 matrix that is not diagonal, or the pde model), all by ``linalg``, which
-reads them from scipy's extension modules and imports neither
-``scipy.linalg`` nor ``scipy.sparse``. So scipy's copy usually loads inside
-the run; ``linalg`` pins it as it loads, and it is set back to the count it
-loaded with. So the artifacts
+reads them from scipy's extension modules and imports no scipy package. So
+scipy's copy usually loads inside the run; ``linalg`` pins it as it loads,
+and it is set back to the count it loaded with. So the artifacts
 do not depend on ``OPENBLAS_NUM_THREADS``, and on these small dense kernels
 one thread is also the fastest. Importing this module changes neither BLAS
 nor the environment, and the library API leaves BLAS as the caller set it: a
@@ -86,9 +88,11 @@ def _build_parser():
                          help="override the config seed")
         cmd.add_argument("--threads", type=int, default=1,
                          help="worker threads for the gradient, validation and "
-                              "Sobol' samples; pays when a sample costs milliseconds "
-                              "(pde grid 32), and costs time at grid 12; never "
-                              "changes results")
+                              "Sobol' samples, which take whole 512-sample blocks, so "
+                              "a run of one block (k <= 512) starts none; pays when "
+                              "there are several blocks of samples that cost "
+                              "milliseconds (pde grid 32), and costs time at grid 12; "
+                              "never changes results")
     return parser
 
 

@@ -3,6 +3,9 @@
 Each runner loads a model and measure from a plain JSON-style config dict,
 derives every sample stream from a single seed, and writes CSV artifacts with
 a ``#`` metadata preamble (generator and library versions, config hash, seed).
+scipy's version there comes from ``linalg.scipy_version``, which reads it
+without importing the scipy package, so a run loads no more of scipy than the
+kernels it calls.
 Stream tags are fixed per role, so outputs are byte-identical across runs and
 across worker counts; the worker count only changes who computes which chunk.
 
@@ -20,11 +23,10 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import ConfigError, DimensionMismatch, NonFiniteInput, NotPositiveDefinite
-from .linalg import SpdMatrix, generalized_eig
+from .linalg import SpdMatrix, generalized_eig, scipy_version
 from .measure import GaussianMeasure, SampleStream
 from .models import SCENARIOS, LinearModel, QuadraticFormModel, SumOfSinesModel
 from .ridge import (
@@ -328,7 +330,7 @@ _GENERATOR = f"gradridge {__version__}"
 def _metadata_lines(cfg):
     return [
         f"# generator={_GENERATOR}",
-        f"# numpy={np.__version__} scipy={scipy.__version__}",
+        f"# numpy={np.__version__} scipy={scipy_version()}",
         f"# config_hash={config_hash(cfg)}",
         f"# seed={cfg['sampling']['seed']}",
     ]
@@ -440,8 +442,10 @@ def run_spectrum(cfg, out_dir, threads=1):
     """Spectrum table plus the leading generalized and covariance modes.
 
     ``gen_modes.csv`` and ``kl_modes.csv`` hold one row per input coordinate
-    and one column per mode, for the min(6, d) leading modes. For the pde
-    model each row also carries its cell center, so the modes plot as fields.
+    and one column per mode, for the min(6, d) leading modes, each signed so
+    that its entry of largest magnitude is positive (``_signed_modes``). For
+    the pde model each row also carries its cell center, so the modes plot
+    as fields.
     """
     model, mu, root = _prepare(cfg, out_dir)
     sampling = cfg["sampling"]
@@ -465,11 +469,21 @@ def run_spectrum(cfg, out_dir, threads=1):
         header, coords = header + ["cell_center_x", "cell_center_y"], model.mesh.cell_centers
     header += [f"mode_{i + 1}" for i in range(n_modes)]
     for name, vectors in (("gen_modes.csv", pairs.vectors), ("kl_modes.csv", kl_vecs)):
+        modes = _signed_modes(vectors[:, :n_modes])
         _write_csv(
             os.path.join(out_dir, name), cfg, header,
-            ((i + 1, *coords[i], *vectors[i, :n_modes]) for i in range(mu.dim)),
+            ((i + 1, *coords[i], *modes[i]) for i in range(mu.dim)),
         )
     return out
+
+
+def _signed_modes(vectors):
+    """The columns of ``vectors``, each with the sign that makes its entry of
+    largest magnitude (the first such on ties) positive. An eigensolver
+    returns a mode's sign as round-off leaves it; projectors and bounds do
+    not depend on it, and the mode tables no longer do either."""
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(peaks < 0.0, -1.0, 1.0)
 
 
 def run_sobol(cfg, out_dir, threads=1):

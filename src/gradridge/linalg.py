@@ -13,7 +13,10 @@ Outside this module only ridge reads dense entries, in the H V product of
 ``basis_error_bounds``, and nothing reads the dense root: R reaches H through
 each model's whitened Jacobian rows, the base class's through ``apply`` of
 R's root; so another form of either needs new queries here, not a new path
-in each caller. A root comes in two forms with the same four members
+in each caller. Besides the dense form an SpdMatrix comes in two that form
+no dense matrix until ``entries`` is read: ``kronecker`` and ``sparse``, the
+form of the pde model's H^1 output metric, whose ``sq_norms`` runs on its
+CSR arrays. A root comes in two forms with the same four members
 (``values``, ``vectors``, ``apply`` and ``whiten``), and neither reads H:
 the dense EigenRoot of one d x d eigendecomposition, and the KroneckerRoot
 of Sigma = K (x) K + nugget I, from one g x g eigendecomposition of K, which
@@ -23,18 +26,22 @@ S^T H S and S W through ``apply``, and ``trace_quadratic`` reads Sigma only
 through the root and a projector only through its ``apply``.
 
 Loading this module does not import scipy, yet it is the one module that
-binds scipy's compiled kernels: LAPACK's ``dsyevr`` for ``sym_eig``, and the
-banded ``dpbtrf``, ``dpbtrs``, ``dsbmv`` and the CSR product ``csr_matvecs``
-that the pde model reads from it, each bound on first use. They are read
-from the three extension modules that hold them, ``scipy.linalg._flapack``,
-``scipy.linalg._fblas`` and ``scipy.sparse._sparsetools``, loaded on their
-own: the ``scipy.linalg`` and ``scipy.sparse`` packages are never imported,
-as their ``__init__`` files load much of scipy and numpy that no kernel needs.
-The root of an exactly diagonal matrix needs no ``dsyevr``.
+reads it: LAPACK's ``dsyevr`` for ``sym_eig``, and the banded ``dpbtrf`` and
+``dpbtrs`` that the pde model reads from it, and the CSR product
+``csr_matvecs`` behind ``_csr_product``, each bound on first use, and the
+version string that the CSV headers carry (``scipy_version``). The kernels
+are read from the two extension modules that hold them,
+``scipy.linalg._flapack`` and ``scipy.sparse._sparsetools``, loaded on their
+own, each once, found through ``importlib.util.find_spec("scipy")``: no
+scipy package is imported, not ``scipy`` itself, nor ``scipy.linalg`` or
+``scipy.sparse``, as their ``__init__`` files load much of scipy, numpy and
+the standard library that no kernel needs. The root of an exactly diagonal
+matrix needs no ``dsyevr``.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -70,13 +77,34 @@ __all__ = [
 _SCIPY_KERNELS = {
     "dsyevr": "scipy.linalg._flapack", "dsyevr_lwork": "scipy.linalg._flapack",
     "dpbtrf": "scipy.linalg._flapack", "dpbtrs": "scipy.linalg._flapack",
-    "dsbmv": "scipy.linalg._fblas", "csr_matvecs": "scipy.sparse._sparsetools",
+    "csr_matvecs": "scipy.sparse._sparsetools",
 }
+# the extension modules fetched so far, by name; written under _load_lock
+_extensions = {}
 _load_lock = threading.Lock()
 
 
+def _scipy_path(*parts):
+    """A path inside scipy's package directory, found without importing
+    scipy: ``find_spec`` of a top-level package runs no ``__init__``."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ModuleNotFoundError("scipy is not installed", name="scipy")
+    return os.path.join(spec.submodule_search_locations[0], *parts)
+
+
+@functools.cache
+def scipy_version():
+    """``scipy.__version__``, which scipy's ``__init__`` takes from
+    ``scipy/version.py``: read from that file, loaded on its own."""
+    spec = importlib.util.spec_from_file_location("scipy.version", _scipy_path("version.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
 def _extension(name):
-    """scipy's extension module ``name``, without running its package's
+    """scipy's extension module ``name``, without running its packages'
     ``__init__``: the entry in sys.modules if there is one, else the module
     found in its package's directory and loaded.
 
@@ -87,10 +115,8 @@ def _extension(name):
     """
     module = sys.modules.get(name)
     if module is None:
-        import scipy
-
         package, _, _ = name.rpartition(".")
-        where = os.path.join(scipy.__path__[0], package.rpartition(".")[2])
+        where = _scipy_path(package.rpartition(".")[2])
         spec = importlib.machinery.PathFinder.find_spec(name, [where])
         if spec is None:
             raise ModuleNotFoundError(f"scipy has no module {name!r} in {where}", name=name)
@@ -101,22 +127,71 @@ def _extension(name):
 
 
 def __getattr__(name):
-    # PEP 562: a kernel is bound on first use, after the OpenBLAS copy that
-    # loading it may bring is pinned; the lock lets threads that reach it
-    # together load it once
+    # PEP 562: a kernel is bound on first use. The first kernel of an
+    # extension module fetches the module and pins the OpenBLAS copy that
+    # loading it may bring, once per module; the lock lets threads that
+    # reach it together load it once
     if name not in _SCIPY_KERNELS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     with _load_lock:
         if name not in globals():
-            kernel = getattr(_extension(_SCIPY_KERNELS[name]), name)
-            _blas.pin_new_copies()
-            globals()[name] = kernel
+            module = _extensions.get(_SCIPY_KERNELS[name])
+            if module is None:
+                module = _extensions[_SCIPY_KERNELS[name]] = _extension(_SCIPY_KERNELS[name])
+                _blas.pin_new_copies()
+            globals()[name] = getattr(module, name)
     return globals()[name]
 
 
 def _kernel(name):
     """The kernel ``name`` as bound now, so a patched one is used."""
     return globals().get(name) or __getattr__(name)
+
+
+def _csr_arrays(values, rows, cols, n_rows):
+    """The CSR arrays (data, indices, indptr) of the sum of the entries
+    ``values`` at (``rows``, ``cols``), as scipy's COO to CSR conversion
+    forms them: sorted by row, then column, ties in the order given, and
+    the duplicates of an entry summed in that order. (scipy sorts a row with
+    ``std::sort``, which keeps ties in order on rows of at most 16 entries;
+    the pde model's rows hold at most 12.)"""
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = np.zeros(np.count_nonzero(first))
+    np.add.at(data, np.cumsum(first) - 1, values)
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
+    return data, cols[first].astype(np.int32), indptr
+
+
+def _csr_product(csr, x, out=None):
+    """A @ x for a CSR matrix A = (data, indices, indptr), whose indices and
+    indptr share one integer dtype, and a 2-d x with a row per column of A:
+    the loop that scipy's csr_matrix @ x runs, ``csr_matvecs``, into a
+    zeroed result, a new array or ``out``, C-contiguous, zeroed here."""
+    data, indices, indptr = csr
+    if out is None:
+        out = np.zeros((indptr.size - 1, x.shape[1]))
+    else:
+        out[...] = 0.0
+    _kernel("csr_matvecs")(out.shape[0], x.shape[0], x.shape[1], indptr, indices, data,
+                           x.ravel(), out.ravel())
+    return out
+
+
+def _csr_rows(indptr):
+    """The row of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _csr_dense(csr):
+    """The dense matrix of a square CSR matrix: each entry its stored sum."""
+    data, indices, indptr = csr
+    m = np.zeros((indptr.size - 1,) * 2)
+    m[_csr_rows(indptr), indices] = data
+    return m
 
 
 def _as_square(a):
@@ -140,11 +215,12 @@ class SpdMatrix:
     diagonal (``is_diagonal``; a NaN counts as nonzero). Positive definiteness
     is not checked here; it surfaces when ``root`` is first called. The root is
     cached on first success and never recomputed, which makes instances safe to
-    share between worker threads. ``kronecker`` builds the other form, which
-    holds its root from the start and forms ``entries`` on their first read.
+    share between worker threads. Two other forms form ``entries`` only on
+    their first read: ``kronecker``, which holds its root from the start, and
+    ``sparse``, which holds CSR arrays that ``sq_norms`` reads.
     """
 
-    __slots__ = ("dim", "is_diagonal", "_entries", "_root")
+    __slots__ = ("dim", "is_diagonal", "_entries", "_root", "_csr")
 
     def __init__(self, entries):
         m = _as_square(entries)
@@ -154,6 +230,7 @@ class SpdMatrix:
         self._entries = sym
         self.is_diagonal = bool(np.count_nonzero(sym) == np.count_nonzero(np.diag(sym)))
         self._root = None
+        self._csr = None
 
     def __repr__(self):
         return f"SpdMatrix(dim={self.dim})"
@@ -179,12 +256,29 @@ class SpdMatrix:
         self.dim = self._root.values.shape[0]
         self.is_diagonal = bool(np.count_nonzero(k) == np.count_nonzero(np.diag(k)))
         self._entries = dense
+        self._csr = None
+        return self
+
+    @classmethod
+    def sparse(cls, values, rows, cols, dim):
+        """The dim x dim matrix summing the entries ``values`` at (``rows``,
+        ``cols``), each place's in the order given, held as CSR arrays
+        (``_csr_arrays``); the entries must be symmetric. ``sq_norms`` runs on
+        them; ``entries``, formed on its first read, holds the same sums, and
+        ``gram``, ``diag`` and ``root`` read it."""
+        self = cls.__new__(cls)
+        self.dim = int(dim)
+        self._csr = _csr_arrays(np.asarray(values, dtype=float), rows, cols, self.dim)
+        data, indices, indptr = self._csr
+        self.is_diagonal = not np.count_nonzero(data[_csr_rows(indptr) != indices])
+        self._entries = functools.partial(_csr_dense, self._csr)
+        self._root = None
         return self
 
     @property
     def entries(self):
-        """The dense matrix, read-only; a ``kronecker`` matrix forms it here
-        on the first read."""
+        """The dense matrix, read-only; a ``kronecker`` or ``sparse`` matrix
+        forms it here on the first read."""
         if callable(self._entries):
             m = np.asarray(self._entries(), dtype=float)
             m.setflags(write=False)
@@ -200,8 +294,12 @@ class SpdMatrix:
         return b.T @ self.entries @ b
 
     def sq_norms(self, rows):
-        """|row|_A^2 = row^T A row for every row of ``rows``."""
-        return np.einsum("kn,nm,km->k", rows, self.entries, rows)
+        """|row|_A^2 = row^T A row for every row of ``rows``; a ``sparse``
+        matrix takes row^T (A row) with A row from its CSR arrays."""
+        if self._csr is None:
+            return np.einsum("kn,nm,km->k", rows, self.entries, rows)
+        cols = np.ascontiguousarray(np.transpose(rows))
+        return np.einsum("nk,nk->k", cols, _csr_product(self._csr, cols))
 
     def root(self):
         """The root of this matrix, computed on the first call and cached: an

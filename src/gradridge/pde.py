@@ -19,17 +19,21 @@ sums, with G^T G = J^T R J, come from the same solves and contraction on
 other right-hand sides: R restricted to those outputs, R_aa = U^T U, is
 banded in their order and factored once at construction with the same
 ``dpbtrf``, and its factor is folded into the right-hand sides, so no
-Jacobian and no product with R is formed. Every sum over cells runs through
-a sparse pattern fixed at construction, and a point's results do not depend
+Jacobian and no product with R is formed. The forward solve's residual check
+reads A u - rhs off the cell terms of the whole sub-block in one product, so
+it needs no BLAS kernel of its own. Every sum over cells runs through a
+sparse pattern fixed at construction, and a point's results do not depend
 on the block it is solved in. The patterns are plain CSR arrays built with
-numpy, and both products run scipy's ``csr_matvecs`` (read from ``linalg``)
-through ``_csr_product``, so the model builds no scipy sparse matrix and
-imports neither ``scipy.sparse`` nor ``scipy.linalg``.
+numpy by ``linalg._csr_arrays``, and every product runs scipy's
+``csr_matvecs`` through ``linalg._csr_product``, so the model builds no
+scipy sparse matrix and imports no scipy package.
 
 Three observation scenarios map the solution field to the model output, each
 read off the nodal solution by index: the full nodal field in the discrete H^1
 metric, the restriction to a centered subdomain in the same metric, and a
-weighted pair of point values.
+weighted pair of point values. The H^1 metric, about 9 entries a row, is held
+as a ``SpdMatrix.sparse`` of its cell entries, so no n x n array is formed
+unless its dense ``entries`` are read.
 """
 
 from __future__ import annotations
@@ -40,7 +44,10 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, InputClampedWarning, NotPositiveDefinite, SolverFailure
-from .linalg import PD_FLOOR, SpdMatrix, csr_matvecs, dpbtrf, dpbtrs, dsbmv
+# csr_matvecs, which _csr_product runs, is bound here with the band kernels,
+# so importing this module binds every kernel the model calls
+from .linalg import (  # noqa: F401
+    PD_FLOOR, SpdMatrix, _csr_arrays, _csr_product, csr_matvecs, dpbtrf, dpbtrs)
 from .measure import squared_exponential_covariance
 from .models import SCENARIOS, VectorValuedModel
 
@@ -167,9 +174,10 @@ class DiffusionModel(VectorValuedModel):
 
     ``scenario`` picks the observation operator and output metric:
 
-    - ``full_field``: every nodal value, discrete H^1 (mass + stiffness) metric;
+    - ``full_field``: every nodal value, discrete H^1 (mass + stiffness)
+      metric, held as a ``SpdMatrix.sparse`` of its cell entries;
     - ``subdomain``: nodal values on cells centered in the middle box, same
-      metric restricted there;
+      metric restricted there, held the same way;
     - ``point_pair``: interpolated values at two fixed points, diagonal metric
       diag(alpha, beta).
 
@@ -177,7 +185,8 @@ class DiffusionModel(VectorValuedModel):
     their points SUB_BLOCK at a time: one product of a map fixed at
     construction fills the sub-block's Dirichlet lifts and interior bands
     (half-bandwidth g), each band is factored anew with LAPACK's banded
-    Cholesky, and the sub-block's Jacobians, or whitened rows, are
+    Cholesky, the residuals of its solves are checked through one CSR
+    product, and the sub-block's Jacobians, or whitened rows, are
     contracted through one CSR product on a fixed pattern. So a call holds
     at most one sub-block of systems, and each point's result is the same
     bits in any batch; the single-point ``eval`` and ``jacobian`` are
@@ -229,6 +238,15 @@ class DiffusionModel(VectorValuedModel):
                          np.append(np.int32(0), (indptr + indptr[-1] * copies).ravel()))
         for part in self._corners:
             part.setflags(write=False)
+        # the residual's map: A u at the interior rows, the sum over cells of
+        # kappa_c K1 u_c, as the entry K1[a, b] at row cells[c, a], if
+        # interior, and column 4 c + b of the points' kappa_c u[cells[c, b]]
+        rows = np.broadcast_to(interior_row[cells][:, :, None], (mesh.n_cells, 4, 4))
+        k1 = rows >= 0
+        self._residual = _csr_arrays(
+            np.broadcast_to(_K1, rows.shape)[k1], rows[k1],
+            np.broadcast_to(np.arange(inner.size, dtype=np.int32).reshape(-1, 1, 4),
+                            rows.shape)[k1], n_int)
 
         if scenario == "point_pair":
             if not (0 < alpha < np.inf and 0 < beta < np.inf):
@@ -259,10 +277,8 @@ class DiffusionModel(VectorValuedModel):
             out_nodes = np.flatnonzero(touched)
             block = _M1 * (mesh.h * mesh.h) + _K1
             i, j, _, values = _cell_entries(cells[inside], block, out_nodes, out_nodes)
-            # np.add.at adds the entries in the order given, which is cell order
-            r = np.zeros((out_nodes.size,) * 2)
-            np.add.at(r, (i, j), values)
-            self.output_metric = SpdMatrix(r)
+            # each entry summed in cell order, the order given
+            self.output_metric = SpdMatrix.sparse(values, i, j, out_nodes.size)
             obs_nodes = out_nodes[:, None]
             obs_weights = np.ones(obs_nodes.shape)
             self.point_weights = None
@@ -288,8 +304,11 @@ class DiffusionModel(VectorValuedModel):
         One product with the system map fills the sub-block's lifts and
         bands; each is factored (LAPACK ``dpbtrf``, half-bandwidth g) and
         solved on its own. A factor that meets a leading minor that is not
-        positive, or a residual |A u - rhs| above 1e-10 (|A| |u| + |rhs|),
-        raises SolverFailure.
+        positive raises SolverFailure, and so does a residual |A u - rhs|
+        above 1e-10 (|A| |u| + |rhs|), with the residual of the first such
+        point. The sub-block's residuals come from one product with the
+        residual map: at an interior row the cell terms sum_c kappa_c K1 u_c
+        are A_ii u_i + A_ib u_b = A_ii u_i - rhs.
         """
         g = self.mesh.cells_per_side
         n_int = self.mesh.interior.size
@@ -300,25 +319,26 @@ class DiffusionModel(VectorValuedModel):
         u[:] = self._boundary_values
         factors = []
         for system, u_row in zip(systems.T, u):
-            rhs = np.ascontiguousarray(system[:n_int])
             band = system[n_int:].reshape(g + 1, -1, order="F")
             factor, info = dpbtrf(band)
             if info > 0:
                 raise SolverFailure(
                     float("inf"), f"banded Cholesky failed: leading minor {info} is not positive")
-            u_i, _ = dpbtrs(factor, rhs)
-            resid = _norm(dsbmv(g, 1.0, band, u_i, beta=-1.0, y=rhs))
-            rhs_norm = _norm(rhs)
+            u_row[self.mesh.interior], _ = dpbtrs(factor, np.ascontiguousarray(system[:n_int]))
+            factors.append(factor)
+        terms = u.T.take(self.mesh.cell_nodes, axis=0) * kappa.T[:, None, :]
+        resid = _csr_product(self._residual, terms.reshape(-1, xs.shape[0]))
+        for j, system in enumerate(systems.T):
+            r, rhs_norm = _norm(resid[:, j]), _norm(system[:n_int])
             # The |A| |u| term passes a backward-stable solve of a tiny
             # right-hand side. |A|_2 <= |A|_F <= sqrt(2) |band|_F, as the band
             # holds the diagonal and one copy of each off-diagonal pair. Its
             # two norms are taken only when the residual exceeds 1e-10 |rhs|,
             # which a solve that passes seldom does.
-            if resid > 1e-10 * rhs_norm and resid > 1e-10 * (
-                    np.sqrt(2.0) * _norm(band.ravel(order="K")) * _norm(u_i) + rhs_norm):
-                raise SolverFailure(resid)
-            u_row[self.mesh.interior] = u_i
-            factors.append(factor)
+            if r > 1e-10 * rhs_norm and r > 1e-10 * (
+                    np.sqrt(2.0) * _norm(system[n_int:]) * _norm(u[j, self.mesh.interior])
+                    + rhs_norm):
+                raise SolverFailure(r)
         return kappa, factors, u
 
     def solve_field(self, x):
@@ -431,39 +451,6 @@ def _whitened_rhs(rhs, outputs, n_outputs, metric):
     inside = to >= 0
     return (np.broadcast_to(rows[:, None], to.shape)[inside], to[inside],
             (weights[:, None] * factor[kd - t, cols[:, None]])[inside])
-
-
-def _csr_arrays(values, rows, cols, n_rows):
-    """The CSR arrays (data, indices, indptr) of the sum of the entries
-    ``values`` at (``rows``, ``cols``), as scipy's COO to CSR conversion
-    forms them: sorted by row, then column, ties in the order given, and
-    the duplicates of an entry summed in that order. (scipy sorts a row with
-    ``std::sort``, which keeps ties in order on rows of at most 16 entries;
-    the system map's rows hold at most 12.)"""
-    order = np.lexsort((cols, rows))
-    rows, cols, values = rows[order], cols[order], values[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    data = np.zeros(np.count_nonzero(first))
-    np.add.at(data, np.cumsum(first) - 1, values)
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
-    return data, cols[first].astype(np.int32), indptr
-
-
-def _csr_product(csr, x, out=None):
-    """A @ x for a CSR matrix A = (data, indices, indptr), whose indices and
-    indptr share one integer dtype, and a 2-d x with a row per column of A:
-    the loop that scipy's csr_matrix @ x runs, ``csr_matvecs``, into a
-    zeroed result, a new array or ``out``, C-contiguous, zeroed here."""
-    data, indices, indptr = csr
-    if out is None:
-        out = np.zeros((indptr.size - 1, x.shape[1]))
-    else:
-        out[...] = 0.0
-    csr_matvecs(out.shape[0], x.shape[0], x.shape[1], indptr, indices, data,
-                x.ravel(), out.ravel())
-    return out
 
 
 def _norm(v):

@@ -148,6 +148,36 @@ def test_a_pde_run_opens_each_openblas_copy_once(tmp_path):
     assert seen["opened"] == {path: 1 for path in seen["mapped"]}
 
 
+# Counts the reads of the mapped OpenBLAS paths over a pde curve run.
+_MAPS_READS = """
+import json, sys
+from gradridge import _blas, cli
+
+reads = []
+paths = _blas._paths
+
+def counting():
+    reads.append(1)
+    return paths()
+
+_blas._paths = counting
+code = cli.main(["curve", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "reads": len(reads)}))
+"""
+
+
+def test_a_pde_run_reads_the_mapped_paths_once_per_extension_module(tmp_path):
+    # once as the pin starts, then once after each of the two extension
+    # modules that hold the run's kernels loads; it used to be once after
+    # each of the six kernels was bound
+    cfg = _write_cfg(tmp_path, {
+        "model": {"kind": "pde", "grid": 3, "scenario": "point_pair"},
+        "sampling": {"k": 20, "m": [1], "n_val": 20},
+    })
+    seen = _run_script(_MAPS_READS, cfg, tmp_path / "out")
+    assert seen == {"code": 0, "reads": 3}
+
+
 @pytest.fixture
 def controls():
     """Every OpenBLAS copy set to two threads, as a caller might leave it."""

@@ -402,14 +402,25 @@ def _mode_table(path):
     return meta, header, np.array([[float(v) for v in row] for row in rows])
 
 
+def _positive_peaks(vectors):
+    """``vectors`` with each column negated whose entry of largest magnitude,
+    the first such, is negative."""
+    out = vectors.copy()
+    for col in out.T:
+        if col[np.argmax(np.abs(col))] < 0:
+            col *= -1.0
+    return out
+
+
 def _expected_modes(cfg):
-    """The model, and the eigenvectors run_spectrum should write per table."""
+    """The model, and the eigenvectors run_spectrum should write per table,
+    each signed so that its entry of largest magnitude is positive."""
     model = build_model(cfg)
     mu = build_measure(cfg, model)
     sampling = cfg["sampling"]
     est = estimate_h(model, mu, SampleStream(sampling["seed"]).substream(_TAG_H), sampling["k"])
-    return model, {"gen_modes.csv": generalized_eig(est.h, mu.cov).vectors,
-                   "kl_modes.csv": mu.cov.root().vectors}
+    return model, {"gen_modes.csv": _positive_peaks(generalized_eig(est.h, mu.cov).vectors),
+                   "kl_modes.csv": _positive_peaks(mu.cov.root().vectors)}
 
 
 def test_spectrum_artifacts_analytical(tmp_path):
@@ -471,6 +482,33 @@ def test_spectrum_artifacts_pde(tmp_path):
         np.testing.assert_array_equal(table[:, 0], np.arange(1, 10))
         np.testing.assert_array_equal(table[:, 1:3], model.mesh.cell_centers)
         np.testing.assert_array_equal(table[:, 3:], vectors[:, :6])
+
+
+def test_mode_tables_do_not_follow_the_eigensolvers_signs(tmp_path, monkeypatch):
+    # a quadratic model under a dense covariance, the kind of config whose
+    # mode 2 flipped with a round-off change in S^T H S: eigenvectors with
+    # every sign flipped write the same bytes
+    from gradridge import experiments
+    from gradridge.linalg import GeneralizedEigenPairs
+
+    cov = 0.5 ** np.abs(np.subtract.outer(np.arange(5), np.arange(5)))
+    cfg = resolve_config({"model": {"kind": "quadratic", "random": {"dim": 5, "seed": 3}},
+                          "measure": {"covariance": cov.tolist()},
+                          "sampling": {"k": 40, "seed": 8}})
+    run_spectrum(cfg, tmp_path / "returned")
+
+    def negated(h, sigma):
+        pairs = generalized_eig(h, sigma)
+        return GeneralizedEigenPairs(pairs.values, -pairs.vectors, -pairs.duals)
+
+    monkeypatch.setattr(experiments, "generalized_eig", negated)
+    run_spectrum(cfg, tmp_path / "negated")
+    for name in ("spectrum.csv", "gen_modes.csv", "kl_modes.csv"):
+        assert (tmp_path / "returned" / name).read_bytes() == (
+            tmp_path / "negated" / name).read_bytes(), name
+    modes = _mode_table(tmp_path / "returned" / "gen_modes.csv")[2][:, 1:]
+    peaks = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+    assert np.all(peaks > 0.0)
 
 
 @pytest.mark.parametrize("command", ["curve", "spectrum"])
@@ -990,15 +1028,15 @@ def test_cli_prints_each_warning_as_one_line(tmp_path):
     assert all(line.startswith(("warning:", "numerical failure:")) for line in lines)
 
 
-# Which of numpy, scipy's heavy subpackages and the pde model are loaded after
-# each step of a run of the command argv[3], which of scipy's kernels the run
-# bound and which extension modules are left in sys.modules, and what the pde
-# names resolve to.
+# Which of numpy, the scipy package, its heavy subpackages and the pde model
+# are loaded after each step of a run of the command argv[3], which of
+# scipy's kernels the run bound and which extension modules are left in
+# sys.modules, and what the pde names resolve to.
 _SCIPY_LOADS = """
 import json, sys
 
 def heavy():
-    return [m for m in ("numpy", "scipy.linalg", "scipy.sparse", "gradridge.pde")
+    return [m for m in ("numpy", "scipy", "scipy.linalg", "scipy.sparse", "gradridge.pde")
             if m in sys.modules]
 
 EXTENSIONS = ("scipy.linalg._flapack", "scipy.linalg._fblas", "scipy.sparse._sparsetools")
@@ -1012,7 +1050,7 @@ loaded["import gradridge.cli"] = heavy()
 code = gradridge.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2], *sys.argv[4:]])
 loaded[command] = heavy()
 bound = vars(sys.modules.get("gradridge.linalg", json))
-kernels = sorted(n for n in ("csr_matvecs", "dpbtrf", "dpbtrs", "dsbmv", "dsyevr",
+kernels = sorted(n for n in ("csr_matvecs", "dpbtrf", "dpbtrs", "dsyevr",
                              "dsyevr_lwork") if n in bound)
 extensions = [m for m in EXTENSIONS if m in sys.modules]
 futures = "concurrent.futures" in sys.modules
@@ -1079,6 +1117,16 @@ def test_curve_on_three_blocks_writes_the_same_bytes_on_the_caller_and_a_helper(
         tmp_path / "out2" / "curve.csv").read_bytes()
 
 
+def test_metadata_reads_scipys_version_without_importing_scipy():
+    # scipy/version.py, loaded on its own, holds the string the package
+    # exports as scipy.__version__
+    import scipy
+
+    assert linalg.scipy_version() == scipy.__version__
+    assert _metadata_lines(resolve_config({"model": _LINEAR}))[1].endswith(
+        f" scipy={scipy.__version__}")
+
+
 def test_linear_sobol_runs_without_scipy_linalg(tmp_path):
     # sobol never reads the linear model's Lipschitz constant, so its
     # eigensolve, and scipy.linalg with it, is left for a run that does
@@ -1107,14 +1155,30 @@ _PDE_CURVE = {"model": {"kind": "pde", "grid": 3, "scenario": "point_pair"},
 
 def test_pde_curve_binds_scipys_kernels_but_imports_neither_package(tmp_path):
     # the eigensolve, the band solves and the CSR products read their kernels
-    # from the three extension modules, loaded without their packages and
+    # from two extension modules, loaded without their packages and
     # not left in sys.modules for a later import of the package to skip
     seen = _scipy_loads(_write_cfg(tmp_path, _PDE_CURVE), tmp_path / "out", "curve")
     assert seen["code"] == 0
     assert seen["loaded"]["curve"] == ["numpy", "gradridge.pde"]
     assert seen["kernels"] == [
-        "csr_matvecs", "dpbtrf", "dpbtrs", "dsbmv", "dsyevr", "dsyevr_lwork"]
+        "csr_matvecs", "dpbtrf", "dpbtrs", "dsyevr", "dsyevr_lwork"]
     assert seen["extensions"] == []
+
+
+def test_pde_curve_maps_no_blas_extension_module(tmp_path):
+    # the forward solve's residual comes from the cell terms, so no run loads
+    # scipy.linalg._fblas, whose dsbmv it used to take
+    seen = _scipy_loads(_write_cfg(tmp_path, _PDE_CURVE), tmp_path / "out", "curve", then="""
+try:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        seen["fblas"] = any("_fblas" in line for line in fh)
+except OSError:
+    seen["fblas"] = None
+""")
+    assert seen["code"] == 0
+    if seen["fblas"] is None:
+        pytest.skip("no /proc/self/maps to read here")
+    assert seen["fblas"] is False
 
 
 @pytest.mark.parametrize("scenario", ["full_field", "subdomain", "point_pair"])
@@ -1134,7 +1198,7 @@ from gradridge import linalg
 import numpy as np
 import scipy.linalg, scipy.sparse._sparsetools
 public = {"dpbtrf": scipy.linalg._flapack.dpbtrf, "dpbtrs": scipy.linalg.lapack.dpbtrs,
-          "dsyevr": scipy.linalg.lapack.dsyevr, "dsbmv": scipy.linalg._fblas.dsbmv,
+          "dsyevr": scipy.linalg.lapack.dsyevr,
           "csr_matvecs": scipy.sparse._sparsetools.csr_matvecs}
 seen["same_kernels"] = {name: getattr(linalg, name) is kernel for name, kernel in public.items()}
 a = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -1151,7 +1215,7 @@ def test_scipy_imported_after_a_pde_run_hands_out_the_same_kernels(tmp_path):
                         then=_LATER_IMPORTS)
     assert seen["code"] == 0
     assert seen["same_kernels"] == {
-        "dpbtrf": True, "dpbtrs": True, "dsyevr": True, "dsbmv": True, "csr_matvecs": True}
+        "dpbtrf": True, "dpbtrs": True, "dsyevr": True, "csr_matvecs": True}
     np.testing.assert_allclose(seen["eigh"], [(5 - 5 ** 0.5) / 2, (5 + 5 ** 0.5) / 2])
     assert seen["sparse"] == [3.0, 4.0]
 
